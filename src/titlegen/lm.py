@@ -73,10 +73,16 @@ class NGramLM(GeneratorModel):
             raise ValueError("weights must be nonnegative, one per order level")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
+        seen: set[int] = set()
         for l, table in enumerate(levels):
-            for ctx in table:
+            for ctx, nexts in table.items():
                 if len(ctx) != l:
                     raise ValueError(f"level {l} holds a context of length {len(ctx)}")
+                seen.update(ctx)
+                seen.update(nexts)
+        if seen and (min(seen) < 0 or max(seen) >= len(vocab)):
+            bad = min(seen) if min(seen) < 0 else max(seen)
+            raise ValueError(f"token id {bad} is outside the vocabulary of {len(vocab)} tokens")
         self.order = order
         self._vocab = vocab
         self.levels = levels

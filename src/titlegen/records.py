@@ -142,11 +142,20 @@ def pool_to_dict(pool: CandidatePool) -> dict:
     }
 
 
+def _tokens(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise ValueError(f"{what} must be a list of token strings")
+    return list(value)
+
+
 def pool_from_dict(row: dict) -> CandidatePool:
     cfg = row["config"]
+    candidates = row["candidates"]
+    if not isinstance(candidates, list):
+        raise ValueError("candidates must be a list")
     return CandidatePool(
-        input=list(row["input"]),
-        candidates=[list(c) for c in row["candidates"]],
+        input=_tokens(row["input"], "input"),
+        candidates=[_tokens(c, "candidate") for c in candidates],
         config=SamplingConfig(
             top_p=cfg["top_p"],
             temperature=cfg["temperature"],

@@ -165,6 +165,76 @@ def nucleus_oracle(probs, beta) -> np.ndarray:
     return out
 
 
+# -- sampling kernels: the per-element loops the package once ran -----------
+# The package's vectorized kernels must reproduce these bit for bit:
+# same stable descending order, same sequential sums, same divisions.
+
+BETA_SLACK = 1e-12
+
+
+def loop_apply_temperature(probs, temperature) -> np.ndarray:
+    out = probs.copy()
+    if temperature == 1.0:
+        return out
+    best = 0.0
+    for i in range(out.shape[0]):
+        if out[i] > best:
+            best = out[i]
+    if best <= 0.0:
+        return out
+    logmax = np.log(best)
+    total = 0.0
+    for i in range(out.shape[0]):
+        if out[i] > 0.0:
+            out[i] = np.exp((np.log(out[i]) - logmax) / temperature)
+            total += out[i]
+        else:
+            out[i] = 0.0
+    for i in range(out.shape[0]):
+        out[i] /= total
+    return out
+
+
+def loop_nucleus_filter(probs, beta) -> np.ndarray:
+    n = probs.shape[0]
+    if beta >= 1.0:
+        return probs.copy()
+    order = np.argsort(-probs, kind="mergesort")
+    cut = n - 1
+    csum = 0.0
+    for r in range(n):
+        csum += probs[order[r]]
+        if csum >= beta - BETA_SLACK:
+            cut = r
+            break
+    mass = 0.0
+    for r in range(cut + 1):
+        mass += probs[order[r]]
+    out = np.zeros(n, dtype=np.float64)
+    for r in range(cut + 1):
+        i = order[r]
+        out[i] = probs[i] / mass
+    return out
+
+
+def loop_sample_token(probs, u) -> int:
+    acc = 0.0
+    last = -1
+    for i in range(probs.shape[0]):
+        p = probs[i]
+        if p > 0.0:
+            acc += p
+            last = i
+            if acc > u:
+                return i
+    return last
+
+
+def loop_sample_step(probs, beta, temperature, u) -> int:
+    scaled = loop_apply_temperature(probs, temperature)
+    return loop_sample_token(loop_nucleus_filter(scaled, beta), u)
+
+
 # -- ranking -----------------------------------------------------------------
 
 def consistency_oracle(candidates) -> list[float]:

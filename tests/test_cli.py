@@ -5,6 +5,7 @@ import pytest
 
 from titlegen import records
 from titlegen.cli import main as cli_main
+from titlegen.text import START_ID
 
 from .conftest import write_raw_corpus
 
@@ -174,6 +175,25 @@ class TestGenerate:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_id", ["past_end", -1])
+    def test_out_of_range_model_id_fails(self, pipeline, tmp_path, capsys, bad_id):
+        # A next-token id outside the vocabulary under the START context,
+        # which every sampled row reads at its first step.
+        payload = json.loads(pipeline.model.read_text())
+        size = len(payload["vocabulary"])
+        (table,) = [t for ctx, t in payload["levels"][1] if ctx == [START_ID]]
+        table[0][0] = size if bad_id == "past_end" else bad_id
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "pools.jsonl"
+        assert fails(
+            "generate", "--model", model, "--input", pipeline.splits / "test.jsonl",
+            "--out", out, "--limit", 1, "--num-samples", 2,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "outside the vocabulary" in line
+        assert not out.exists()
+
 
 class TestRank:
     def test_mmns_rows(self, pipeline):
@@ -206,6 +226,17 @@ class TestRank:
         out = tmp_path / "again.jsonl"
         run("rank", "--pools", pipeline.pools, "--out", out)
         assert out.read_bytes() == pipeline.selections.read_bytes()
+
+    def test_non_string_candidates_fail_without_output(self, pipeline, tmp_path, capsys):
+        rows = read_rows(pipeline.pools)
+        rows[1]["candidates"] = [[7, 8] for _ in rows[1]["candidates"]]
+        pools = tmp_path / "pools.jsonl"
+        records.write_jsonl(pools, rows)
+        out = tmp_path / "selected.jsonl"
+        assert fails("rank", "--pools", pools, "--out", out)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "candidate must be a list of token strings" in line
+        assert not out.exists()
 
 
 class TestEvaluate:
