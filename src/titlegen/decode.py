@@ -137,6 +137,27 @@ def decode_candidates(
     )
 
 
+def _best_expansions(scores: np.ndarray, parents: Sequence[tuple[int, ...]], count: int):
+    """The ``count`` best (parent row, token, score) entries of ``scores``.
+
+    Order is (-score, parent ids + (token,)); entries that are -inf or NaN
+    (zero or invalid probability) are never chosen. All parents have the
+    same length, so the id order is (lexicographic parent rank, token).
+    Only the band at or above the ``count``-th score is sorted.
+    """
+    flat = scores.ravel()
+    cand = np.flatnonzero(flat > -np.inf)
+    if cand.size > count:
+        vals = flat[cand]
+        cut = cand.size - count
+        cand = cand[vals >= np.partition(vals, cut)[cut]]
+    rank = np.empty(len(parents), dtype=np.int64)
+    rank[sorted(range(len(parents)), key=parents.__getitem__)] = np.arange(len(parents))
+    rows, toks = np.divmod(cand, scores.shape[1])
+    best = np.lexsort((toks, rank[rows], -flat[cand]))[:count]
+    return [(int(r), int(t), float(flat[i])) for r, t, i in zip(rows[best], toks[best], cand[best])]
+
+
 def beam_search(
     model: GeneratorModel,
     code: Sequence[int],
@@ -148,31 +169,46 @@ def beam_search(
 
     No length normalization. Ties break by lexicographic token-id order.
     Returned sequences are surface token ids without START or END.
+
+    The search stops before ``max_length`` once the k-th best finished
+    score is strictly greater than the best live score. This is exact:
+    every probability is at most 1, so a live beam's score can only fall
+    as it grows, and neither it nor anything it finishes can beat the
+    k-th finished sequence. On equal scores a later sequence could still
+    win the id tie-break, hence the strict comparison.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     if not 1 <= k <= beam_size:
         raise ValueError(f"k must be in [1, beam_size], got k={k} beam_size={beam_size}")
-    live: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
+    live_ids: list[tuple[int, ...]] = [()]
+    live_scores = np.zeros(1)
     finished: list[tuple[float, tuple[int, ...]]] = []
-    while live:
-        expansions: list[tuple[float, tuple[int, ...]]] = []
-        for logp, ids in live:
-            dist = model.next_distribution(code, [START_ID, *ids])
-            with np.errstate(divide="ignore"):
-                logdist = np.log(dist)
-            for tok in range(dist.shape[0]):
-                if dist[tok] <= 0.0:
-                    continue
-                cand = (logp + float(logdist[tok]), ids + (tok,))
-                if tok == END_ID:
-                    finished.append((cand[0], ids))
-                elif len(cand[1]) >= max_length:
-                    # Capped rows are kept: ranking can still use them.
-                    finished.append(cand)
-                else:
-                    expansions.append(cand)
-        expansions.sort(key=lambda e: (-e[0], e[1]))
-        live = expansions[:beam_size]
-    finished.sort(key=lambda e: (-e[0], e[1]))
-    return [list(ids) for _, ids in finished[:k]]
+    while live_ids:
+        scores = np.empty((len(live_ids), len(model.vocabulary)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for row, ids in enumerate(live_ids):
+                np.log(model.next_distribution(code, [START_ID, *ids]), out=scores[row])
+        scores += live_scores[:, None]
+        finished += [
+            (float(s), ids)
+            for s, ids in zip(scores[:, END_ID], live_ids)
+            if s > -np.inf
+        ]
+        scores[:, END_ID] = -np.inf
+        if len(live_ids[0]) + 1 >= max_length:
+            # Capped rows are kept: ranking can still use them. Only the
+            # best k of them can be returned, so only those are built.
+            finished += [
+                (s, live_ids[r] + (t,))
+                for r, t, s in _best_expansions(scores, live_ids, k)
+            ]
+            live_ids = []
+        else:
+            best = _best_expansions(scores, live_ids, beam_size)
+            live_ids = [live_ids[r] + (t,) for r, t, _ in best]
+            live_scores = np.array([s for _, _, s in best])
+        finished = sorted(finished, key=lambda e: (-e[0], e[1]))[:k]
+        if live_ids and len(finished) == k and finished[-1][0] > live_scores[0]:
+            break
+    return [list(ids) for _, ids in finished]

@@ -27,8 +27,9 @@ class GeneratorModel(ABC):
     """Contract every generator must satisfy.
 
     ``next_distribution`` returns a probability vector over the model's
-    vocabulary: entries nonnegative, sum 1 within 1e-9, and exactly 0
-    for PAD and START (neither may ever be generated).
+    vocabulary: entries in [0, 1], sum 1 within 1e-9, and exactly 0
+    for PAD and START (neither may ever be generated). Beam search's
+    early stop relies on no entry exceeding 1.
     """
 
     @property
@@ -103,10 +104,15 @@ class NGramLM(GeneratorModel):
         for l in range(1, self.order):
             if l > len(full):
                 continue
-            entry = self._sparse[l].get(tuple(full[len(full) - l :]))
-            if entry is not None:
-                ids, vals = entry
-                out[ids] += vals
+            ctx = tuple(full[len(full) - l :])
+            entry = self._rows[l].get(ctx)
+            if entry is None:
+                table = self.levels[l].get(ctx)
+                if table is None:
+                    continue
+                entry = self._rows[l][ctx] = self._sparse_row(l, table)
+            ids, vals = entry
+            out[ids] += vals
         out[PAD_ID] = 0.0
         out[START_ID] = 0.0
         out /= out.sum()
@@ -116,7 +122,8 @@ class NGramLM(GeneratorModel):
 
     def _rebuild_cache(self) -> None:
         # base = floor + weighted level-0 (empty context) distribution;
-        # higher levels are scattered on top per call.
+        # higher levels are scattered on top per call, from sparse rows
+        # built on a context's first lookup (one call reads only a few).
         base = np.full(len(self._vocab), FLOOR, dtype=np.float64)
         table0 = self.levels[0].get(())
         if table0:
@@ -124,18 +131,15 @@ class NGramLM(GeneratorModel):
             for tok, c in table0.items():
                 base[tok] += self.weights[0] * c / total
         self._base = base
-        sparse: list[dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = [{}]
-        for l in range(1, self.order):
-            entries = {}
-            for ctx, table in self.levels[l].items():
-                total = sum(table.values())
-                ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-                vals = np.array(
-                    [self.weights[l] * c / total for c in table.values()], dtype=np.float64
-                )
-                entries[ctx] = (ids, vals)
-            sparse.append(entries)
-        self._sparse = sparse
+        self._rows: list[dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = [
+            {} for _ in range(self.order)
+        ]
+
+    def _sparse_row(self, l: int, table: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        total = sum(table.values())
+        ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+        vals = np.array([self.weights[l] * c / total for c in table.values()], dtype=np.float64)
+        return ids, vals
 
     # -- serialization ---------------------------------------------------
 

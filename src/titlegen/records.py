@@ -148,8 +148,22 @@ def _tokens(value, what: str) -> list[str]:
     return list(value)
 
 
+def _number(cfg: dict, name: str, integer: bool = False):
+    value = cfg[name]
+    kind = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise ValueError(f"config {name} must be {what}, got {value!r}")
+    return value
+
+
 def pool_from_dict(row: dict) -> CandidatePool:
     cfg = row["config"]
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be an object")
+    meta = row.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("meta must be an object")
     candidates = row["candidates"]
     if not isinstance(candidates, list):
         raise ValueError("candidates must be a list")
@@ -157,13 +171,13 @@ def pool_from_dict(row: dict) -> CandidatePool:
         input=_tokens(row["input"], "input"),
         candidates=[_tokens(c, "candidate") for c in candidates],
         config=SamplingConfig(
-            top_p=cfg["top_p"],
-            temperature=cfg["temperature"],
-            num_samples=cfg["num_samples"],
-            max_length=cfg["max_length"],
-            seed=cfg["seed"],
+            top_p=_number(cfg, "top_p"),
+            temperature=_number(cfg, "temperature"),
+            num_samples=_number(cfg, "num_samples", integer=True),
+            max_length=_number(cfg, "max_length", integer=True),
+            seed=_number(cfg, "seed", integer=True),
         ),
-        meta=dict(row.get("meta", {})),
+        meta=dict(meta),
     )
 
 

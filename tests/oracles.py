@@ -354,6 +354,36 @@ def enumerate_paths(model, code, max_length):
     return paths
 
 
+def loop_beam_search(model, code, beam_size, k, max_length=48):
+    """The tuple-based beam search the package once ran, kept as the
+    reference: one (score, ids) tuple per (beam, token) pair, a full sort
+    of the expansions every step, and no early stop before max_length."""
+    from titlegen.text import END_ID, START_ID
+
+    live = [(0.0, ())]
+    finished = []
+    while live:
+        expansions = []
+        for logp, ids in live:
+            dist = model.next_distribution(code, [START_ID, *ids])
+            with np.errstate(divide="ignore"):
+                logdist = np.log(dist)
+            for tok in range(dist.shape[0]):
+                if dist[tok] <= 0.0:
+                    continue
+                cand = (logp + float(logdist[tok]), ids + (tok,))
+                if tok == END_ID:
+                    finished.append((cand[0], ids))
+                elif len(cand[1]) >= max_length:
+                    finished.append(cand)
+                else:
+                    expansions.append(cand)
+        expansions.sort(key=lambda e: (-e[0], e[1]))
+        live = expansions[:beam_size]
+    finished.sort(key=lambda e: (-e[0], e[1]))
+    return [list(ids) for _, ids in finished[:k]]
+
+
 def rollout_probability(model, code, title_ids, max_length):
     """Probability that sampling with beta=1, t=1 emits exactly title_ids."""
     from titlegen.text import END_ID, START_ID

@@ -238,6 +238,34 @@ class TestRank:
         assert "candidate must be a list of token strings" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("config", [], "config must be an object"),
+            ("top_p", "high", "config top_p must be a number"),
+            ("temperature", None, "config temperature must be a number"),
+            ("num_samples", 2.5, "config num_samples must be an integer"),
+            ("max_length", "48", "config max_length must be an integer"),
+            ("seed", True, "config seed must be an integer"),
+            ("meta", ["id", 1], "meta must be an object"),
+        ],
+    )
+    def test_malformed_pool_metadata_fails_without_output(
+        self, pipeline, tmp_path, capsys, field, value, message
+    ):
+        rows = read_rows(pipeline.pools)
+        if field in ("config", "meta"):
+            rows[1][field] = value
+        else:
+            rows[1]["config"][field] = value
+        pools = tmp_path / "pools.jsonl"
+        records.write_jsonl(pools, rows)
+        out = tmp_path / "selected.jsonl"
+        assert fails("rank", "--pools", pools, "--out", out)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert message in line
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_report_shape(self, pipeline):

@@ -7,14 +7,64 @@ from scipy import stats
 import titlegen as tg
 from titlegen.text import END_ID, PAD, START, START_ID
 
-from .conftest import DummyModel
-from .oracles import enumerate_paths, nucleus_oracle, rollout_probability, stable_rng
+from .conftest import DummyModel, topic_code
+from .oracles import (
+    enumerate_paths,
+    loop_beam_search,
+    nucleus_oracle,
+    rollout_probability,
+    stable_rng,
+)
 
 
 def make_tiny_model(order=3):
     v = tg.Vocabulary()
     pairs = [(v.encode(["x"], grow=True), v.encode(["a", "b"], grow=True))]
     return tg.train_ngram_lm(pairs, order, v), v
+
+
+class TableModel(tg.GeneratorModel):
+    """Hand-written conditionals keyed by the generated prefix; every
+    token not listed has probability exactly 0."""
+
+    def __init__(self, table):
+        self._vocab = tg.Vocabulary(list(tg.RESERVED) + ["a", "b", "c"])
+        self._table = table
+
+    @property
+    def vocabulary(self):
+        return self._vocab
+
+    def next_distribution(self, code, prefix):
+        out = np.zeros(len(self._vocab))
+        names = tuple(self._vocab.decode(list(prefix[1:])))
+        for tok, p in self._table[names].items():
+            out[END_ID if tok == "END" else self._vocab.id(tok)] = p
+        return out
+
+
+class CallCounter(tg.GeneratorModel):
+    def __init__(self, model):
+        self._model = model
+        self.calls = 0
+
+    @property
+    def vocabulary(self):
+        return self._model.vocabulary
+
+    def next_distribution(self, code, prefix):
+        self.calls += 1
+        return self._model.next_distribution(code, prefix)
+
+
+#: START -> a | c, each 0.5; both paths end with the same score, and the
+#: longer one wins the id tie-break (a < c).
+TIE_TABLE = {
+    (): {"a": 0.5, "c": 0.5},
+    ("a",): {"b": 1.0},
+    ("c",): {"END": 1.0},
+    ("a", "b"): {"END": 1.0},
+}
 
 
 class TestSamplingConfig:
@@ -278,3 +328,71 @@ class TestBeamSearch:
         paths = {ids: lp for lp, ids in enumerate_paths(dummy_model, code, max_length=3)}
         scores = [paths[tuple(s)] for s in seqs]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("beam_size", [1, 3, 5, 20])
+    @pytest.mark.parametrize("max_length", [1, 16, 48])
+    def test_matches_loop_oracle_on_toy_model(self, toy_model, beam_size, max_length):
+        # FLOOR keeps every token alive, so every step expands the full
+        # vocabulary of every beam.
+        # The oracle's top k is a prefix of its top beam_size.
+        vocab = toy_model.vocabulary
+        for topic in (0, 4, 9):
+            code = vocab.encode(topic_code(topic))
+            want = loop_beam_search(toy_model, code, beam_size, beam_size, max_length)
+            for k in sorted({1, (beam_size + 1) // 2, beam_size}):
+                assert tg.beam_search(toy_model, code, beam_size, k, max_length) == want[:k]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        vocab_size=st.integers(5, 9),
+        beam_size=st.integers(1, 6),
+        k_share=st.floats(0.0, 1.0),
+        max_length=st.integers(1, 4),
+    )
+    def test_matches_loop_oracle_on_random_models(
+        self, seed, vocab_size, beam_size, k_share, max_length
+    ):
+        model = DummyModel(vocab_size=vocab_size, seed=seed)
+        k = 1 + int(k_share * (beam_size - 1))
+        got = tg.beam_search(model, [5, 6], beam_size, k, max_length)
+        assert got == loop_beam_search(model, [5, 6], beam_size, k, max_length)
+
+    def test_equal_scores_do_not_stop_the_search(self):
+        # After step 2, "c" has finished with log 0.5 and the live "a b"
+        # also scores log 0.5; stopping there would return "c".
+        model = TableModel(TIE_TABLE)
+        got = tg.beam_search(model, [], beam_size=2, k=1, max_length=48)
+        assert model.vocabulary.decode(got[0]) == ["a", "b"]
+
+    def test_ties_across_parents_break_by_ids(self):
+        # Live beams after step 1 are "c" then "a" (by score). At step 2,
+        # "a b", "a c" and "c b" all score log 0.25 + log 0.5 and one of
+        # them takes the second slot: the lexicographically first, "a b",
+        # not the child of the first live row.
+        table = {
+            (): {"c": 0.5, "a": 0.25, "b": 0.25},
+            ("c",): {"a": 0.75, "b": 0.25},
+            ("a",): {"b": 0.5, "c": 0.5},
+            **{pair: {"END": 1.0} for pair in [("c", "a"), ("c", "b"), ("a", "b"), ("a", "c")]},
+        }
+        model = TableModel(table)
+        got = tg.beam_search(model, [], beam_size=2, k=2, max_length=48)
+        assert [model.vocabulary.decode(s) for s in got] == [["c", "a"], ["a", "b"]]
+        assert got == loop_beam_search(model, [], beam_size=2, k=2, max_length=48)
+
+    def test_early_stop_saves_model_calls(self, toy_model):
+        code = toy_model.vocabulary.encode(topic_code(3))
+        counter = CallCounter(toy_model)
+        beam_size, max_length = 5, 48
+        got = tg.beam_search(counter, code, beam_size, beam_size, max_length)
+        assert counter.calls < 1 + beam_size * (max_length - 1)
+        assert got == loop_beam_search(toy_model, code, beam_size, beam_size, max_length)
+
+    def test_zero_probability_tokens_never_chosen(self):
+        model = TableModel(TIE_TABLE)
+        got = tg.beam_search(model, [], beam_size=5, k=5, max_length=48)
+        assert [model.vocabulary.decode(s) for s in got] == [["a", "b"], ["c"]]
+        # Capped at one token, only the two positive first tokens finish.
+        got = tg.beam_search(model, [], beam_size=5, k=5, max_length=1)
+        assert [model.vocabulary.decode(s) for s in got] == [["a"], ["c"]]
