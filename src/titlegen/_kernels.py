@@ -81,11 +81,9 @@ def _nucleus(probs: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
 
 def nucleus_filter_kernel(probs: np.ndarray, beta: float) -> np.ndarray:
     """The nucleus of ``probs`` rescaled to mass 1, zero elsewhere."""
-    if beta >= 1.0:
-        return probs.copy()
-    ids, mass = _nucleus(probs, beta)
+    ids, q = nucleus_kernel(probs, beta, 1.0)
     out = np.zeros(probs.shape[0], dtype=np.float64)
-    out[ids] = probs[ids] / mass
+    out[ids] = q
     return out
 
 
@@ -102,19 +100,37 @@ def sample_token_kernel(probs: np.ndarray, u: float) -> int:
     return int(positive[min(j, positive.shape[0] - 1)])
 
 
-def sample_step_kernel(probs: np.ndarray, beta: float, temperature: float, u: float) -> int:
-    """Fused temperature -> nucleus -> inverse-CDF step.
+def nucleus_kernel(
+    probs: np.ndarray, beta: float, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The temperature -> nucleus transform in compact form.
 
-    Makes exactly the decisions of the composed public ops without
-    building the vocabulary-length filtered vector.
+    Returns the kept ids in ascending order and their probabilities after
+    temperature, divided by the nucleus mass. At ``beta >= 1`` every id
+    is kept and nothing is divided. An inverse-CDF draw over the second
+    array (``sample_step_kernel`` with ``beta = temperature = 1``) gives
+    the index into the first.
     """
     if temperature != 1.0:
         probs = apply_temperature_kernel(probs, temperature)
     if beta >= 1.0:
-        return sample_token_kernel(probs, u)
+        return np.arange(probs.shape[0]), probs
     ids, mass = _nucleus(probs, beta)
     ids = np.sort(ids)
-    j = sample_token_kernel(probs[ids] / mass, u)
+    return ids, probs[ids] / mass
+
+
+def sample_step_kernel(probs: np.ndarray, beta: float, temperature: float, u: float) -> int:
+    """Fused temperature -> nucleus -> inverse-CDF step.
+
+    Makes exactly the decisions of the composed public ops without
+    building the vocabulary-length filtered vector. At ``beta =
+    temperature = 1`` both transforms are the identity: a plain draw.
+    """
+    if beta >= 1.0 and temperature == 1.0:
+        return sample_token_kernel(probs, u)
+    ids, q = nucleus_kernel(probs, beta, temperature)
+    j = sample_token_kernel(q, u)
     return int(ids[j]) if j >= 0 else -1
 
 

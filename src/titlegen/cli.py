@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import data, decode, metrics, rank, records, retrieve
 from .lm import NGramLM, train_ngram_lm
-from .text import Vocabulary, tokenize
+from .text import Vocabulary, strip_markers, tokenize
 
 log = logging.getLogger("titlegen")
 
@@ -283,24 +283,38 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         _require_files(args.references)
         references = {p.id: p.title for p in records.read_posts(args.references)}
     examples = []
-    for row in records.read_jsonl(args.selections):
+    stats = records.ReadStats()
+    for row in records.read_jsonl(args.selections, stats):
         ref = row.get("reference")
-        if ref is None:
+        if ref is None and not isinstance(row.get("id"), (list, dict)):
             ref = references.get(row.get("id"))
         if ref is None:
             raise ValueError(
                 f"no reference for selection id={row.get('id')!r}; pass --references"
             )
-        examples.append(
-            {
-                "id": row.get("id"),
-                "language": row.get("language"),
-                "candidates": [tokenize(t) for t in row["titles"]],
-                "reference": tokenize(ref),
-            }
-        )
+        titles = row.get("titles")
+        reference = tokenize(ref) if isinstance(ref, str) else []
+        if not (isinstance(titles, list) and titles and all(isinstance(t, str) for t in titles)):
+            problem = "titles must be a nonempty list of strings"
+        elif not strip_markers(reference):
+            problem = "reference is empty or not a string"
+        else:
+            examples.append(
+                {
+                    "id": row.get("id"),
+                    "language": row.get("language"),
+                    "candidates": [tokenize(t) for t in titles],
+                    "reference": reference,
+                }
+            )
+            continue
+        stats.read -= 1
+        stats.skipped += 1
+        log.warning("%s: skipping selection id=%r (%s)", args.selections, row.get("id"), problem)
+    if stats.skipped:
+        log.warning("evaluate: skipped %d selection records", stats.skipped)
     if not examples:
-        raise ValueError("no selections to evaluate")
+        raise ValueError(f"no selections to evaluate ({stats.skipped} skipped)")
     report: dict = {
         "k_sweep": sweep,
         "num_examples": len(examples),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,10 @@ class GeneratorModel(ABC):
     vocabulary: entries in [0, 1], sum 1 within 1e-9, and exactly 0
     for PAD and START (neither may ever be generated). Beam search's
     early stop relies on no entry exceeding 1.
+
+    ``state`` names the model state a prefix reaches. For a fixed code,
+    prefixes with equal states must get bit-identical distributions;
+    sampling computes each state's nucleus once per pool under that key.
     """
 
     @property
@@ -44,6 +48,15 @@ class GeneratorModel(ABC):
         ``prefix`` must begin with START.
         """
         raise NotImplementedError
+
+    def state(self, code: Sequence[int], prefix: Sequence[int]) -> Hashable:
+        """Hashable key of the state ``prefix`` reaches under ``code``.
+
+        The default, the prefix itself, suits any model whose output is a
+        function of (code, prefix). A model that reads only part of the
+        history should return a coarser key, so more prefixes share one.
+        """
+        return tuple(prefix)
 
 
 class NGramLM(GeneratorModel):
@@ -97,20 +110,11 @@ class NGramLM(GeneratorModel):
         return self._vocab
 
     def next_distribution(self, code: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
-        if not prefix or prefix[0] != START_ID:
-            raise ValueError("prefix must begin with START")
-        full = list(code) + [NEXT_ID] + list(prefix)
         out = self._base.copy()
-        for l in range(1, self.order):
-            if l > len(full):
-                continue
-            ctx = tuple(full[len(full) - l :])
-            entry = self._rows[l].get(ctx)
+        for ctx in self.state(code, prefix):
+            entry = self._rows.get(ctx)
             if entry is None:
-                table = self.levels[l].get(ctx)
-                if table is None:
-                    continue
-                entry = self._rows[l][ctx] = self._sparse_row(l, table)
+                entry = self._rows[ctx] = self._sparse_row(ctx)
             ids, vals = entry
             out[ids] += vals
         out[PAD_ID] = 0.0
@@ -118,12 +122,29 @@ class NGramLM(GeneratorModel):
         out /= out.sum()
         return out
 
+    def state(self, code: Sequence[int], prefix: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The suffixes of ``code + [NEXT] + prefix`` the model has a level
+        for, shortest first: exactly the rows the distribution adds.
+
+        Every hit is listed, not only the longest: a hand-built model can
+        hold a context without its shorter suffixes.
+        """
+        if not prefix or prefix[0] != START_ID:
+            raise ValueError("prefix must begin with START")
+        span = self.order - 1
+        if len(prefix) >= span:
+            tail = tuple(prefix[len(prefix) - span :])
+        else:
+            tail = (*code, NEXT_ID, *prefix)[-span:]
+        return tuple(tail[-l:] for l in range(1, len(tail) + 1) if tail[-l:] in self.levels[l])
+
     # -- internals -------------------------------------------------------
 
     def _rebuild_cache(self) -> None:
         # base = floor + weighted level-0 (empty context) distribution;
         # higher levels are scattered on top per call, from sparse rows
-        # built on a context's first lookup (one call reads only a few).
+        # built on a context's first lookup (one call reads only a few),
+        # keyed by the context alone: its length is its level.
         base = np.full(len(self._vocab), FLOOR, dtype=np.float64)
         table0 = self.levels[0].get(())
         if table0:
@@ -131,11 +152,11 @@ class NGramLM(GeneratorModel):
             for tok, c in table0.items():
                 base[tok] += self.weights[0] * c / total
         self._base = base
-        self._rows: list[dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = [
-            {} for _ in range(self.order)
-        ]
+        self._rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _sparse_row(self, l: int, table: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def _sparse_row(self, ctx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        l = len(ctx)
+        table = self.levels[l][ctx]
         total = sum(table.values())
         ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
         vals = np.array([self.weights[l] * c / total for c in table.values()], dtype=np.float64)

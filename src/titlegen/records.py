@@ -99,9 +99,12 @@ def post_from_dict(row: dict) -> Post:
     snippets = row["code_snippets"]
     if not isinstance(snippets, list) or not all(isinstance(s, str) for s in snippets):
         raise ValueError("code_snippets must be a list of strings")
+    title = str(row["title"])
+    if not title.strip():
+        raise ValueError("title is blank")
     return Post(
         id=int(row["id"]),
-        title=str(row["title"]),
+        title=title,
         code_snippets=list(snippets),
         created_at=datetime.fromisoformat(row["created_at"]),
         is_closed=bool(row["is_closed"]),

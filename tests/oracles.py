@@ -384,6 +384,33 @@ def loop_beam_search(model, code, beam_size, k, max_length=48):
     return [list(ids) for _, ids in finished[:k]]
 
 
+def loop_decode_candidates(model, code, config):
+    """The per-row sampler the package once ran, kept as the reference:
+    every step of every row calls ``next_distribution`` and the full fused
+    sampling kernel, with nothing shared between rows or steps."""
+    from titlegen import _kernels
+    from titlegen.decode import CandidatePool
+    from titlegen.text import END_ID, START_ID
+
+    vocab = model.vocabulary
+    candidates = []
+    for row in range(config.num_samples):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(row,)))
+        prefix = [START_ID]
+        out = []
+        while len(out) < config.max_length:
+            dist = model.next_distribution(code, prefix)
+            tok = int(
+                _kernels.sample_step_kernel(dist, config.top_p, config.temperature, rng.random())
+            )
+            if tok == END_ID:
+                break
+            out.append(tok)
+            prefix.append(tok)
+        candidates.append(vocab.decode(out))
+    return CandidatePool(input=vocab.decode(list(code)), candidates=candidates, config=config)
+
+
 def rollout_probability(model, code, title_ids, max_length):
     """Probability that sampling with beta=1, t=1 emits exactly title_ids."""
     from titlegen.text import END_ID, START_ID

@@ -7,7 +7,7 @@ from titlegen import records
 from titlegen.cli import main as cli_main
 from titlegen.text import START_ID
 
-from .conftest import write_raw_corpus
+from .conftest import raw_post, write_raw_corpus
 
 
 def run(*argv):
@@ -99,6 +99,24 @@ class TestPrepare:
         out = tmp_path / "nope"
         assert fails("prepare", "--input", tmp_path / "absent.jsonl", "--out-dir", out)
         assert not out.exists()
+
+    def test_blank_titles_skipped(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        rows = write_raw_corpus(raw)
+        with open(raw, "a", encoding="utf-8") as fh:
+            for pid, title in ((9001, ""), (9002, " \t ")):
+                post = raw_post(pid, title=title, created_at="2021-02-01T00:00:00")
+                fh.write(json.dumps(post) + "\n")
+        out = tmp_path / "splits"
+        run(
+            "prepare", "--input", raw, "--out-dir", out,
+            "--val-count", 15, "--test-count", 15,
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["records_read"] == len(rows)
+        assert manifest["records_skipped"] == 2
+        for name in ("train", "validation", "test"):
+            assert all(r["title"].strip() for r in read_rows(out / f"{name}.jsonl"))
 
 
 class TestTrainLm:
@@ -267,6 +285,18 @@ class TestRank:
         assert not out.exists()
 
 
+#: Selection rows ``evaluate`` cannot score: each is skipped and counted.
+UNSCORABLE = {
+    "string_titles": {"titles": "how to parse json", "reference": "how to parse json"},
+    "missing_titles": {"reference": "how to parse json"},
+    "empty_titles": {"titles": [], "reference": "how to parse json"},
+    "non_string_title": {"titles": ["how to", 3], "reference": "how to parse json"},
+    "empty_reference": {"titles": ["how to parse json"], "reference": ""},
+    "marker_reference": {"titles": ["how to parse json"], "reference": "</s>"},
+    "numeric_reference": {"titles": ["how to parse json"], "reference": 5},
+}
+
+
 class TestEvaluate:
     def test_report_shape(self, pipeline):
         report = json.loads(pipeline.report.read_text())
@@ -313,6 +343,37 @@ class TestEvaluate:
         out = tmp_path / "r.json"
         assert fails("evaluate", "--selections", bad, "--out", out)
         assert not out.exists()
+
+    def test_unhashable_id_fails_with_one_line(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        records.write_jsonl(bad, [{"titles": ["a b"], "id": [1]}])
+        out = tmp_path / "r.json"
+        assert fails(
+            "evaluate", "--selections", bad, "--out", out,
+            "--references", pipeline.splits / "test.jsonl",
+        )
+        assert not out.exists()
+        assert "error: no reference for selection id=[1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", UNSCORABLE.values(), ids=UNSCORABLE.keys())
+    def test_unscorable_row_skipped(self, pipeline, tmp_path, caplog, row):
+        rows = read_rows(pipeline.selections)
+        mixed = tmp_path / "mixed.jsonl"
+        records.write_jsonl(mixed, rows[:4] + [dict(row, id=900)] + rows[4:])
+        out = tmp_path / "r.json"
+        with caplog.at_level("WARNING", logger="titlegen"):
+            run("evaluate", "--selections", mixed, "--out", out)
+        assert json.loads(out.read_text()) == json.loads(pipeline.report.read_text())
+        assert "skipped 1 selection records" in caplog.text
+
+    @pytest.mark.parametrize("row", UNSCORABLE.values(), ids=UNSCORABLE.keys())
+    def test_no_scorable_row_fails_without_output(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.jsonl"
+        records.write_jsonl(bad, [row])
+        out = tmp_path / "r.json"
+        assert fails("evaluate", "--selections", bad, "--out", out)
+        assert not out.exists()
+        assert "error: no selections to evaluate (1 skipped)" in capsys.readouterr().err
 
     def test_bad_sweep_fails(self, pipeline, tmp_path):
         assert fails(

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import titlegen as tg
+from titlegen import decode
 from titlegen.text import END_ID, PAD, START, START_ID
 
 from .conftest import DummyModel, topic_code
 from .oracles import (
     enumerate_paths,
     loop_beam_search,
+    loop_decode_candidates,
     nucleus_oracle,
     rollout_probability,
     stable_rng,
@@ -55,6 +57,16 @@ class CallCounter(tg.GeneratorModel):
     def next_distribution(self, code, prefix):
         self.calls += 1
         return self._model.next_distribution(code, prefix)
+
+    def state(self, code, prefix):
+        return self._model.state(code, prefix)
+
+
+def decode_steps(pool):
+    """Kernel draws a pool took: one per token, plus the END draw of
+    every row that stopped short of max_length."""
+    cap = pool.config.max_length
+    return sum(len(c) + (len(c) < cap) for c in pool.candidates)
 
 
 #: START -> a | c, each 0.5; both paths end with the same score, and the
@@ -281,6 +293,96 @@ class TestDecodeCandidates:
         keep = dist > 0
         result = stats.chisquare(counts[keep], dist[keep] * cfg.num_samples)
         assert result.pvalue > 0.01
+
+
+#: Sampling configs for the memo-vs-oracle checks; temperature is never 1,
+#: so a memo that cached the untempered nucleus would show.
+SAMPLING_CONFIGS = st.builds(
+    tg.SamplingConfig,
+    top_p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    temperature=st.floats(min_value=0.25, max_value=4.0).filter(lambda t: t != 1.0),
+    num_samples=st.integers(min_value=1, max_value=40),
+    max_length=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestNucleusMemo:
+    """``decode_candidates`` computes each model state's nucleus once per
+    pool; pools must equal the memo-free per-step reference exactly."""
+
+    @given(
+        cfg=SAMPLING_CONFIGS,
+        topic=st.integers(min_value=0, max_value=9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_oracle_on_toy_model(self, toy_model, cfg, topic):
+        code = toy_model.vocabulary.encode(topic_code(topic))
+        assert tg.decode_candidates(toy_model, code, cfg) == loop_decode_candidates(
+            toy_model, code, cfg
+        )
+
+    @given(
+        cfg=SAMPLING_CONFIGS,
+        model_seed=st.integers(min_value=0, max_value=50),
+        vocab_size=st.integers(min_value=6, max_value=9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_oracle_on_random_models(self, cfg, model_seed, vocab_size):
+        model = DummyModel(vocab_size=vocab_size, seed=model_seed)
+        code = [5, vocab_size - 1]
+        assert tg.decode_candidates(model, code, cfg) == loop_decode_candidates(model, code, cfg)
+
+    @pytest.mark.parametrize("top_p", [0.8, 1.0])
+    def test_matches_loop_oracle_at_pipeline_defaults(self, toy_model, top_p):
+        code = toy_model.vocabulary.encode(topic_code(3))
+        cfg = tg.SamplingConfig(top_p=top_p, num_samples=200, max_length=8, seed=9)
+        assert tg.decode_candidates(toy_model, code, cfg) == loop_decode_candidates(
+            toy_model, code, cfg
+        )
+
+    def test_one_model_call_per_distinct_state(self, toy_model):
+        counter = CallCounter(toy_model)
+        code = toy_model.vocabulary.encode(topic_code(4))
+        cfg = tg.SamplingConfig(num_samples=200, max_length=8, seed=13)
+        pool = tg.decode_candidates(counter, code, cfg)
+        states = set()
+        for cand in pool.candidates:
+            ids = toy_model.vocabulary.encode(cand)
+            for n in range(len(ids) + (len(ids) < cfg.max_length)):
+                states.add(toy_model.state(code, [START_ID, *ids[:n]]))
+        assert counter.calls == len(states)
+        assert counter.calls < decode_steps(pool)
+
+    def test_cached_ids_never_exceed_cap(self, monkeypatch):
+        # At top_p 1 every entry holds the whole vocabulary, so the cap
+        # admits only a few states and the rest are computed unstored.
+        model = DummyModel(vocab_size=8000, seed=1)
+        size = len(model.vocabulary)
+        memos = []
+
+        class Recording(decode._NucleusMemo):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.peak = 0
+                memos.append(self)
+
+            def nucleus(self, prefix):
+                entry = super().nucleus(prefix)
+                self.peak = max(self.peak, self.cached_ids)
+                return entry
+
+        monkeypatch.setattr(decode, "_NucleusMemo", Recording)
+        counter = CallCounter(model)
+        cfg = tg.SamplingConfig(top_p=1.0, temperature=1.3, num_samples=60, max_length=3, seed=2)
+        pool = tg.decode_candidates(counter, [5, 6], cfg)
+        (memo,) = memos
+        assert memo.capacity == decode._MEMO_IDS_PER_VOCAB * size
+        assert memo.peak <= memo.capacity
+        # The cap was reached: no further vocabulary-sized entry fits.
+        assert memo.capacity - memo.peak < size
+        assert counter.calls > memo.capacity // size
+        assert pool == loop_decode_candidates(model, [5, 6], cfg)
 
 
 class TestBeamSearch:

@@ -1,6 +1,6 @@
 """Kernel-level checks: the vectorized kernels must be bit-identical to
 the per-element loops they replaced, and the fused sampling step must
-equal the composition of the public ops."""
+equal the composition of the public ops and of its own two stages."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -78,9 +78,18 @@ class TestBackendEquivalence:
             _kernels.nucleus_filter_kernel(scaled, beta), loop_nucleus_filter(scaled, beta)
         )
         assert _kernels.sample_token_kernel(scaled, u) == loop_sample_token(scaled, u)
-        assert _kernels.sample_step_kernel(dist, beta, t, u) == loop_sample_step(
-            dist, beta, t, u
-        )
+        fused = _kernels.sample_step_kernel(dist, beta, t, u)
+        assert fused == loop_sample_step(dist, beta, t, u)
+        # The split stage: ascending kept ids and their rescaled mass
+        # spread back over the vocabulary give the loops' filtered
+        # vector, and a plain draw over them gives the fused token.
+        ids, q = _kernels.nucleus_kernel(dist, beta, t)
+        assert np.all(np.diff(ids) > 0)
+        dense = np.zeros_like(dist)
+        dense[ids] = q
+        np.testing.assert_array_equal(dense, loop_nucleus_filter(scaled, beta))
+        j = _kernels.sample_step_kernel(q, 1.0, 1.0, u)
+        assert (int(ids[j]) if j >= 0 else -1) == fused
 
     def test_impls_match_active_backend(self):
         rng = stable_rng("backend")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,29 @@ class GeneratorContract:
                 model.next_distribution(code, prefix),
             )
 
+    def state_contexts(self, model):
+        """Groups of prefixes under one code that end alike, so a model
+        whose state forgets older history maps several to one state."""
+        v = model.vocabulary
+        rng = stable_rng("contract-state", type(model).__name__)
+        for _ in range(6):
+            code = list(rng.integers(5, len(v), size=int(rng.integers(0, 4))))
+            tail = list(rng.integers(5, len(v), size=int(rng.integers(0, 3))))
+            for _ in range(6):
+                head = list(rng.integers(5, len(v), size=int(rng.integers(0, 4))))
+                yield code, [START_ID] + head + tail
+
+    def test_equal_states_give_equal_distributions(self):
+        model = self.make_model()
+        seen = {}
+        for code, prefix in [*self.contexts(model), *self.state_contexts(model)]:
+            key = (tuple(code), model.state(code, prefix))
+            dist = model.next_distribution(code, prefix)
+            if key in seen:
+                np.testing.assert_array_equal(dist, seen[key])
+            else:
+                seen[key] = dist
+
 
 class TestNGramLMContract(GeneratorContract):
     def make_model(self):
@@ -214,6 +239,51 @@ class TestNGramLMContract(GeneratorContract):
 class TestDummyModelContract(GeneratorContract):
     def make_model(self):
         return DummyModel(vocab_size=9, seed=3)
+
+
+def make_gapped_model():
+    """Order 3, with the level-2 context (a, b) but not its level-1 suffix
+    (b,). Training never makes such a model; ``state`` must still hold."""
+    v = make_vocab(["a", "b", "c"])
+    a, b, c = v.id("a"), v.id("b"), v.id("c")
+    levels = [
+        {(): {a: 2, b: 1, c: 1, END_ID: 1}},
+        {(a,): {b: 3}, (c,): {END_ID: 2}, (START_ID,): {a: 1, c: 1}},
+        {(a, b): {c: 5}, (c, a): {b: 1, END_ID: 1}},
+    ]
+    return tg.NGramLM(order=3, vocab=v, levels=levels)
+
+
+class TestGappedNGramLMContract(GeneratorContract):
+    def make_model(self):
+        return make_gapped_model()
+
+    def contexts(self, model):
+        # Every prefix of up to three title tokens over {a, b, c}.
+        words = [model.vocabulary.id(t) for t in "abc"]
+        for code in ([], words[:1], words[::-1]):
+            for n in range(4):
+                for rest in itertools.product(words, repeat=n):
+                    yield code, [START_ID, *rest]
+
+    def test_state_lists_every_hit_context(self):
+        model = make_gapped_model()
+        v = model.vocabulary
+        a, b = v.id("a"), v.id("b")
+        # (b,) is absent, so a key that stops at the first missing
+        # suffix would give these two prefixes the same state.
+        assert model.state([], [START_ID, a, b]) == ((a, b),)
+        assert model.state([], [START_ID, b, b]) == ()
+        assert not np.array_equal(
+            model.next_distribution([], [START_ID, a, b]),
+            model.next_distribution([], [START_ID, b, b]),
+        )
+
+    def test_matches_dict_oracle(self):
+        model = make_gapped_model()
+        for code, prefix in self.contexts(model):
+            want = dist_oracle(model.levels, 3, len(model.vocabulary), code, prefix)
+            np.testing.assert_allclose(model.next_distribution(code, prefix), want, atol=1e-12)
 
 
 class TestSerialization:
