@@ -67,12 +67,24 @@ class _Resolver:
         if value is None:
             value = self.config.get(name)
         if value is None and name == "seed":
-            env = os.environ.get("TITLEGEN_SEED")
-            if env is not None:
-                value = env
+            value = os.environ.get("TITLEGEN_SEED")
         if value is None:
             value = DEFAULTS[name]
-        return cast(value) if cast is not None else value
+        return _as_number(name, value, cast) if cast is not None else value
+
+
+def _as_number(name: str, value, cast):
+    """``value`` as ``cast`` (int or float). An int flag takes an integer
+    or an integer string, a float flag any number or numeric string; a
+    bool, a container or a float for an int flag is an error."""
+    kinds = (int, str) if cast is int else (int, float, str)
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        try:
+            return cast(value)
+        except (ValueError, OverflowError):
+            pass
+    kind = "an integer" if cast is int else "a number"
+    raise ValueError(f"--{name.replace('_', '-')} must be {kind}, got {value!r}")
 
 
 def _require_files(*paths: str) -> None:
@@ -82,11 +94,8 @@ def _require_files(*paths: str) -> None:
 
 
 def _parse_sweep(raw) -> list[int]:
-    if isinstance(raw, str):
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        values = [int(p) for p in parts]
-    else:
-        values = [int(v) for v in raw]
+    parts = raw.replace(",", " ").split() if isinstance(raw, str) else raw
+    values = [_as_number("k_sweep", p, int) for p in parts] if isinstance(parts, list) else []
     if not values or any(v < 1 for v in values):
         raise ValueError(f"k sweep must be positive integers, got {raw!r}")
     return sorted(set(values))
@@ -98,6 +107,64 @@ def _post_meta(post: data.Post) -> dict:
 
 def _code_tokens(post: data.Post, limit: int) -> list[str]:
     return tokenize(data.concat_snippets(post.code_snippets))[:limit]
+
+
+def _decode_inputs(args: argparse.Namespace) -> tuple[NGramLM, list[data.Post]]:
+    """The model and the first ``--limit`` input posts."""
+    _require_files(args.model, args.input)
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
+    posts = list(records.read_posts(args.input))[: args.limit]
+    return NGramLM.load(args.model), posts
+
+
+def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
+    """Yield one candidate pool per post, seeded with ``seed + position``:
+    sampled, or for "beam" the exact top ``beam_size`` beam search list,
+    of which every shorter top list is a prefix."""
+    seed = res.get("seed", int)
+    code_limit = res.get("code_limit", int)
+    max_length = res.get("max_length", int)
+    sampling = {
+        "top_p": res.get("top_p", float),
+        "temperature": res.get("temperature", float),
+        "num_samples": res.get("num_samples", int),
+    }
+    beam_size = res.get("beam_size", int)
+    vocab = model.vocabulary
+    for pos, post in enumerate(posts):
+        code = vocab.encode(_code_tokens(post, code_limit))
+        row_seed = (seed + pos) % 2**64
+        if strategy == "beam":
+            seqs = decode.beam_search(
+                model, code, beam_size=beam_size, k=beam_size, max_length=max_length
+            )
+            config = decode.SamplingConfig(
+                top_p=1.0, num_samples=max(1, len(seqs)), max_length=max_length, seed=row_seed
+            )
+            pool = decode.CandidatePool(vocab.decode(code), [vocab.decode(s) for s in seqs], config)
+        else:
+            config = decode.SamplingConfig(**sampling, max_length=max_length, seed=row_seed)
+            pool = decode.decode_candidates(model, code, config)
+        pool.meta = _post_meta(post)
+        yield pool
+
+
+def _selector(strategy: str, k: int, dedup: bool = True):
+    """``select(pool) -> (indices, diagnostics)``: the first k candidates
+    for "rns", maximal marginal selection for "mmns"."""
+    config = rank.RankingConfig(k=k, dedup=dedup)
+
+    def select(pool: decode.CandidatePool):
+        if strategy == "rns":
+            return list(range(min(k, len(pool.candidates)))), None
+        sel = rank.maximal_marginal_select(pool, config)
+        return sel.indices, {
+            "initial_consistency": sel.initial_consistency,
+            "marginals": sel.marginals,
+        }
+
+    return select
 
 
 # -- subcommands ------------------------------------------------------------
@@ -165,45 +232,8 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     res = _Resolver(args)
-    _require_files(args.model, args.input)
-    model = NGramLM.load(args.model)
-    seed = res.get("seed", int)
-    code_limit = res.get("code_limit", int)
-    max_length = res.get("max_length", int)
-    posts = list(records.read_posts(args.input))
-    if args.limit is not None:
-        posts = posts[: args.limit]
-    pools = []
-    for pos, post in enumerate(posts):
-        code = model.vocabulary.encode(_code_tokens(post, code_limit))
-        row_seed = (seed + pos) % 2**64
-        if args.strategy == "beam":
-            beam_size = res.get("beam_size", int)
-            seqs = decode.beam_search(
-                model, code, beam_size=beam_size, k=beam_size, max_length=max_length
-            )
-            pool = decode.CandidatePool(
-                input=model.vocabulary.decode(code),
-                candidates=[model.vocabulary.decode(s) for s in seqs],
-                config=decode.SamplingConfig(
-                    top_p=1.0,
-                    temperature=1.0,
-                    num_samples=max(1, len(seqs)),
-                    max_length=max_length,
-                    seed=row_seed,
-                ),
-            )
-        else:
-            config = decode.SamplingConfig(
-                top_p=res.get("top_p", float),
-                temperature=res.get("temperature", float),
-                num_samples=res.get("num_samples", int),
-                max_length=max_length,
-                seed=row_seed,
-            )
-            pool = decode.decode_candidates(model, code, config)
-        pool.meta = _post_meta(post)
-        pools.append(pool)
+    model, posts = _decode_inputs(args)
+    pools = list(_pools(res, model, posts, args.strategy))
     records.write_jsonl(args.out, map(records.pool_to_dict, pools))
     log.info("generate: %d pools (%s)", len(pools), args.strategy)
     return 0
@@ -213,22 +243,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     _require_files(args.pools)
     k = res.get("k", int)
+    select = _selector(args.strategy, k, dedup=not args.no_dedup)
     short = 0
     rows = []
     for raw in records.read_jsonl(args.pools):
         pool = records.pool_from_dict(raw)
-        if args.strategy == "rns":
-            indices = list(range(min(k, len(pool.candidates))))
-            diagnostics = None
-        else:
-            sel = rank.maximal_marginal_select(
-                pool, rank.RankingConfig(k=k, dedup=not args.no_dedup)
-            )
-            indices = sel.indices
-            diagnostics = {
-                "initial_consistency": sel.initial_consistency,
-                "marginals": sel.marginals,
-            }
+        indices, diagnostics = select(pool)
         if len(indices) < k:
             short += 1
         titles = [" ".join(pool.candidates[i]) for i in indices]
@@ -298,6 +318,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             problem = "titles must be a nonempty list of strings"
         elif not strip_markers(reference):
             problem = "reference is empty or not a string"
+        elif not isinstance(row.get("language"), (str, type(None))):
+            problem = "language is not a string"
         else:
             examples.append(
                 {
@@ -346,50 +368,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_strategies(args: argparse.Namespace) -> int:
+    """The staged pipeline in memory: generate (sample and beam), rank
+    (rns, mmns), evaluate. Only the selections are kept, not the pools."""
     res = _Resolver(args)
-    _require_files(args.model, args.input)
-    model = NGramLM.load(args.model)
-    seed = res.get("seed", int)
-    sweep = _parse_sweep(res.get("k_sweep"))
-    kmax = sweep[-1]
-    num_samples = res.get("num_samples", int)
-    beam_size = res.get("beam_size", int)
-    max_length = res.get("max_length", int)
-    code_limit = res.get("code_limit", int)
-    posts = list(records.read_posts(args.input))
-    if args.limit is not None:
-        posts = posts[: args.limit]
+    model, posts = _decode_inputs(args)
     if not posts:
         raise ValueError("no input posts")
+    sweep = _parse_sweep(res.get("k_sweep"))
+    rns = _selector("rns", sweep[-1])
+    mmns = _selector("mmns", sweep[-1])
 
     selections: dict[str, list[list[list[str]]]] = {"bs": [], "rns": [], "mmns": []}
-    refs = []
-    for pos, post in enumerate(posts):
-        code = model.vocabulary.encode(_code_tokens(post, code_limit))
-        refs.append(tokenize(post.title))
-        config = decode.SamplingConfig(
-            top_p=res.get("top_p", float),
-            temperature=res.get("temperature", float),
-            num_samples=num_samples,
-            max_length=max_length,
-            seed=(seed + pos) % 2**64,
-        )
-        pool = decode.decode_candidates(model, code, config)
-        beam_k = min(beam_size, kmax)
-        beams = decode.beam_search(
-            model, code, beam_size=beam_size, k=beam_k, max_length=max_length
-        )
-        sel = rank.maximal_marginal_select(pool, rank.RankingConfig(k=kmax, dedup=True))
-        selections["bs"].append([model.vocabulary.decode(s) for s in beams])
-        selections["rns"].append(pool.candidates[:kmax])
-        selections["mmns"].append([pool.candidates[i] for i in sel.indices])
+    refs = [tokenize(post.title) for post in posts]
+    for sample, beam in zip(_pools(res, model, posts, "sample"), _pools(res, model, posts, "beam")):
+        for arm, pool, select in (("bs", beam, rns), ("rns", sample, rns), ("mmns", sample, mmns)):
+            indices, _ = select(pool)
+            selections[arm].append([pool.candidates[i] for i in indices])
 
     report: dict = {
         "k_sweep": sweep,
         "num_inputs": len(posts),
-        "num_samples": num_samples,
-        "beam_size": beam_size,
-        "seed": seed,
+        "num_samples": res.get("num_samples", int),
+        "beam_size": res.get("beam_size", int),
+        "seed": res.get("seed", int),
         "metrics": {name: {s: {} for s in selections} for name in metrics.METRICS},
         "diversity": {s: {} for s in selections},
     }
@@ -419,6 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file supplying flag defaults")
         p.add_argument("--seed", type=int, help="run seed (default: TITLEGEN_SEED or 0)")
 
+    def decoding(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--model", required=True, help="model JSON from train-lm")
+        p.add_argument("--input", required=True, help="input posts JSONL")
+        p.add_argument("--top-p", type=float, dest="top_p", help="nucleus threshold")
+        p.add_argument("--temperature", type=float, help="softmax temperature")
+        p.add_argument("--num-samples", type=int, dest="num_samples", help="candidates per input")
+        p.add_argument("--max-length", type=int, dest="max_length", help="max title tokens")
+        p.add_argument("--beam-size", type=int, dest="beam_size", help="beam search width")
+        p.add_argument("--code-limit", type=int, help="max code tokens per post")
+        p.add_argument("--limit", type=int, help="only process the first N inputs")
+
     p = sub.add_parser("prepare", help="filter raw posts and write chronological splits")
     common(p)
     p.add_argument("--input", required=True, help="raw posts JSONL")
@@ -439,17 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample candidate pools for input posts")
     common(p)
-    p.add_argument("--model", required=True, help="model JSON from train-lm")
-    p.add_argument("--input", required=True, help="input posts JSONL")
+    decoding(p)
     p.add_argument("--out", required=True, help="output pools JSONL")
     p.add_argument("--strategy", choices=("sample", "beam"), default="sample")
-    p.add_argument("--top-p", type=float, dest="top_p", help="nucleus threshold")
-    p.add_argument("--temperature", type=float, help="softmax temperature")
-    p.add_argument("--num-samples", type=int, dest="num_samples", help="candidates per input")
-    p.add_argument("--max-length", type=int, dest="max_length", help="max title tokens")
-    p.add_argument("--beam-size", type=int, dest="beam_size", help="beam width for --strategy beam")
-    p.add_argument("--code-limit", type=int, help="max code tokens per post")
-    p.add_argument("--limit", type=int, help="only process the first N inputs")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("rank", help="select K titles from each candidate pool")
@@ -487,17 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
         "compare-strategies", help="run BS vs RNS vs MMNS over a K sweep on one input set"
     )
     common(p)
-    p.add_argument("--model", required=True, help="model JSON from train-lm")
-    p.add_argument("--input", required=True, help="input posts JSONL")
+    decoding(p)
     p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--k-sweep", dest="k_sweep", help="comma-separated K values")
-    p.add_argument("--top-p", type=float, dest="top_p", help="nucleus threshold")
-    p.add_argument("--temperature", type=float, help="softmax temperature")
-    p.add_argument("--num-samples", type=int, dest="num_samples", help="candidates per input")
-    p.add_argument("--max-length", type=int, dest="max_length", help="max title tokens")
-    p.add_argument("--beam-size", type=int, dest="beam_size", help="beam width for the BS arm")
-    p.add_argument("--code-limit", type=int, help="max code tokens per post")
-    p.add_argument("--limit", type=int, help="only process the first N inputs")
     p.set_defaults(func=cmd_compare_strategies)
 
     return parser

@@ -193,6 +193,16 @@ class TestGenerate:
         )
         assert not out.exists()
 
+    def test_negative_limit_fails_without_output(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "pools.jsonl"
+        assert fails(
+            "generate", "--model", pipeline.model,
+            "--input", pipeline.splits / "test.jsonl", "--out", out, "--limit", -1,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "--limit must be >= 0, got -1" in line
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad_id", ["past_end", -1])
     def test_out_of_range_model_id_fails(self, pipeline, tmp_path, capsys, bad_id):
         # A next-token id outside the vocabulary under the START context,
@@ -245,6 +255,21 @@ class TestRank:
         run("rank", "--pools", pipeline.pools, "--out", out)
         assert out.read_bytes() == pipeline.selections.read_bytes()
 
+    @pytest.mark.parametrize("strategy", ["rns", "mmns"])
+    @pytest.mark.parametrize("empty", [False, True], ids=["pools", "empty_pools"])
+    def test_k_below_one_fails_without_output(
+        self, pipeline, tmp_path, capsys, strategy, empty
+    ):
+        pools = pipeline.pools
+        if empty:
+            pools = tmp_path / "empty.jsonl"
+            pools.write_text("")
+        out = tmp_path / "selected.jsonl"
+        assert fails("rank", "--pools", pools, "--out", out, "--strategy", strategy, "--k", 0)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "k must be >= 1, got 0" in line
+        assert not out.exists()
+
     def test_non_string_candidates_fail_without_output(self, pipeline, tmp_path, capsys):
         rows = read_rows(pipeline.pools)
         rows[1]["candidates"] = [[7, 8] for _ in rows[1]["candidates"]]
@@ -294,6 +319,12 @@ UNSCORABLE = {
     "empty_reference": {"titles": ["how to parse json"], "reference": ""},
     "marker_reference": {"titles": ["how to parse json"], "reference": "</s>"},
     "numeric_reference": {"titles": ["how to parse json"], "reference": 5},
+    "list_language": {
+        "titles": ["how to parse json"], "reference": "how to parse json", "language": ["x"],
+    },
+    "numeric_language": {
+        "titles": ["how to parse json"], "reference": "how to parse json", "language": 5,
+    },
 }
 
 
@@ -365,6 +396,12 @@ class TestEvaluate:
             run("evaluate", "--selections", mixed, "--out", out)
         assert json.loads(out.read_text()) == json.loads(pipeline.report.read_text())
         assert "skipped 1 selection records" in caplog.text
+        # Per-language tables group rows by their language, so they must
+        # see the bad row skipped too.
+        clean, grouped = tmp_path / "clean.json", tmp_path / "grouped.json"
+        for selections, report in ((pipeline.selections, clean), (mixed, grouped)):
+            run("evaluate", "--selections", selections, "--out", report, "--group-by-language")
+        assert json.loads(grouped.read_text()) == json.loads(clean.read_text())
 
     @pytest.mark.parametrize("row", UNSCORABLE.values(), ids=UNSCORABLE.keys())
     def test_no_scorable_row_fails_without_output(self, tmp_path, capsys, row):
@@ -440,6 +477,55 @@ class TestCompareStrategies:
             assert set(report["diversity"][strategy]) == {"1", "3"}
             assert report["diversity"][strategy]["1"] == 0.0  # single title
 
+    def test_matches_staged_pipeline(self, pipeline, tmp_path):
+        # The beam size is below the largest K, so the BS arm is short.
+        decoding = (
+            "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--limit", 5, "--num-samples", 20, "--max-length", 12,
+            "--temperature", "0.5", "--beam-size", 2, "--seed", 3,
+        )
+        sweep = ("--k-sweep", "1,3")
+        out = tmp_path / "compare.json"
+        run("compare-strategies", *decoding, "--out", out, *sweep)
+        report = json.loads(out.read_text())
+        for arm, pool_strategy, rank_strategy in (
+            ("bs", "beam", "rns"), ("rns", "sample", "rns"), ("mmns", "sample", "mmns"),
+        ):
+            pools, selected, staged = (tmp_path / f"{arm}.{ext}" for ext in ("p", "s", "r"))
+            run("generate", *decoding, "--out", pools, "--strategy", pool_strategy)
+            run("rank", "--pools", pools, "--out", selected, "--strategy", rank_strategy, "--k", 3)
+            run("evaluate", "--selections", selected, "--out", staged, *sweep)
+            aggregate = json.loads(staged.read_text())["aggregate"]
+            for name in ("bleus4", "rouge1", "rouge2", "rougeL"):
+                for k in ("1", "3"):
+                    assert report["metrics"][name][arm][k] == aggregate[k][name], (arm, name, k)
+
+    def test_negative_limit_fails_without_output(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "compare.json"
+        assert fails(
+            "compare-strategies", "--model", pipeline.model,
+            "--input", pipeline.splits / "test.jsonl", "--out", out, "--limit", -1,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "--limit must be >= 0, got -1" in line
+        assert not out.exists()
+
+
+#: ``--config`` values of the wrong type: each fails with one line.
+CONFIG_TYPE_ERRORS = [
+    ("k", [1], "--k must be an integer, got [1]"),
+    ("k", {"a": 1}, "--k must be an integer, got {'a': 1}"),
+    ("k", 2.7, "--k must be an integer, got 2.7"),
+    ("k", True, "--k must be an integer, got True"),
+    ("k", "2.0", "--k must be an integer, got '2.0'"),
+    ("top_p", True, "--top-p must be a number, got True"),
+    ("top_p", "high", "--top-p must be a number, got 'high'"),
+    ("top_p", [0.5], "--top-p must be a number, got [0.5]"),
+    ("k_sweep", [[1]], "--k-sweep must be an integer, got [1]"),
+    ("k_sweep", [1.5], "--k-sweep must be an integer, got 1.5"),
+    ("k_sweep", 3, "k sweep must be positive integers, got 3"),
+]
+
 
 class TestPrecedence:
     def test_config_file_supplies_defaults(self, pipeline, tmp_path):
@@ -475,6 +561,43 @@ class TestPrecedence:
         )
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        CONFIG_TYPE_ERRORS,
+        ids=[f"{key}={value!r}" for key, value, _ in CONFIG_TYPE_ERRORS],
+    )
+    def test_config_value_of_wrong_type_fails(
+        self, pipeline, tmp_path, capsys, key, value, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "out"
+        if key == "k":
+            argv = ("rank", "--pools", pipeline.pools)
+        elif key == "top_p":
+            argv = (
+                "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl"
+            )
+        else:
+            argv = ("evaluate", "--selections", pipeline.selections)
+        assert fails(*argv, "--out", out, "--config", cfg)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert message in line
+        assert not out.exists()
+
+    def test_config_numeric_strings_accepted(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": "2", "top_p": "0.5"}), encoding="utf-8")
+        out = tmp_path / "k2.jsonl"
+        run("rank", "--pools", pipeline.pools, "--out", out, "--config", cfg)
+        assert all(len(r["titles"]) == 2 for r in read_rows(out))
+        pools = tmp_path / "pools.jsonl"
+        run(
+            "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--out", pools, "--config", cfg, "--limit", 1, "--num-samples", 2,
+        )
+        assert read_rows(pools)[0]["config"]["top_p"] == 0.5
 
     def test_missing_config_fails(self, pipeline, tmp_path):
         assert fails(

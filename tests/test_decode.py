@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -138,10 +138,14 @@ class TestNucleusFilter:
         if len(support) > 1:
             weakest = support[np.argmin(dist[support])]
             assert mass - dist[weakest] < beta + 1e-9
-        # order preservation among survivors
+        # order preservation among survivors, as far as dividing by the
+        # mass keeps it: rounding can merge inputs one ulp apart
         for i in support:
             for j in support:
-                assert (out[i] >= out[j]) == (dist[i] >= dist[j])
+                if dist[i] > dist[j]:
+                    assert out[i] >= out[j]
+                elif dist[i] == dist[j]:
+                    assert out[i] == out[j]
         np.testing.assert_allclose(out, nucleus_oracle(dist, beta), atol=1e-12)
 
     def test_properties_on_random_distributions(self):
@@ -157,6 +161,9 @@ class TestNucleusFilter:
         st.floats(min_value=0.01, max_value=1.0),
     )
     @settings(max_examples=100)
+    # 0.21333333333333332 and 0.21333333333333335 both divide to
+    # 0.35555555555555557.
+    @example(raw=[1.0, 0.5, 0.5, 0.5, 0.8125, 0.9999999999999999, 0.375], beta=0.5)
     def test_properties_hypothesis(self, raw, beta):
         dist = np.array(raw) / np.sum(raw)
         self._check_properties(dist, beta)
