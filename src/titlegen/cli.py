@@ -60,6 +60,13 @@ class _Resolver:
             loaded = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(loaded, dict):
                 raise ValueError(f"config file must hold a JSON object: {path}")
+            # Keys any stage reads are accepted, so one file serves every stage.
+            unknown = sorted(loaded.keys() - DEFAULTS.keys())
+            if unknown:
+                raise ValueError(
+                    f"unknown key(s) in config file {path}: {', '.join(unknown)}"
+                    f" (known: {', '.join(sorted(DEFAULTS))})"
+                )
             self.config = loaded
 
     def get(self, name: str, cast=None):

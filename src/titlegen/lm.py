@@ -179,9 +179,10 @@ class NGramLM(GeneratorModel):
                 for level in self.levels
             ],
         }
-        Path(path).write_text(
-            json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8"
-        )
+        from .records import write_atomic  # records depends on this module
+
+        text = json.dumps(payload, separators=(",", ":")) + "\n"
+        write_atomic(path, lambda fh: fh.write(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramLM":

@@ -2,17 +2,20 @@
 
 Every interchange file is JSON-lines with sorted keys, so identical
 inputs and seeds reproduce identical bytes. Malformed lines are counted
-and skipped with a warning, never a crash.
+and skipped with a warning, never a crash. Every output file, here and
+in the model and index savers, goes through ``write_atomic``: a failed
+write leaves no partial file.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .data import Post
 from .decode import CandidatePool, SamplingConfig
@@ -24,19 +27,43 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_atomic(path: str | Path, write: Callable[[TextIO], object]):
+    """Call ``write`` on a new UTF-8 text file beside ``path``, then
+    rename it over ``path``. If ``write`` raises, the file is removed
+    and ``path`` is left as it was. Returns what ``write`` returned.
+
+    A symlink's target is replaced, not the link. A path that exists
+    but is no regular file (``/dev/stdout``, a pipe) cannot be renamed
+    over, so it is written in place."""
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as fh:
+            return write(fh)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            result = write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return result
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    def write(fh: TextIO) -> int:
+        count = 0
         for row in rows:
             fh.write(dump_json(row) + "\n")
             count += 1
-    return count
+        return count
+
+    return write_atomic(path, write)
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 @dataclass

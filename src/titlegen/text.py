@@ -131,7 +131,10 @@ class Vocabulary:
         for t in self._tokens:
             if "\n" in t or "\r" in t:
                 raise ValueError(f"token not serializable on one line: {t!r}")
-        Path(path).write_text("\n".join(self._tokens) + "\n", encoding="utf-8")
+        from .records import write_atomic  # records depends on this module
+
+        text = "\n".join(self._tokens) + "\n"
+        write_atomic(path, lambda fh: fh.write(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

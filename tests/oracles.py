@@ -322,6 +322,27 @@ def bm25_oracle(docs, query_tokens, k1=1.2, b=0.75):
     return results
 
 
+def loop_query(index, code, k):
+    """The scalar BM25 query the array query replaced: walks each query
+    token's postings in query order, summing per-document scores in a
+    dict. Reads only ``postings``, ``idf``, ``doc_lens``, ``k1``, ``b``
+    and ``avgdl``, never the index's arrays."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    scores: dict[int, float] = {}
+    for term in code:
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        idf = index.idf(term)
+        for pos, f in plist:
+            norm = f + index.k1 * (1.0 - index.b + index.b * index.doc_lens[pos] / index.avgdl)
+            scores[pos] = scores.get(pos, 0.0) + idf * f * (index.k1 + 1.0) / norm
+    hits = [(pos, s) for pos, s in scores.items() if s > 0.0]
+    hits.sort(key=lambda h: (-h[1], index.doc_ids[h[0]]))
+    return [(index.titles[pos], s) for pos, s in hits[:k]]
+
+
 # -- path enumeration for decoding -------------------------------------------
 
 def enumerate_paths(model, code, max_length):

@@ -3,11 +3,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import titlegen as tg
 from titlegen import records
 from titlegen.cli import main as cli_main
 from titlegen.text import START_ID
 
 from .conftest import raw_post, write_raw_corpus
+from .oracles import loop_query, stable_rng
+from .test_retrieve import BAD_INDEXES, write_bad_index
 
 
 def run(*argv):
@@ -449,6 +452,50 @@ class TestRetrieve:
         )
         assert again.read_bytes() == out.read_bytes()
 
+    def test_index_roundtrip_on_varied_code(self, tmp_path):
+        # Random code over a 40-token alphabet gives scores that mostly
+        # differ, unlike the pipeline corpus's three-token snippets.
+        rng = stable_rng("cli-bm25-roundtrip")
+        alphabet = [f"tok{i}" for i in range(40)]
+        rows = [
+            raw_post(
+                pid,
+                code_snippets=[" ".join(rng.choice(alphabet, size=int(rng.integers(1, 30))))],
+            )
+            for pid in range(1, 121)
+        ]
+        posts = tmp_path / "posts.jsonl"
+        records.write_jsonl(posts, rows)
+        index_path, built, loaded = (tmp_path / n for n in ("idx.json", "a.jsonl", "b.jsonl"))
+        common = ("retrieve", "--input", posts, "--k", 7)
+        run(*common, "--train", posts, "--index-out", index_path, "--out", built)
+        run(*common, "--index", index_path, "--out", loaded)
+        assert loaded.read_bytes() == built.read_bytes()
+        index = tg.BM25Index.load(index_path)
+        scores = set()
+        for raw, row in zip(rows, read_rows(built)):
+            code = tg.tokenize(tg.concat_snippets(raw["code_snippets"]))
+            hits = loop_query(index, code, 7)
+            assert row["titles"] == [t for t, _ in hits]
+            assert row["scores"] == [s for _, s in hits]
+            scores.update(row["scores"])
+        assert len(scores) > 500
+
+    @pytest.mark.parametrize(
+        "mutate, message", [c[1:] for c in BAD_INDEXES], ids=[c[0] for c in BAD_INDEXES]
+    )
+    def test_bad_index_fails_without_output(self, pipeline, tmp_path, capsys, mutate, message):
+        index_path = tmp_path / "index.json"
+        write_bad_index(index_path, mutate)
+        out = tmp_path / "bm25.jsonl"
+        assert fails(
+            "retrieve", "--input", pipeline.splits / "test.jsonl",
+            "--index", index_path, "--out", out,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("titlegen retrieve: error:") and message in line
+        assert not out.exists()
+
     def test_requires_train_or_index(self, pipeline, tmp_path):
         assert fails(
             "retrieve", "--input", pipeline.splits / "test.jsonl",
@@ -529,8 +576,9 @@ CONFIG_TYPE_ERRORS = [
 
 class TestPrecedence:
     def test_config_file_supplies_defaults(self, pipeline, tmp_path):
+        # Keys other stages read ("order", "val_count") are accepted too.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 1}), encoding="utf-8")
+        cfg.write_text(json.dumps({"k": 1, "order": 3, "val_count": 2}), encoding="utf-8")
         out = tmp_path / "k1.jsonl"
         run("rank", "--pools", pipeline.pools, "--out", out, "--config", cfg)
         assert all(len(r["titles"]) == 1 for r in read_rows(out))
@@ -598,6 +646,21 @@ class TestPrecedence:
             "--out", pools, "--config", cfg, "--limit", 1, "--num-samples", 2,
         )
         assert read_rows(pools)[0]["config"]["top_p"] == 0.5
+
+    def test_unknown_config_keys_fail(self, pipeline, tmp_path, capsys):
+        # "top-p" is the flag's spelling, "num_sample" a misspelling, and
+        # "limit" is read only from the command line.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top-p": 0.1, "limit": 1, "num_sample": 3}), encoding="utf-8")
+        out = tmp_path / "pools.jsonl"
+        assert fails(
+            "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--out", out, "--config", cfg,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "unknown key(s) in config file" in line
+        assert "limit, num_sample, top-p (known:" in line
+        assert not out.exists()
 
     def test_missing_config_fails(self, pipeline, tmp_path):
         assert fails(

@@ -1,3 +1,5 @@
+import os
+import stat
 from datetime import datetime
 
 import pytest
@@ -188,6 +190,46 @@ class TestRecords:
         records.write_jsonl(a, [{"b": 2, "a": 1}])
         records.write_jsonl(b, [{"a": 1, "b": 2}])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["overwrite", "new"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, existing):
+        path = tmp_path / "rows.jsonl"
+        if existing:
+            records.write_jsonl(path, [{"old": 1}])
+        before = path.read_bytes() if existing else None
+        with pytest.raises(TypeError):
+            records.write_jsonl(path, [{"new": 1}, {"new": object()}, {"new": 3}])
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert [p.name for p in tmp_path.iterdir()] == (["rows.jsonl"] if existing else [])
+
+    def test_written_file_has_default_permissions(self, tmp_path):
+        path, plain = tmp_path / "rows.jsonl", tmp_path / "plain.jsonl"
+        records.write_jsonl(path, [{"a": 1}])
+        with open(plain, "w", encoding="utf-8"):
+            pass
+        assert path.stat().st_mode == plain.stat().st_mode
+
+    def test_write_through_symlink_keeps_link(self, tmp_path):
+        target, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+        records.write_jsonl(target, [{"old": 1}])
+        link.symlink_to(target)
+        records.write_jsonl(link, [{"new": 1}])
+        assert link.is_symlink()
+        assert list(records.read_jsonl(target)) == [{"new": 1}]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+
+    def test_write_to_pipe_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # A non-blocking reader lets the writer open the pipe at once.
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            records.write_jsonl(fifo, [{"a": 1}])
+            assert os.read(fd, 100) == b'{"a":1}\n'
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
     def test_malformed_lines_skipped_and_counted(self, tmp_path):
         path = tmp_path / "rows.jsonl"

@@ -1,10 +1,12 @@
+import json
 import math
+import re
 
 import pytest
 
 import titlegen as tg
 
-from .oracles import bm25_oracle, stable_rng
+from .oracles import bm25_oracle, loop_query, stable_rng
 
 
 def make_docs(rng, n, alphabet="abcdefgh", max_len=6):
@@ -15,6 +17,20 @@ def make_docs(rng, n, alphabet="abcdefgh", max_len=6):
         toks = [alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(length)]
         docs.append((ids[pos], toks, f"title {ids[pos]}"))
     return docs
+
+
+def tied_docs(rng, n):
+    """``make_docs`` plus copies of some documents under other ids, so
+    equal scores occur and only the document id orders them."""
+    docs = make_docs(rng, n, alphabet="abcdefghij", max_len=10)
+    docs += [docs[int(i)] for i in rng.integers(0, n, size=int(rng.integers(0, n + 1)))]
+    ids = rng.permutation(10 * len(docs))[: len(docs)]
+    return [(int(i), toks, f"title {int(i)}") for i, (_, toks, _t) in zip(ids, docs)]
+
+
+def random_query(rng):
+    """1-8 tokens drawn with repeats, some not in any document."""
+    return ["abcdefghijz"[int(rng.integers(0, 11))] for _ in range(int(rng.integers(1, 9)))]
 
 
 def run_both(docs, query_tokens, k):
@@ -87,6 +103,14 @@ class TestQuery:
         assert [t for t, _ in hits] == ["t10", "t20", "t30"]
         assert hits[0][1] == hits[1][1] == hits[2][1]
 
+    def test_equal_ids_and_scores_keep_index_order(self):
+        # Query order touches "second" first; the order must not depend on it.
+        docs = [(5, ["y", "b"], "first"), (5, ["x", "a"], "second")]
+        index = tg.build_index(docs)
+        hits = tg.query(index, ["x", "y"], k=2)
+        assert [t for t, _ in hits] == ["first", "second"]
+        assert hits[0][1] == hits[1][1]
+
     def test_query_terms_contribute_per_occurrence(self):
         docs = [(1, ["x", "a"], "t1"), (2, ["b", "c"], "t2")]
         index = tg.build_index(docs)
@@ -133,6 +157,97 @@ class TestQuery:
         assert tg.query(index, ["a", "b"], k=4) == tg.query(index, ["a", "b"], k=4)
 
 
+class TestLoopEquivalence:
+    """The array query against the scalar loop it replaced, with ``==``:
+    same additions in the same order give bit-identical scores."""
+
+    def test_random_corpora(self):
+        rng = stable_rng("bm25-loop")
+        ties = short = 0
+        for _ in range(300):
+            docs = tied_docs(rng, n=int(rng.integers(1, 30)))
+            index = tg.build_index(docs)
+            q = random_query(rng)
+            k = int(rng.integers(1, len(docs) + 5))
+            got = tg.query(index, q, k)
+            assert got == loop_query(index, q, k)
+            ties += any(a[1] == b[1] for a, b in zip(got, got[1:]))
+            short += len(got) < k
+        assert ties > 50 and short > 50  # both cases were exercised
+
+    def test_other_k1_and_b(self):
+        rng = stable_rng("bm25-loop-params")
+        for k1, b in ((0.0, 0.0), (0.0, 1.0), (2.0, 1.0), (0.5, 0.3), (1.2, 0)):
+            docs = tied_docs(rng, n=20)
+            index = tg.build_index(docs, k1=k1, b=b)
+            for _ in range(20):
+                q = random_query(rng)
+                assert tg.query(index, q, 7) == loop_query(index, q, 7)
+
+    def test_after_save_and_load(self, tmp_path):
+        rng = stable_rng("bm25-loop-io")
+        for trial in range(10):
+            index = tg.build_index(tied_docs(rng, n=25))
+            path = tmp_path / f"index{trial}.json"
+            index.save(path)
+            loaded = tg.BM25Index.load(path)
+            for _ in range(20):
+                q = random_query(rng)
+                assert tg.query(loaded, q, 10) == loop_query(index, q, 10)
+
+
+def _set(key, value):
+    def mutate(payload):
+        payload[key] = value
+        return payload
+
+    return mutate
+
+
+def _postings(fn):
+    def mutate(payload):
+        fn(payload["postings"])
+        return payload
+
+    return mutate
+
+
+#: (case id, edit of a valid index payload, expected error text). The
+#: first five are a position past the end, position -1, a duplicated
+#: posting, a non-object payload and a non-numeric k1.
+BAD_INDEXES = [
+    ("position_out_of_range", _postings(lambda p: p["b"][-1].__setitem__(0, 3)), "outside 0..2"),
+    ("position_negative", _postings(lambda p: p["b"][0].__setitem__(0, -1)), "outside 0..2"),
+    ("posting_duplicated", _postings(lambda p: p["a"].append(list(p["a"][0]))), "ascending"),
+    ("payload_list", lambda payload: [payload], "not an index file"),
+    ("k1_string", _set("k1", "x"), "k1='x'"),
+    ("k1_infinite", _set("k1", float("inf")), "k1=inf"),
+    ("k1_negative", _set("k1", -1.0), "k1=-1.0"),
+    ("b_above_one", _set("b", 1.5), "b=1.5"),
+    ("b_bool", _set("b", True), "b=True"),
+    ("missing_key", lambda payload: {k: v for k, v in payload.items() if k != "titles"}, "lacks"),
+    ("doc_id_string", _set("doc_ids", ["1", 2, 3]), "doc_ids must be integers"),
+    ("title_number", _set("titles", ["t1", 2, "t3"]), "titles must be strings"),
+    ("doc_len_negative", _set("doc_lens", [3, 2, -1]), "doc_lens must be integers >= 0"),
+    ("doc_lens_mismatch", _set("doc_lens", [3, 2, 3]), "summed term frequencies"),
+    ("lists_misaligned", _set("titles", ["t1", "t2"]), "must align"),
+    ("postings_list", _set("postings", []), "postings must be an object"),
+    ("posting_triple", _postings(lambda p: p["d"][0].append(1)), "integer pairs"),
+    ("posting_float", _postings(lambda p: p["d"][0].__setitem__(1, 1.0)), "integer pairs"),
+    ("posting_frequency_zero", _postings(lambda p: p["d"][0].__setitem__(1, 0)), "below 1"),
+    ("posting_huge", _postings(lambda p: p["d"][0].__setitem__(1, 2**70)), "out of range"),
+    ("positions_descending", _postings(lambda p: p["b"].reverse()), "ascending"),
+]
+
+
+def write_bad_index(path, mutate):
+    """A valid three-document index file with ``mutate`` applied."""
+    docs = [(1, ["a", "b", "a"], "t1"), (2, ["b", "c"], "t2"), (3, ["d", "b"], "t3")]
+    tg.build_index(docs).save(path)
+    payload = mutate(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 class TestSerialization:
     def test_roundtrip_preserves_queries(self, tmp_path):
         rng = stable_rng("bm25-io")
@@ -150,6 +265,15 @@ class TestSerialization:
         tg.build_index(docs).save(a)
         tg.build_index(docs).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "mutate, message", [c[1:] for c in BAD_INDEXES], ids=[c[0] for c in BAD_INDEXES]
+    )
+    def test_rejects_malformed_index(self, tmp_path, mutate, message):
+        path = tmp_path / "index.json"
+        write_bad_index(path, mutate)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tg.BM25Index.load(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
