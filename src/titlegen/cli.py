@@ -201,6 +201,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         "filtered_posts": len(posts),
         "languages": {},
     }
+    # The manifest is written last: one that exists marks complete splits.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     for name, split in splits.items():
         records.write_jsonl(out_dir / f"{name}.jsonl", map(records.post_to_dict, split))
     for lang in languages:
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="run seed (default: TITLEGEN_SEED or 0)")
 
     def decoding(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", required=True, help="model JSON from train-lm")
+        p.add_argument("--model", required=True, help="model file from train-lm")
         p.add_argument("--input", required=True, help="input posts JSONL")
         p.add_argument("--top-p", type=float, dest="top_p", help="nucleus threshold")
         p.add_argument("--temperature", type=float, help="softmax temperature")
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-lm", help="train the n-gram generator on a split")
     common(p)
     p.add_argument("--train", required=True, help="training posts JSONL")
-    p.add_argument("--out", required=True, help="output model JSON path")
+    p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--order", type=int, help="n-gram order")
     p.add_argument("--code-limit", type=int, help="max code tokens per post")
     p.add_argument("--title-limit", type=int, help="max title tokens per post")

@@ -9,10 +9,12 @@ sampling and ranking experiments need.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +23,11 @@ from .text import END_ID, NEXT_ID, PAD_ID, START_ID, Vocabulary
 #: Uniform probability floor added to every vocabulary entry before
 #: renormalization. Keeps END reachable from any state.
 FLOOR = 1e-6
+
+#: Model file identity; a file of another version must be rebuilt.
+FORMAT = "titlegen-ngram-lm"
+VERSION = 2
+_INT = np.dtype("<i8")
 
 
 class GeneratorModel(ABC):
@@ -59,49 +66,94 @@ class GeneratorModel(ABC):
         return tuple(prefix)
 
 
+class Level(NamedTuple):
+    """One order level's counts in compressed sparse row form.
+
+    Row ``r`` is the context ``contexts[r]`` (``l`` ids at level ``l``);
+    rows are strictly ascending, compared id by id. The row saw the next
+    ids ``next_ids[offsets[r]:offsets[r + 1]]``, strictly ascending, with
+    the matching ``counts``, each at least 1.
+    """
+
+    contexts: np.ndarray  # (rows, l)
+    offsets: np.ndarray  # (rows + 1,): 0, strictly increasing, entries
+    next_ids: np.ndarray  # (entries,)
+    counts: np.ndarray  # (entries,)
+
+
 class NGramLM(GeneratorModel):
     """Interpolated count n-gram model conditioned by prefix concatenation.
 
-    ``levels[l]`` maps a length-``l`` context tuple to next-token counts,
-    for l in 0..order-1. Prediction mixes the levels with ``weights``
-    (uniform by default), adds the floor, zeroes PAD and START, and
-    renormalizes. Levels whose context was never seen contribute nothing,
-    so unseen histories back off toward the unigram mixture.
+    Built from ``levels[l]``, a dict mapping each length-``l`` context
+    tuple to next-token counts, for l in 0..order-1; the model keeps them
+    as read-only :class:`Level` arrays (``model.levels``). Prediction
+    mixes the levels with ``weights`` (uniform by default), adds the
+    floor, zeroes PAD and START, and renormalizes. Levels whose context
+    was never seen contribute nothing, so unseen histories back off
+    toward the unigram mixture.
     """
 
     def __init__(
         self,
         order: int,
         vocab: Vocabulary,
-        levels: list[dict[tuple[int, ...], dict[int, int]]],
+        levels: Sequence[dict[tuple[int, ...], dict[int, int]]],
         weights: Sequence[float] | None = None,
     ):
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+        self._setup(order, vocab, [_level_from_dict(l, t) for l, t in enumerate(levels)], weights)
+
+    @classmethod
+    def _from_levels(
+        cls,
+        order: int,
+        vocab: Vocabulary,
+        levels: Sequence[Level],
+        weights: Sequence[float] | None = None,
+    ) -> "NGramLM":
+        model = cls.__new__(cls)
+        model._setup(order, vocab, levels, weights)
+        return model
+
+    def _setup(self, order, vocab, levels, weights) -> None:
+        """Validate the arrays, then precompute what a call reads: the
+        floor plus the weighted level-0 row, and each entry's value
+        ``weights[l] * count / row total``, one float operation after
+        another, so distributions do not depend on how the counts were
+        stored. A context's row is found by its key (see
+        ``_context_keys``)."""
+        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if len(levels) != order:
             raise ValueError(f"expected {order} count levels, got {len(levels)}")
         if weights is None:
             weights = [1.0 / order] * order
+        if not isinstance(weights, (list, tuple)) or not all(
+            isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
+        ):
+            raise ValueError(f"weights must be a list of numbers, got {weights!r}")
         weights = [float(w) for w in weights]
-        if len(weights) != order or any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative, one per order level")
+        if len(weights) != order or not all(0.0 <= w < math.inf for w in weights):
+            raise ValueError("weights must be finite and nonnegative, one per order level")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        seen: set[int] = set()
-        for l, table in enumerate(levels):
-            for ctx, nexts in table.items():
-                if len(ctx) != l:
-                    raise ValueError(f"level {l} holds a context of length {len(ctx)}")
-                seen.update(ctx)
-                seen.update(nexts)
-        if seen and (min(seen) < 0 or max(seen) >= len(vocab)):
-            bad = min(seen) if min(seen) < 0 else max(seen)
-            raise ValueError(f"token id {bad} is outside the vocabulary of {len(vocab)} tokens")
+        checked = [_checked_level(l, level, len(vocab)) for l, level in enumerate(levels)]
+        levels = tuple(level for level, _ in checked)
+
+        base = np.full(len(vocab), FLOOR, dtype=np.float64)
+        vals, row_of = [], []  # per level: entry values; context key -> row
+        for l, ((contexts, offsets, next_ids, counts), keys) in enumerate(checked):
+            totals = np.add.reduceat(counts, offsets[:-1])
+            vals.append(weights[l] * counts / np.repeat(totals, np.diff(offsets)))
+            row_of.append(dict(zip(keys.tolist(), range(len(contexts)))) if l else {})
+        base[levels[0].next_ids] += vals[0]
         self.order = order
         self._vocab = vocab
         self.levels = levels
         self.weights = weights
-        self._rebuild_cache()
+        self._base = base
+        self._vals = vals
+        self._row_of = row_of
+        self._offsets = [level.offsets.tolist() for level in levels]
 
     # -- GeneratorModel --------------------------------------------------
 
@@ -111,12 +163,10 @@ class NGramLM(GeneratorModel):
 
     def next_distribution(self, code: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
         out = self._base.copy()
-        for ctx in self.state(code, prefix):
-            entry = self._rows.get(ctx)
-            if entry is None:
-                entry = self._rows[ctx] = self._sparse_row(ctx)
-            ids, vals = entry
-            out[ids] += vals
+        for ctx, row in self._hits(code, prefix):
+            l = len(ctx)
+            start, end = self._offsets[l][row], self._offsets[l][row + 1]
+            out[self.levels[l].next_ids[start:end]] += self._vals[l][start:end]
         out[PAD_ID] = 0.0
         out[START_ID] = 0.0
         out /= out.sum()
@@ -129,6 +179,10 @@ class NGramLM(GeneratorModel):
         Every hit is listed, not only the longest: a hand-built model can
         hold a context without its shorter suffixes.
         """
+        return tuple(ctx for ctx, _ in self._hits(code, prefix))
+
+    def _hits(self, code: Sequence[int], prefix: Sequence[int]) -> list[tuple[tuple, int]]:
+        """(context, row) of every suffix ``state`` lists, shortest first."""
         if not prefix or prefix[0] != START_ID:
             raise ValueError("prefix must begin with START")
         span = self.order - 1
@@ -136,69 +190,160 @@ class NGramLM(GeneratorModel):
             tail = tuple(prefix[len(prefix) - span :])
         else:
             tail = (*code, NEXT_ID, *prefix)[-span:]
-        return tuple(tail[-l:] for l in range(1, len(tail) + 1) if tail[-l:] in self.levels[l])
-
-    # -- internals -------------------------------------------------------
-
-    def _rebuild_cache(self) -> None:
-        # base = floor + weighted level-0 (empty context) distribution;
-        # higher levels are scattered on top per call, from sparse rows
-        # built on a context's first lookup (one call reads only a few),
-        # keyed by the context alone: its length is its level.
-        base = np.full(len(self._vocab), FLOOR, dtype=np.float64)
-        table0 = self.levels[0].get(())
-        if table0:
-            total = sum(table0.values())
-            for tok, c in table0.items():
-                base[tok] += self.weights[0] * c / total
-        self._base = base
-        self._rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    def _sparse_row(self, ctx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        l = len(ctx)
-        table = self.levels[l][ctx]
-        total = sum(table.values())
-        ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-        vals = np.array([self.weights[l] * c / total for c in table.values()], dtype=np.float64)
-        return ids, vals
+        size = len(self._vocab)
+        hits = []
+        key, scale = 0, 1
+        for l in range(1, len(tail) + 1):
+            tok = tail[-l]
+            if not 0 <= tok < size:
+                break  # no context holds it, so no longer suffix can match
+            key += int(tok) * scale
+            scale *= size
+            row = self._row_of[l].get(key)
+            if row is not None:
+                hits.append((tail[-l:], row))
+        return hits
 
     # -- serialization ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write a self-describing JSON model file (round-trips exactly)."""
-        payload = {
-            "format": "titlegen-ngram-lm",
+        """Write the model file: one JSON header line (format, version,
+        order, weights, vocabulary, and each level's [rows, entries]),
+        padded with spaces so the arrays start on an 8-byte boundary,
+        then each level's ``contexts``, ``offsets``, ``next_ids`` and
+        ``counts`` as little-endian int64. The bytes depend only on the
+        model."""
+        header = {
+            "format": FORMAT,
+            "version": VERSION,
             "order": self.order,
             "weights": self.weights,
             "vocabulary": list(self._vocab.tokens),
-            "levels": [
-                sorted(
-                    (list(ctx), sorted(table.items()))
-                    for ctx, table in level.items()
-                )
-                for level in self.levels
-            ],
+            "levels": [[len(level.contexts), len(level.counts)] for level in self.levels],
         }
+        head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        head += " " * (-(len(head) + 1) % 8) + "\n"
         from .records import write_atomic  # records depends on this module
 
-        text = json.dumps(payload, separators=(",", ":")) + "\n"
-        write_atomic(path, lambda fh: fh.write(text))
+        def write(fh) -> None:
+            fh.write(head.encode("ascii"))
+            for level in self.levels:
+                for a in level:
+                    fh.write(a.astype(_INT).tobytes())
+
+        write_atomic(path, write, binary=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramLM":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != "titlegen-ngram-lm":
+        """Read a file written by :meth:`save`. The arrays are views of
+        the file's bytes, checked with array operations; any malformed
+        content is a ``ValueError`` naming the file."""
+        raw = Path(path).read_bytes()
+        end = raw.find(b"\n")
+        try:
+            header = json.loads(raw[:end]) if end >= 0 else None
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != FORMAT:
             raise ValueError(f"not a model file: {path}")
-        levels = [
-            {tuple(ctx): {int(t): int(c) for t, c in table} for ctx, table in level}
-            for level in payload["levels"]
-        ]
-        return cls(
-            order=payload["order"],
-            vocab=Vocabulary(payload["vocabulary"]),
-            levels=levels,
-            weights=payload["weights"],
+        if header.get("version") != VERSION:
+            raise ValueError(
+                f"model {path} has format version {header.get('version')!r}, not {VERSION};"
+                " rerun train-lm to rebuild it"
+            )
+        missing = {"order", "weights", "vocabulary", "levels"} - header.keys()
+        if missing:
+            raise ValueError(f"model {path} lacks {sorted(missing)}")
+        tokens, sizes = header["vocabulary"], header["levels"]
+        if not isinstance(tokens, list) or set(map(type, tokens)) != {str}:
+            raise ValueError(f"model {path}: vocabulary must be a list of strings")
+        if not isinstance(sizes, list) or not all(
+            isinstance(s, list) and len(s) == 2 and all(_is_count(n) for n in s) for s in sizes
+        ):
+            raise ValueError(f"model {path}: levels must be [rows, entries] integer pairs >= 0")
+        lengths = [(rows * l, rows + 1, n, n) for l, (rows, n) in enumerate(sizes)]
+        expected = _INT.itemsize * sum(map(sum, lengths))
+        if len(raw) - end - 1 != expected:
+            raise ValueError(
+                f"model {path}: the header's level sizes need {expected} bytes of arrays,"
+                f" the file holds {len(raw) - end - 1}"
+            )
+        flat = np.frombuffer(raw, dtype=_INT, offset=end + 1)
+        levels, at = [], 0
+        for l, (rows, _) in enumerate(sizes):
+            parts = []
+            for n in lengths[l]:
+                parts.append(flat[at : at + n])
+                at += n
+            parts[0] = parts[0].reshape(rows, l)
+            levels.append(Level(*parts))
+        try:
+            return cls._from_levels(
+                header["order"], Vocabulary(tokens), levels, header["weights"]
+            )
+        except ValueError as exc:
+            raise ValueError(f"model {path}: {exc}") from None
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _level_from_dict(l: int, table: dict[tuple[int, ...], dict[int, int]]) -> Level:
+    rows = sorted(table.items())
+    for ctx, _ in rows:
+        if len(ctx) != l:
+            raise ValueError(f"level {l} holds a context of length {len(ctx)}")
+    nexts = [sorted(counts.items()) for _, counts in rows]
+    entries = [pair for row in nexts for pair in row]
+    return Level(
+        contexts=np.array([ctx for ctx, _ in rows], dtype=np.int64).reshape(len(rows), l),
+        offsets=np.cumsum([0, *map(len, nexts)], dtype=np.int64),
+        next_ids=np.array([t for t, _ in entries], dtype=np.int64),
+        counts=np.array([c for _, c in entries], dtype=np.int64),
+    )
+
+
+def _checked_level(l: int, level: Level, vocab_size: int) -> tuple[Level, np.ndarray]:
+    """``level`` as read-only int64 arrays, with its context keys, or a
+    ``ValueError`` saying which rule of :class:`Level` it breaks."""
+    contexts, offsets, next_ids, counts = (np.asarray(a, dtype=np.int64) for a in level)
+    rows, entries = len(contexts), len(next_ids)
+    if contexts.shape != (rows, l) or offsets.shape != (rows + 1,) or counts.shape != (entries,):
+        raise ValueError(f"level {l}: array shapes do not fit {rows} contexts of length {l}")
+    if offsets[0] != 0 or offsets[-1] != entries or (np.diff(offsets) < 1).any():
+        raise ValueError(
+            f"level {l}: offsets must start at 0, increase strictly and end at {entries}"
         )
+    for ids in (contexts, next_ids):
+        if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+            bad = ids.min() if ids.min() < 0 else ids.max()
+            raise ValueError(f"token id {bad} is outside the vocabulary of {vocab_size} tokens")
+    if entries and counts.min() < 1:
+        raise ValueError(f"level {l}: counts must be >= 1, got {counts.min()}")
+    keys = _context_keys(contexts, vocab_size)
+    if (np.diff(keys) < 1).any():
+        raise ValueError(f"level {l}: contexts must be strictly ascending")
+    steps = np.diff(next_ids)
+    steps[offsets[1:-1] - 1] = 1  # a new row may start anywhere
+    if (steps < 1).any():
+        raise ValueError(f"level {l}: next ids must be strictly ascending within each context")
+    for a in (contexts, offsets, next_ids, counts):
+        a.flags.writeable = False
+    return Level(contexts, offsets, next_ids, counts), keys
+
+
+def _context_keys(contexts: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Each context's ids, all in ``0..vocab_size-1``, read as the digits
+    of a base-``vocab_size`` number, the first most significant. Keys
+    order as the contexts do, id by id. They are Python ints where int64
+    could overflow."""
+    l = contexts.shape[1]
+    digits = contexts.astype(np.int64 if vocab_size**l < 2**63 else object)
+    keys = digits[:, 0] if l else np.zeros(len(contexts), dtype=np.int64)
+    for j in range(1, l):
+        keys = keys * vocab_size + digits[:, j]
+    return keys
 
 
 def train_ngram_lm(
@@ -213,24 +358,55 @@ def train_ngram_lm(
     ++ </s>``; only the title tokens and the closing END act as predicted
     positions, each observed under its preceding contexts of every length
     below ``order`` (contexts may reach back into the code region).
+
+    Level ``l`` counts its (context, token) windows with one ``np.unique``
+    over integer keys. A window's key is its first id times the number of
+    distinct windows one level down, plus the rank of its last ``l`` ids
+    there, so keys sort as the windows do, id by id, and stay below
+    ``V`` times the number of positions.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not pairs:
         raise ValueError("empty corpus")
-    levels: list[dict[tuple[int, ...], dict[int, int]]] = [{} for _ in range(order)]
-    for code, title in pairs:
-        seq = list(code) + [NEXT_ID, START_ID] + list(title) + [END_ID]
-        first = len(code) + 2
-        for p in range(first, len(seq)):
-            tok = seq[p]
-            for l in range(order):
-                if l > p:
-                    break
-                ctx = tuple(seq[p - l : p])
-                table = levels[l].setdefault(ctx, {})
-                table[tok] = table.get(tok, 0) + 1
-    return NGramLM(order=order, vocab=vocab, levels=levels, weights=weights)
+    # A context reaches back at most order - 1 ids from a title position,
+    # so no code id before the last ``order`` is ever read.
+    seqs = [[*code[-order:], NEXT_ID, START_ID, *title, END_ID] for code, title in pairs]
+    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64)
+    if flat.min() < 0 or flat.max() >= len(vocab):
+        bad = flat.min() if flat.min() < 0 else flat.max()
+        raise ValueError(f"token id {bad} is outside the vocabulary of {len(vocab)} tokens")
+    # Predicted positions: the title and END of each sequence, as indices
+    # into ``flat`` and as positions within their own sequence.
+    sizes = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    predicted = np.fromiter((len(title) + 1 for _, title in pairs), np.int64, len(pairs))
+    ends = np.cumsum(sizes)
+    where = np.arange(predicted.sum()) - np.repeat(np.cumsum(predicted) - ends, predicted)
+    depth = where - np.repeat(ends - sizes, predicted)
+    key, radix = flat[where], 0
+    levels = []
+    for l in range(order):
+        if l:
+            keep = depth >= l
+            where, depth = where[keep], depth[keep]
+            key = flat[where - l] * radix + key[keep]
+        _, first, key, counts = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
+        radix = len(first)
+        # l context ids, then the token, per distinct window
+        levels.append(_level_of_windows(flat[where[first, None] + np.arange(-l, 1)], counts))
+    return NGramLM._from_levels(order, vocab, levels, weights)
+
+
+def _level_of_windows(windows: np.ndarray, counts: np.ndarray) -> Level:
+    """The level whose distinct (context, token) windows, sorted, are the
+    rows of ``windows``, seen ``counts`` times."""
+    l = windows.shape[1] - 1
+    new = np.ones(len(windows), dtype=bool)
+    new[1:] = (windows[1:, :l] != windows[:-1, :l]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return Level(windows[starts, :l], np.append(starts, len(windows)), windows[:, l].copy(), counts)
 
 
 def next_distribution(

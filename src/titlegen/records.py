@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import IO, Callable, Iterable, Iterator, TextIO
 
 from .data import Post
 from .decode import CandidatePool, SamplingConfig
@@ -27,21 +27,23 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_atomic(path: str | Path, write: Callable[[TextIO], object]):
-    """Call ``write`` on a new UTF-8 text file beside ``path``, then
-    rename it over ``path``. If ``write`` raises, the file is removed
-    and ``path`` is left as it was. Returns what ``write`` returned.
+def write_atomic(path: str | Path, write: Callable[[IO], object], binary: bool = False):
+    """Call ``write`` on a new file beside ``path`` (UTF-8 text, or bytes
+    if ``binary``), then rename it over ``path``. If ``write`` raises,
+    the file is removed and ``path`` is left as it was. Returns what
+    ``write`` returned.
 
     A symlink's target is replaced, not the link. A path that exists
     but is no regular file (``/dev/stdout``, a pipe) cannot be renamed
     over, so it is written in place."""
+    mode, encoding = ("b", None) if binary else ("", "utf-8")
     path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w" + mode, encoding=encoding) as fh:
             return write(fh)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "x" + mode, encoding=encoding) as fh:
             result = write(fh)
         os.replace(tmp, path)
     except BaseException:

@@ -343,6 +343,65 @@ def loop_query(index, code, k):
     return [(index.titles[pos], s) for pos, s in hits[:k]]
 
 
+# -- n-gram generator ----------------------------------------------------------
+
+class DictNGramLM:
+    """The dict-backed interpolated n-gram model the package once ran,
+    kept as the reference. ``levels[l]`` maps each length-``l`` context
+    tuple to a dict of next-token counts, trained by one dict update per
+    (position, level). A distribution adds the floor, then the empty
+    context's row token by token, then each hit context's row, shortest
+    first, each value ``weights[l] * count / total``."""
+
+    def __init__(self, order, vocab_size, levels, weights=None):
+        self.order = order
+        self.vocab_size = vocab_size
+        self.levels = levels
+        self.weights = list(weights) if weights is not None else [1.0 / order] * order
+
+    @classmethod
+    def train(cls, pairs, order, vocab_size):
+        from titlegen.text import END_ID, NEXT_ID, START_ID
+
+        levels = [{} for _ in range(order)]
+        for code, title in pairs:
+            seq = list(code) + [NEXT_ID, START_ID] + list(title) + [END_ID]
+            for p in range(len(code) + 2, len(seq)):
+                for l in range(order):
+                    if l > p:
+                        break
+                    table = levels[l].setdefault(tuple(seq[p - l : p]), {})
+                    table[seq[p]] = table.get(seq[p], 0) + 1
+        return cls(order, vocab_size, levels)
+
+    def state(self, code, prefix):
+        from titlegen.text import NEXT_ID, START_ID
+
+        if not prefix or prefix[0] != START_ID:
+            raise ValueError("prefix must begin with START")
+        full = (*code, NEXT_ID, *prefix)
+        tail = full[max(0, len(full) - (self.order - 1)) :]
+        return tuple(tail[-l:] for l in range(1, len(tail) + 1) if tail[-l:] in self.levels[l])
+
+    def next_distribution(self, code, prefix):
+        from titlegen.lm import FLOOR
+        from titlegen.text import PAD_ID, START_ID
+
+        out = np.full(self.vocab_size, FLOOR, dtype=np.float64)
+        table0 = self.levels[0].get((), {})
+        for tok, c in table0.items():
+            out[tok] += self.weights[0] * c / sum(table0.values())
+        for ctx in self.state(code, prefix):
+            table = self.levels[len(ctx)][ctx]
+            total = sum(table.values())
+            ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
+            out[ids] += np.array([self.weights[len(ctx)] * c / total for c in table.values()])
+        out[PAD_ID] = 0.0
+        out[START_ID] = 0.0
+        out /= out.sum()
+        return out
+
+
 # -- path enumeration for decoding -------------------------------------------
 
 def enumerate_paths(model, code, max_length):

@@ -10,6 +10,7 @@ from titlegen.text import START_ID
 
 from .conftest import raw_post, write_raw_corpus
 from .oracles import loop_query, stable_rng
+from .test_lm import BAD_MODELS, join_model, split_model, write_bad_model
 from .test_retrieve import BAD_INDEXES, write_bad_index
 
 
@@ -38,7 +39,7 @@ def pipeline(tmp_path_factory):
         "prepare", "--input", raw, "--out-dir", splits,
         "--val-count", 15, "--test-count", 15,
     )
-    model = root / "model.json"
+    model = root / "model.bin"
     run("train-lm", "--train", splits / "train.jsonl", "--out", model)
     pools = root / "pools.jsonl"
     run(
@@ -102,6 +103,29 @@ class TestPrepare:
         out = tmp_path / "nope"
         assert fails("prepare", "--input", tmp_path / "absent.jsonl", "--out-dir", out)
         assert not out.exists()
+
+    def test_failed_rerun_leaves_no_manifest(self, pipeline, tmp_path, monkeypatch, capsys):
+        # The manifest is written last, so one that exists marks a
+        # complete set of splits; a rerun that fails part-way removes it.
+        out = tmp_path / "splits"
+        argv = ["prepare", "--input", pipeline.raw, "--out-dir", out,
+                "--val-count", 15, "--test-count", 15]
+        run(*argv)
+        assert (out / "manifest.json").is_file()
+        real_write = records.write_jsonl
+        calls = []
+
+        def write_jsonl(path, rows):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_write(path, rows)
+
+        monkeypatch.setattr(records, "write_jsonl", write_jsonl)
+        assert fails(*argv)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "titlegen prepare: error: disk full"
+        assert len(calls) == 2 and not (out / "manifest.json").exists()
 
     def test_blank_titles_skipped(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
@@ -210,12 +234,13 @@ class TestGenerate:
     def test_out_of_range_model_id_fails(self, pipeline, tmp_path, capsys, bad_id):
         # A next-token id outside the vocabulary under the START context,
         # which every sampled row reads at its first step.
-        payload = json.loads(pipeline.model.read_text())
-        size = len(payload["vocabulary"])
-        (table,) = [t for ctx, t in payload["levels"][1] if ctx == [START_ID]]
-        table[0][0] = size if bad_id == "past_end" else bad_id
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(payload))
+        header, levels = split_model(pipeline.model.read_bytes())
+        size = len(header["vocabulary"])
+        contexts, offsets, next_ids, _ = levels[1]
+        first = offsets[contexts.index(START_ID)]
+        next_ids[first] = size if bad_id == "past_end" else bad_id
+        model = tmp_path / "model.bin"
+        model.write_bytes(join_model(header, levels))
         out = tmp_path / "pools.jsonl"
         assert fails(
             "generate", "--model", model, "--input", pipeline.splits / "test.jsonl",
@@ -223,6 +248,21 @@ class TestGenerate:
         )
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "outside the vocabulary" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutate, message", [c[1:] for c in BAD_MODELS], ids=[c[0] for c in BAD_MODELS]
+    )
+    def test_bad_model_fails_without_output(self, pipeline, tmp_path, capsys, mutate, message):
+        model = tmp_path / "model.bin"
+        write_bad_model(model, mutate)
+        out = tmp_path / "pools.jsonl"
+        assert fails(
+            "generate", "--model", model, "--input", pipeline.splits / "test.jsonl",
+            "--out", out, "--limit", 1, "--num-samples", 2,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("titlegen generate: error:") and message in line
         assert not out.exists()
 
 

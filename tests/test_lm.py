@@ -1,49 +1,39 @@
 import itertools
+import json
+import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 import titlegen as tg
-from titlegen.lm import FLOOR
-from titlegen.text import END_ID, NEXT_ID, PAD_ID, START_ID
+from titlegen import records
+from titlegen.text import END_ID, PAD_ID, START_ID
 
 from .conftest import DummyModel, build_toy_model
-from .oracles import stable_rng
+from .oracles import DictNGramLM, stable_rng
 
 
-# -- dict-based reference implementation --------------------------------------
-
-def train_oracle(pairs, order):
-    levels = [{} for _ in range(order)]
-    for code, title in pairs:
-        seq = list(code) + [NEXT_ID, START_ID] + list(title) + [END_ID]
-        for p in range(len(code) + 2, len(seq)):
-            for l in range(order):
-                if l > p:
-                    break
-                ctx = tuple(seq[p - l : p])
-                levels[l].setdefault(ctx, {}).setdefault(seq[p], 0)
-                levels[l][ctx][seq[p]] += 1
+def level_dicts(model):
+    """The model's count arrays as the oracle's nested dicts."""
+    levels = []
+    for contexts, offsets, next_ids, counts in model.levels:
+        table = {}
+        for r, ctx in enumerate(contexts.tolist()):
+            a, b = offsets[r], offsets[r + 1]
+            table[tuple(ctx)] = dict(zip(next_ids[a:b].tolist(), counts[a:b].tolist()))
+        levels.append(table)
     return levels
 
 
-def dist_oracle(levels, order, vocab_size, code, prefix):
-    w = 1.0 / order
-    full = list(code) + [NEXT_ID] + list(prefix)
-    out = {t: FLOOR for t in range(vocab_size)}
-    for l in range(order):
-        if l > len(full):
-            continue
-        ctx = tuple(full[len(full) - l :]) if l else ()
-        table = levels[l].get(ctx)
-        if table:
-            total = sum(table.values())
-            for t, c in table.items():
-                out[t] += w * c / total
-    out[PAD_ID] = 0.0
-    out[START_ID] = 0.0
-    s = sum(out.values())
-    return np.array([out[t] / s for t in range(vocab_size)])
+def assert_matches_oracle(model, oracle, probes):
+    """Bit-equal distributions and equal states on every (code, prefix)."""
+    for code, prefix in probes:
+        assert model.state(code, prefix) == oracle.state(code, prefix)
+        np.testing.assert_array_equal(
+            model.next_distribution(code, prefix), oracle.next_distribution(code, prefix)
+        )
 
 
 def make_vocab(tokens):
@@ -89,26 +79,64 @@ class TestTrain:
 
     def test_stored_contexts_shorter_than_order(self):
         model, _ = build_toy_model(order=3)
-        for l, table in enumerate(model.levels):
-            assert all(len(ctx) == l for ctx in table)
-            assert all(len(ctx) < model.order for ctx in table)
+        assert len(model.levels) == model.order
+        for l, level in enumerate(model.levels):
+            assert level.contexts.shape == (len(level.offsets) - 1, l)
+
+    def test_counts_match_dict_oracle(self):
+        rng = stable_rng("lm-counts")
+        v = make_vocab(list("abcdef"))
+        for trial in range(40):
+            order = int(rng.integers(1, 5))
+            pairs = random_pairs(rng, v, int(rng.integers(1, 8)))
+            model = tg.train_ngram_lm(pairs, order, v)
+            assert level_dicts(model) == DictNGramLM.train(pairs, order, len(v)).levels
+
+    def test_levels_are_read_only(self, toy_model):
+        for level in toy_model.levels:
+            for array in level:
+                assert not array.flags.writeable
 
 
 class TestNextDistribution:
-    def test_matches_dict_oracle_on_random_corpora(self):
+    def test_matches_dict_oracle_on_random_corpora(self, tmp_path):
         rng = stable_rng("lm-oracle")
         v = make_vocab(list("abcdef"))
-        for trial in range(25):
-            order = int(rng.integers(1, 5))
+        for trial in range(40):
+            order = 1 + trial % 4
             pairs = random_pairs(rng, v, int(rng.integers(1, 6)))
             model = tg.train_ngram_lm(pairs, order, v)
-            levels = train_oracle(pairs, order)
-            code, title = pairs[0]
-            for plen in range(len(title) + 1):
-                prefix = [START_ID] + list(title[:plen])
-                got = model.next_distribution(code, prefix)
-                want = dist_oracle(levels, order, len(v), code, prefix)
-                np.testing.assert_allclose(got, want, atol=1e-12)
+            oracle = DictNGramLM.train(pairs, order, len(v))
+            probes = []
+            for code, title in pairs:
+                probes += [(code, [START_ID, *title[:n]]) for n in range(len(title) + 2)]
+            # Ids outside the vocabulary match no context; a key built from
+            # them must not alias one that does.
+            for high in (len(v), 3 * len(v)):
+                for _ in range(20):
+                    code = rng.integers(-2, high, size=int(rng.integers(0, 4))).tolist()
+                    title = rng.integers(-2, high, size=int(rng.integers(0, 4))).tolist()
+                    probes.append((code, [START_ID, *title]))
+            assert_matches_oracle(model, oracle, probes)
+            model.save(tmp_path / "model.bin")
+            assert_matches_oracle(tg.NGramLM.load(tmp_path / "model.bin"), oracle, probes)
+
+    def test_long_contexts_match_dict_oracle(self):
+        # At order 20, V ** 19 passes 2 ** 63, so the longest levels key
+        # their contexts with Python ints rather than int64.
+        rng = stable_rng("lm-long")
+        v = make_vocab(list("abcdef"))
+        assert len(v) ** 19 >= 2**63 > len(v) ** 18
+        words = [v.id(t) for t in "abcdef"]
+        pairs = [
+            (rng.choice(words, size=20).tolist(), rng.choice(words, size=4).tolist())
+            for _ in range(6)
+        ]
+        model = tg.train_ngram_lm(pairs, 20, v)
+        oracle = DictNGramLM.train(pairs, 20, len(v))
+        assert len(model.levels[19].contexts) > 0
+        probes = [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(6)]
+        assert_matches_oracle(model, oracle, probes)
 
     def test_distribution_contract(self, toy_model):
         v = toy_model.vocabulary
@@ -241,17 +269,20 @@ class TestDummyModelContract(GeneratorContract):
         return DummyModel(vocab_size=9, seed=3)
 
 
-def make_gapped_model():
+# The vocabulary is the five reserved markers, then a = 5, b = 6, c = 7.
+GAPPED_LEVELS = [
+    {(): {5: 2, 6: 1, 7: 1, END_ID: 1}},
+    {(5,): {6: 3}, (7,): {END_ID: 2}, (START_ID,): {5: 1, 7: 1}},
+    {(5, 6): {7: 5}, (7, 5): {6: 1, END_ID: 1}},
+]
+
+
+def make_gapped_model(weights=None):
     """Order 3, with the level-2 context (a, b) but not its level-1 suffix
     (b,). Training never makes such a model; ``state`` must still hold."""
     v = make_vocab(["a", "b", "c"])
-    a, b, c = v.id("a"), v.id("b"), v.id("c")
-    levels = [
-        {(): {a: 2, b: 1, c: 1, END_ID: 1}},
-        {(a,): {b: 3}, (c,): {END_ID: 2}, (START_ID,): {a: 1, c: 1}},
-        {(a, b): {c: 5}, (c, a): {b: 1, END_ID: 1}},
-    ]
-    return tg.NGramLM(order=3, vocab=v, levels=levels)
+    assert [v.id(t) for t in "abc"] == [5, 6, 7]
+    return tg.NGramLM(order=3, vocab=v, levels=GAPPED_LEVELS, weights=weights)
 
 
 class TestGappedNGramLMContract(GeneratorContract):
@@ -279,21 +310,147 @@ class TestGappedNGramLMContract(GeneratorContract):
             model.next_distribution([], [START_ID, b, b]),
         )
 
-    def test_matches_dict_oracle(self):
+    def test_matches_dict_oracle(self, tmp_path):
         model = make_gapped_model()
-        for code, prefix in self.contexts(model):
-            want = dist_oracle(model.levels, 3, len(model.vocabulary), code, prefix)
-            np.testing.assert_allclose(model.next_distribution(code, prefix), want, atol=1e-12)
+        oracle = DictNGramLM(3, len(model.vocabulary), GAPPED_LEVELS)
+        assert level_dicts(model) == GAPPED_LEVELS
+        assert_matches_oracle(model, oracle, self.contexts(model))
+        model.save(tmp_path / "model.bin")
+        assert_matches_oracle(tg.NGramLM.load(tmp_path / "model.bin"), oracle, self.contexts(model))
+
+
+def split_model(data):
+    """(header, levels) of a model file's bytes; each level is a list of
+    four plain int lists: contexts (flattened), offsets, next ids, counts."""
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    flat = np.frombuffer(data, dtype="<i8", offset=end + 1).tolist()
+    levels = []
+    for l, (rows, entries) in enumerate(header["levels"]):
+        level = []
+        for size in (rows * l, rows + 1, entries, entries):
+            level.append(flat[:size])
+            flat = flat[size:]
+        levels.append(level)
+    return header, levels
+
+
+def join_model(header, levels):
+    """The bytes ``NGramLM.save`` lays out for ``split_model``'s parts."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    head += " " * (-(len(head) + 1) % 8) + "\n"
+    values = [v for level in levels for part in level for v in part]
+    return head.encode("ascii") + np.array(values, dtype="<i8").tobytes()
+
+
+def _edit(fn):
+    def mutate(data):
+        header, levels = split_model(data)
+        fn(header, levels)
+        return join_model(header, levels)
+
+    return mutate
+
+
+def _header(**changes):
+    return _edit(lambda header, levels: header.update(changes))
+
+
+def _put(l, part, values):
+    """Replace part ``part`` (0 contexts, 1 offsets, 2 next ids, 3 counts)
+    of level ``l``."""
+    return _edit(lambda header, levels: levels[l].__setitem__(part, list(values)))
+
+
+def _old_json_model(data):
+    header, _ = split_model(data)
+    del header["version"]
+    header["levels"] = [[[[], [[END_ID, 1]]]], [], []]
+    return (json.dumps(header) + "\n").encode()
+
+
+# Cases over the gapped model's file. Its level 1 holds contexts
+# [<s>], [a], [c] (ids 0, 5, 7), offsets 0 2 3 4, next ids 5 7 6 1 and
+# counts 1 1 3 2; level 2 holds contexts [a b], [c a], offsets 0 1 3,
+# next ids 7 1 6 and counts 5 1 1. V = 8.
+BAD_MODELS = [
+    ("truncated", lambda data: data[:-8], "bytes of arrays"),
+    ("truncated_in_header", lambda data: data[:40], "not a model file"),
+    ("empty", lambda data: b"", "not a model file"),
+    ("trailing_bytes", lambda data: data + bytes(8), "bytes of arrays"),
+    ("sizes_disagree", _header(levels=[[1, 4], [3, 5], [2, 3]]), "bytes of arrays"),
+    # Same byte total, split otherwise: level 1 reads offsets 7 0 2.
+    ("sizes_shifted", _header(levels=[[1, 4], [2, 5], [2, 3]]), "offsets must start at 0"),
+    ("sizes_not_pairs", _header(levels=[1, 4]), "integer pairs"),
+    ("size_negative", _header(levels=[[1, 4], [3, 4], [-2, 3]]), "integer pairs >= 0"),
+    ("header_list", lambda data: b"[1, 2]" + data[data.index(b"\n") :], "not a model file"),
+    ("header_not_json", lambda data: b"\xff" + data, "not a model file"),
+    ("foreign_format", _header(format="titlegen-bm25-index"), "not a model file"),
+    ("version_3", _header(version=3), "format version 3, not 2"),
+    ("old_json_model", _old_json_model, "rerun train-lm"),
+    ("missing_weights", _edit(lambda header, levels: header.pop("weights")), "lacks ['weights']"),
+    ("vocabulary_numbers", _header(vocabulary=list(range(8))), "list of strings"),
+    ("vocabulary_unmarked", _header(vocabulary=list("abcdefgh")), "reserved markers"),
+    ("next_id_past_end", _put(1, 2, [5, 8, 6, 1]), "id 8 is outside the vocabulary of 8"),
+    ("next_id_negative", _put(1, 2, [-1, 7, 6, 1]), "id -1 is outside the vocabulary"),
+    ("context_id_past_end", _put(2, 0, [5, 6, 9, 5]), "id 9 is outside the vocabulary"),
+    ("context_id_negative", _put(1, 0, [-3, 5, 7]), "id -3 is outside the vocabulary"),
+    ("count_zero", _put(1, 3, [1, 0, 3, 2]), "counts must be >= 1, got 0"),
+    ("count_negative", _put(2, 3, [-5, 1, 1]), "counts must be >= 1, got -5"),
+    ("offsets_repeated", _put(1, 1, [0, 2, 2, 4]), "increase strictly"),
+    ("offsets_descending", _put(1, 1, [0, 3, 2, 4]), "increase strictly"),
+    ("offsets_short_of_end", _put(1, 1, [0, 1, 2, 3]), "end at 4"),
+    ("offsets_not_from_zero", _put(2, 1, [1, 2, 3]), "start at 0"),
+    ("contexts_unsorted", _put(1, 0, [5, 0, 7]), "contexts must be strictly ascending"),
+    ("contexts_repeated", _put(2, 0, [5, 6, 5, 6]), "contexts must be strictly ascending"),
+    ("next_ids_unsorted", _put(1, 2, [7, 5, 6, 1]), "next ids must be strictly ascending"),
+    ("next_ids_repeated", _put(2, 2, [7, 6, 6]), "next ids must be strictly ascending"),
+    ("order_zero", _header(order=0), "order must be an integer >= 1, got 0"),
+    ("order_string", _header(order="3"), "order must be an integer >= 1, got '3'"),
+    ("order_disagrees", _header(order=2), "expected 2 count levels, got 3"),
+    ("weights_sum", _header(weights=[0.5, 0.5, 0.5]), "sum to 1"),
+    ("weights_negative", _header(weights=[1.5, -0.5, 0.0]), "nonnegative"),
+    ("weights_infinite", _header(weights=[math.inf, 0.0, 0.0]), "finite"),
+    ("weights_short", _header(weights=[0.5, 0.5]), "one per order level"),
+    ("weights_strings", _header(weights=["0.5", "0.25", "0.25"]), "list of numbers"),
+    ("weights_object", _header(weights={"a": 1}), "list of numbers"),
+]
+
+
+def write_bad_model(path, mutate):
+    """The gapped model's file with ``mutate`` applied to its bytes."""
+    make_gapped_model().save(path)
+    path.write_bytes(mutate(path.read_bytes()))
+
+
+# The file ``NGramLM.save`` writes for the gapped model with weights
+# (0.5, 0.25, 0.25): the header line, padded with spaces to 176 bytes,
+# then every level's contexts, offsets, next ids and counts as
+# little-endian int64.
+GOLDEN_HEADER = (
+    b'{"format":"titlegen-ngram-lm","levels":[[1,4],[3,4],[2,3]],"order":3,"version":2,'
+    b'"vocabulary":["<s>","</s>","[PAD]","[NEXT]","[UNK]","a","b","c"],'
+    b'"weights":[0.5,0.25,0.25]}   \n'
+)
+GOLDEN_ARRAYS = [
+    # level 0: no context ids; offsets 0 4; next ids </s> a b c; counts
+    0, 4, 1, 5, 6, 7, 1, 2, 1, 1,
+    # level 1: contexts <s>, a, c; offsets; next ids; counts
+    0, 5, 7, 0, 2, 3, 4, 5, 7, 6, 1, 1, 1, 3, 2,
+    # level 2: contexts (a b), (c a); offsets; next ids; counts
+    5, 6, 7, 5, 0, 1, 3, 7, 1, 6, 5, 1, 1,
+]
 
 
 class TestSerialization:
     def test_roundtrip_preserves_observable_distributions(self, tmp_path, toy_model):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.bin"
         toy_model.save(path)
         loaded = tg.NGramLM.load(path)
         assert loaded.order == toy_model.order
         assert loaded.weights == toy_model.weights
         assert loaded.vocabulary == toy_model.vocabulary
+        assert level_dicts(loaded) == level_dicts(toy_model)
         rng = stable_rng("roundtrip")
         for _ in range(20):
             code = list(rng.integers(5, len(toy_model.vocabulary), size=3))
@@ -304,10 +461,62 @@ class TestSerialization:
             )
 
     def test_save_is_deterministic(self, tmp_path, toy_model):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         toy_model.save(a)
         toy_model.save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "model.bin"
+        make_gapped_model(weights=(0.5, 0.25, 0.25)).save(path)
+        assert len(GOLDEN_HEADER) % 8 == 0
+        want = GOLDEN_HEADER + struct.pack(f"<{len(GOLDEN_ARRAYS)}q", *GOLDEN_ARRAYS)
+        assert path.read_bytes() == want
+
+    def test_split_and_join_round_trip(self, tmp_path):
+        path = tmp_path / "model.bin"
+        make_gapped_model().save(path)
+        assert join_model(*split_model(path.read_bytes())) == path.read_bytes()
+
+    def test_failed_save_keeps_earlier_file(self, tmp_path, toy_model, monkeypatch):
+        path = tmp_path / "model.bin"
+        make_gapped_model().save(path)
+        before = path.read_bytes()
+        written = []
+
+        class FullDisk:
+            """A file that takes the first half of a write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                written.append(self.fh.write(data[: len(data) // 2]))
+                self.fh.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(records, "open", lambda *a, **k: FullDisk(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            toy_model.save(path)
+        assert written[0] > 0 and path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+    @pytest.mark.parametrize(
+        "mutate, message", [c[1:] for c in BAD_MODELS], ids=[c[0] for c in BAD_MODELS]
+    )
+    def test_rejects_malformed_model(self, tmp_path, mutate, message):
+        path = tmp_path / "model.bin"
+        write_bad_model(path, mutate)
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            tg.NGramLM.load(path)
+        assert str(path) in str(info.value) and "\n" not in str(info.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"
