@@ -11,6 +11,7 @@ from ._kernels import BACKEND
 from .data import Post, SplitSpec, chronological_split, concat_snippets, filter_posts
 from .decode import (
     CandidatePool,
+    NucleusMemo,
     SamplingConfig,
     apply_temperature,
     beam_search,
@@ -63,6 +64,7 @@ __all__ = [
     "MetricReport",
     "NEXT",
     "NGramLM",
+    "NucleusMemo",
     "PAD",
     "Post",
     "RESERVED",

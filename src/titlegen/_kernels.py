@@ -88,16 +88,20 @@ def nucleus_filter_kernel(probs: np.ndarray, beta: float) -> np.ndarray:
 
 
 def sample_token_kernel(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw over ascending token index; ``u`` in [0, 1).
+    """Inverse-CDF draw over ascending token index; ``probs`` finite and
+    nonnegative, ``u`` in [0, 1).
 
-    Non-positive entries are skipped. If rounding leaves the total at or
+    Zero entries are never drawn. If rounding leaves the total at or
     below ``u``, the last positive index; -1 if no entry is positive.
     """
+    # Adding a zero leaves a running sum bit-identical, so the running
+    # sums of the positive entries are those of the whole vector, and the
+    # first sum above u >= 0 ends on a positive entry.
+    j = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    if j < probs.shape[0]:
+        return j
     positive = np.flatnonzero(probs > 0.0)
-    if positive.shape[0] == 0:
-        return -1
-    j = int(np.searchsorted(np.cumsum(probs[positive]), u, side="right"))
-    return int(positive[min(j, positive.shape[0] - 1)])
+    return int(positive[-1]) if positive.shape[0] else -1
 
 
 def nucleus_kernel(

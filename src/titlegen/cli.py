@@ -128,7 +128,8 @@ def _decode_inputs(args: argparse.Namespace) -> tuple[NGramLM, list[data.Post]]:
 def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     """Yield one candidate pool per post, seeded with ``seed + position``:
     sampled, or for "beam" the exact top ``beam_size`` beam search list,
-    of which every shorter top list is a prefix."""
+    of which every shorter top list is a prefix. Sampled pools share one
+    nucleus memo for the whole run."""
     seed = res.get("seed", int)
     code_limit = res.get("code_limit", int)
     max_length = res.get("max_length", int)
@@ -138,6 +139,7 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
         "num_samples": res.get("num_samples", int),
     }
     beam_size = res.get("beam_size", int)
+    memo = decode.NucleusMemo(model, sampling["top_p"], sampling["temperature"])
     vocab = model.vocabulary
     for pos, post in enumerate(posts):
         code = vocab.encode(_code_tokens(post, code_limit))
@@ -152,7 +154,7 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
             pool = decode.CandidatePool(vocab.decode(code), [vocab.decode(s) for s in seqs], config)
         else:
             config = decode.SamplingConfig(**sampling, max_length=max_length, seed=row_seed)
-            pool = decode.decode_candidates(model, code, config)
+            pool = decode.decode_candidates(model, code, config, memo)
         pool.meta = _post_meta(post)
         yield pool
 
@@ -285,11 +287,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         if not args.train:
             raise ValueError("either --index or --train is required")
         _require_files(args.train)
-        docs = [
+        index = retrieve.build_index(
             (post.id, _code_tokens(post, code_limit), post.title)
             for post in records.read_posts(args.train)
-        ]
-        index = retrieve.build_index(docs)
+        )
     if args.index_out:
         index.save(args.index_out)
     rows = []

@@ -63,6 +63,8 @@ def _validate_dist(dist) -> np.ndarray:
     arr = np.asarray(dist, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError("distribution must be a nonempty 1-D vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("distribution entries must be finite")
     if np.any(arr < 0.0):
         raise ValueError("distribution entries must be nonnegative")
     return arr
@@ -97,55 +99,79 @@ def _row_rng(seed: int, row: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row,)))
 
 
-#: The most nucleus ids one pool's memo holds, as a multiple of the
-#: vocabulary size. On the benchmark's model (V ~ 7.2k) a whole pool's
-#: states take about 2.3 V ids at top_p 0.8 and 26 V at 0.95. Near
-#: top_p 1 every entry approaches V ids, and an unbounded memo would
-#: hold one vocabulary-sized pair of arrays per state (~860 V).
-_MEMO_IDS_PER_VOCAB = 32
+#: The most nucleus ids one run's memo holds, as a multiple of the
+#: vocabulary size; each id costs 16 bytes. On the benchmark's model
+#: (V ~ 7.2k, top_p 0.8) a run's distinct states take 6 V ids over 4
+#: posts, 29 V over 100 and 36 V over 400, levelling off as the model's
+#: states run out, so there a run of any length fits. Near top_p 1 every
+#: entry approaches V ids, and an unbounded memo would hold a
+#: vocabulary-sized pair of arrays per state.
+_MEMO_IDS_PER_VOCAB = 64
 
 
-class _NucleusMemo:
-    """One pool's compact nucleus per model state (see ``decode_candidates``)."""
+class NucleusMemo:
+    """Each model state's nucleus under one (model, top_p, temperature).
 
-    def __init__(self, model: GeneratorModel, code: Sequence[int], config: SamplingConfig):
-        self._model = model
-        self._code = code
-        self._config = config
+    Entries are keyed by ``model.state(code, prefix)``. Equal keys give
+    bit-identical distributions under any code, and the nucleus does not
+    depend on the seed, so one memo serves every pool of a run. An entry
+    is the kept ids in ascending order and their probabilities after
+    temperature, divided by the nucleus mass. The memo holds at most
+    ``capacity`` ids; past that, new states are computed and not stored.
+    """
+
+    def __init__(self, model: GeneratorModel, top_p: float, temperature: float):
+        self.model = model
+        self.top_p = top_p
+        self.temperature = temperature
         self._entries: dict = {}
         self.cached_ids = 0
         self.capacity = _MEMO_IDS_PER_VOCAB * len(model.vocabulary)
 
-    def nucleus(self, prefix: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        key = self._model.state(self._code, prefix)
+    def check(self, model: GeneratorModel, config: SamplingConfig) -> None:
+        """Raise ``ValueError`` unless the memo's entries hold for ``config``."""
+        if model is not self.model:
+            raise ValueError("nucleus memo belongs to another model")
+        if (config.top_p, config.temperature) != (self.top_p, self.temperature):
+            raise ValueError(
+                f"nucleus memo holds top_p={self.top_p} temperature={self.temperature},"
+                f" not top_p={config.top_p} temperature={config.temperature}"
+            )
+
+    def nucleus(self, code: Sequence[int], prefix: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        key = self.model.state(code, prefix)
         entry = self._entries.get(key)
         if entry is None:
-            dist = self._model.next_distribution(self._code, prefix)
-            entry = _kernels.nucleus_kernel(dist, self._config.top_p, self._config.temperature)
+            dist = self.model.next_distribution(code, prefix)
+            entry = _kernels.nucleus_kernel(dist, self.top_p, self.temperature)
             if self.cached_ids + entry[0].shape[0] <= self.capacity:
                 self._entries[key] = entry
                 self.cached_ids += entry[0].shape[0]
         return entry
 
 
-def _generate_row(memo: _NucleusMemo, config: SamplingConfig, row: int) -> list[int]:
-    rng = _row_rng(config.seed, row)
+def _generate_row(
+    memo: NucleusMemo, code: Sequence[int], config: SamplingConfig, row: int
+) -> list[int]:
+    # One call gives the values successive rng.random() calls would.
+    uniforms = _row_rng(config.seed, row).random(config.max_length).tolist()
     prefix = [START_ID]
-    out: list[int] = []
-    while len(out) < config.max_length:
-        ids, q = memo.nucleus(prefix)
+    for u in uniforms:
+        ids, q = memo.nucleus(code, prefix)
         # beta = temperature = 1: a plain draw over the cached nucleus.
-        j = int(_kernels.sample_step_kernel(q, 1.0, 1.0, rng.random()))
+        j = int(_kernels.sample_step_kernel(q, 1.0, 1.0, u))
         tok = int(ids[j]) if j >= 0 else -1
         if tok == END_ID:
             break
-        out.append(tok)
         prefix.append(tok)
-    return out
+    return prefix[1:]
 
 
 def decode_candidates(
-    model: GeneratorModel, code: Sequence[int], config: SamplingConfig
+    model: GeneratorModel,
+    code: Sequence[int],
+    config: SamplingConfig,
+    memo: NucleusMemo | None = None,
 ) -> CandidatePool:
     """Sample ``num_samples`` candidate rows independently.
 
@@ -154,20 +180,21 @@ def decode_candidates(
     rng streams depend only on (seed, row index), so the first M rows
     of a larger batch are identical to a batch of exactly M.
 
-    Rows of one pool revisit model states, so the pool keeps a memo from
-    ``model.state(code, prefix)`` to that state's nucleus: the kept ids
-    in ascending order and their probabilities after temperature,
-    divided by the nucleus mass. Only a state's first visit calls
-    ``next_distribution``. The state contract (equal keys give
-    bit-identical distributions) makes every drawn token the same as
-    computing the nucleus afresh at each step. The memo holds at most
-    ``_MEMO_IDS_PER_VOCAB`` times the vocabulary size in ids; past that,
-    new states are computed and not stored. It lives for one call.
+    Rows revisit model states, so each state's nucleus comes from
+    ``memo`` (see :class:`NucleusMemo`): only a state's first visit calls
+    ``next_distribution``. The state contract makes every drawn token
+    the same as computing the nucleus afresh at each step. Pass one memo
+    to every call of a run to share states across pools; it must have
+    been made for ``model`` and this config's top_p and temperature, or
+    this raises ``ValueError``. Without one, the call uses a fresh memo.
     """
+    if memo is None:
+        memo = NucleusMemo(model, config.top_p, config.temperature)
+    else:
+        memo.check(model, config)
     vocab = model.vocabulary
-    memo = _NucleusMemo(model, code, config)
     candidates = [
-        vocab.decode(_generate_row(memo, config, row)) for row in range(config.num_samples)
+        vocab.decode(_generate_row(memo, code, config, row)) for row in range(config.num_samples)
     ]
     return CandidatePool(
         input=vocab.decode(list(code)), candidates=candidates, config=config

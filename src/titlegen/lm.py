@@ -38,9 +38,10 @@ class GeneratorModel(ABC):
     for PAD and START (neither may ever be generated). Beam search's
     early stop relies on no entry exceeding 1.
 
-    ``state`` names the model state a prefix reaches. For a fixed code,
-    prefixes with equal states must get bit-identical distributions;
-    sampling computes each state's nucleus once per pool under that key.
+    ``state`` names the model state a prefix reaches under a code. Equal
+    keys must give bit-identical distributions, whatever the codes and
+    prefixes they came from; sampling computes each state's nucleus once
+    per run under that key (see ``decode.NucleusMemo``).
     """
 
     @property
@@ -59,11 +60,12 @@ class GeneratorModel(ABC):
     def state(self, code: Sequence[int], prefix: Sequence[int]) -> Hashable:
         """Hashable key of the state ``prefix`` reaches under ``code``.
 
-        The default, the prefix itself, suits any model whose output is a
-        function of (code, prefix). A model that reads only part of the
-        history should return a coarser key, so more prefixes share one.
+        The default, the code and the prefix themselves, suits any model
+        whose output is a function of (code, prefix). A model that reads
+        only part of them should return a coarser key, so more (code,
+        prefix) pairs share one.
         """
-        return tuple(prefix)
+        return (tuple(code), tuple(prefix))
 
 
 class Level(NamedTuple):
@@ -154,6 +156,7 @@ class NGramLM(GeneratorModel):
         self._vals = vals
         self._row_of = row_of
         self._offsets = [level.offsets.tolist() for level in levels]
+        self._last_walk: tuple[tuple, list] = ((), [])  # see _hits
 
     # -- GeneratorModel --------------------------------------------------
 
@@ -182,14 +185,22 @@ class NGramLM(GeneratorModel):
         return tuple(ctx for ctx, _ in self._hits(code, prefix))
 
     def _hits(self, code: Sequence[int], prefix: Sequence[int]) -> list[tuple[tuple, int]]:
-        """(context, row) of every suffix ``state`` lists, shortest first."""
+        """(context, row) of every suffix ``state`` lists, shortest first.
+
+        The hits depend only on the tail, so the last tail's are kept: a
+        sampler's ``state`` lookup and the ``next_distribution`` call on
+        a memo miss that follows it walk the levels once.
+        """
         if not prefix or prefix[0] != START_ID:
             raise ValueError("prefix must begin with START")
         span = self.order - 1
         if len(prefix) >= span:
             tail = tuple(prefix[len(prefix) - span :])
         else:
-            tail = (*code, NEXT_ID, *prefix)[-span:]
+            tail = (*code[-span:], NEXT_ID, *prefix)[-span:]
+        last_tail, last_hits = self._last_walk
+        if tail == last_tail:
+            return last_hits
         size = len(self._vocab)
         hits = []
         key, scale = 0, 1
@@ -202,6 +213,7 @@ class NGramLM(GeneratorModel):
             row = self._row_of[l].get(key)
             if row is not None:
                 hits.append((tail[-l:], row))
+        self._last_walk = (tail, hits)
         return hits
 
     # -- serialization ---------------------------------------------------

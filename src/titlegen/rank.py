@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .decode import CandidatePool
 from .text import extract_ngrams
@@ -51,6 +51,24 @@ def _candidate_lists(pool: CandidatePool | Sequence[Sequence[str]]) -> list[list
     return [list(c) for c in cands]
 
 
+class _Bags(NamedTuple):
+    """A candidate's bigram and unigram bags with their Euclidean norms."""
+
+    bigrams: Counter
+    bigram_norm: float
+    unigrams: Counter
+    unigram_norm: float
+
+
+def _norm(bag: Counter) -> float:
+    return math.sqrt(sum(c * c for c in bag.values()))
+
+
+def _bags(tokens: Sequence[str]) -> _Bags:
+    bigrams, unigrams = extract_ngrams(tokens, 2), extract_ngrams(tokens, 1)
+    return _Bags(bigrams, _norm(bigrams), unigrams, _norm(unigrams))
+
+
 def bigram_consistency_scores(pool: CandidatePool | Sequence[Sequence[str]]) -> list[float]:
     """Mean global frequency of each candidate's own bigram occurrences.
 
@@ -62,16 +80,18 @@ def bigram_consistency_scores(pool: CandidatePool | Sequence[Sequence[str]]) -> 
     candidates = _candidate_lists(pool)
     if not candidates:
         raise ValueError("empty candidate pool")
-    bigrams = [extract_ngrams(c, 2) for c in candidates]
-    unigrams = [extract_ngrams(c, 1) for c in candidates]
+    return _consistency([_bags(c) for c in candidates])
+
+
+def _consistency(bags: list[_Bags]) -> list[float]:
+    """:func:`bigram_consistency_scores` of the candidates' bags."""
     global_bi: Counter = Counter()
     global_uni: Counter = Counter()
-    for bag in bigrams:
-        global_bi.update(bag)
-    for bag in unigrams:
-        global_uni.update(bag)
+    for bag in bags:
+        global_bi.update(bag.bigrams)
+        global_uni.update(bag.unigrams)
     scores = []
-    for bi, uni in zip(bigrams, unigrams):
+    for bi, _, uni, _ in bags:
         own, table = (bi, global_bi) if bi else (uni, global_uni)
         total = sum(own.values())
         if total == 0:
@@ -87,18 +107,21 @@ def relevance(a: Sequence[str], b: Sequence[str]) -> float:
     Falls back to unigram bags when either side has no bigrams; returns
     0 when a side is empty even then.
     """
-    ca, cb = extract_ngrams(a, 2), extract_ngrams(b, 2)
-    if not ca or not cb:
-        ca, cb = extract_ngrams(a, 1), extract_ngrams(b, 1)
-        if not ca or not cb:
-            return 0.0
+    return _relevance(_bags(a), _bags(b))
+
+
+def _relevance(a: _Bags, b: _Bags) -> float:
+    """:func:`relevance` of two candidates' precomputed bags."""
+    if a.bigrams and b.bigrams:
+        ca, na, cb, nb = a.bigrams, a.bigram_norm, b.bigrams, b.bigram_norm
+    elif a.unigrams and b.unigrams:
+        ca, na, cb, nb = a.unigrams, a.unigram_norm, b.unigrams, b.unigram_norm
+    else:
+        return 0.0
     if ca == cb:
         return 1.0
     dot = sum(c * cb[g] for g, c in ca.items())
-    norm = math.sqrt(sum(c * c for c in ca.values())) * math.sqrt(
-        sum(c * c for c in cb.values())
-    )
-    return min(1.0, max(0.0, dot / norm))
+    return min(1.0, max(0.0, dot / (na * nb)))
 
 
 def maximal_marginal_select(
@@ -108,12 +131,14 @@ def maximal_marginal_select(
 
     With ``dedup`` on, only the first occurrence of each exact duplicate
     stays eligible (consistency is still scored over the full pool).
-    Returned indices point into the original pool.
+    Returned indices point into the original pool. Each candidate's bags
+    are built once, for the consistency scores and every relevance.
     """
     candidates = _candidate_lists(pool)
     if not candidates:
         raise ValueError("empty candidate pool")
-    scores = bigram_consistency_scores(candidates)
+    bags = [_bags(c) for c in candidates]
+    scores = _consistency(bags)
     if config.dedup:
         seen: set[tuple[str, ...]] = set()
         available = []
@@ -132,7 +157,7 @@ def maximal_marginal_select(
     # order so ties resolve identically however the pool is traversed.
     margins = {i: 0.0 for i in remaining}
     for i in remaining:
-        margins[i] -= relevance(candidates[i], candidates[first])
+        margins[i] -= _relevance(bags[i], bags[first])
     marginals: list[float] = []
     while len(selected) < config.k and remaining:
         best = max(margins[i] for i in remaining)
@@ -143,7 +168,7 @@ def maximal_marginal_select(
         remaining.remove(pick)
         del margins[pick]
         for i in remaining:
-            margins[i] -= relevance(candidates[i], candidates[pick])
+            margins[i] -= _relevance(bags[i], bags[pick])
     return RankedSelection(
         indices=selected, initial_consistency=scores[first], marginals=marginals
     )
@@ -157,8 +182,9 @@ def mean_pairwise_relevance(titles: Sequence[Sequence[str]]) -> float:
     n = len(titles)
     if n < 2:
         return 0.0
+    bags = [_bags(t) for t in titles]
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            total += relevance(titles[i], titles[j])
+            total += _relevance(bags[i], bags[j])
     return total / (n * (n - 1) / 2)

@@ -13,7 +13,7 @@ import math
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -196,13 +196,15 @@ def _checked_list(value, ok, message: str, path) -> list:
 
 
 def build_index(
-    docs: Sequence[tuple[int, Sequence[str], str]],
+    docs: Iterable[tuple[int, Sequence[str], str]],
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> BM25Index:
-    """Index (id, code tokens, title) documents by their code tokens."""
-    if not docs:
-        raise ValueError("empty corpus")
+    """Index (id, code tokens, title) documents by their code tokens.
+
+    ``docs`` may be any iterable, read once, so a stream of documents
+    is indexed without holding them all. No documents: "empty corpus".
+    """
     doc_ids: list[int] = []
     titles: list[str] = []
     doc_lens: list[int] = []

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import titlegen as tg
-from titlegen import decode
+from titlegen import cli, decode, records
 from titlegen.text import END_ID, PAD, START, START_ID
 
-from .conftest import DummyModel, topic_code
+from .conftest import DummyModel, raw_post, topic_code
 from .oracles import (
     enumerate_paths,
     loop_beam_search,
@@ -128,6 +130,11 @@ class TestNucleusFilter:
             with pytest.raises(ValueError):
                 tg.nucleus_filter([1.0], beta)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tg.nucleus_filter([bad, 0.5], 0.8)
+
     def _check_properties(self, dist, beta):
         out = tg.nucleus_filter(dist, beta)
         support = np.nonzero(out)[0]
@@ -201,6 +208,11 @@ class TestApplyTemperature:
         with pytest.raises(ValueError):
             tg.apply_temperature([1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tg.apply_temperature([bad, 0.5, 0.5], 0.7)
+
 
 class TestSampleToken:
     def test_degenerate(self):
@@ -216,6 +228,11 @@ class TestSampleToken:
         assert [tg.sample_token(dist, r1) for _ in range(50)] == [
             tg.sample_token(dist, r2) for _ in range(50)
         ]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tg.sample_token([0.5, bad], np.random.default_rng(0))
 
     def test_empirical_frequencies(self):
         dist = np.array([0.5, 0.2, 0.3])
@@ -316,7 +333,7 @@ SAMPLING_CONFIGS = st.builds(
 
 class TestNucleusMemo:
     """``decode_candidates`` computes each model state's nucleus once per
-    pool; pools must equal the memo-free per-step reference exactly."""
+    memo; pools must equal the memo-free per-step reference exactly."""
 
     @given(
         cfg=SAMPLING_CONFIGS,
@@ -353,43 +370,133 @@ class TestNucleusMemo:
         code = toy_model.vocabulary.encode(topic_code(4))
         cfg = tg.SamplingConfig(num_samples=200, max_length=8, seed=13)
         pool = tg.decode_candidates(counter, code, cfg)
-        states = set()
-        for cand in pool.candidates:
-            ids = toy_model.vocabulary.encode(cand)
-            for n in range(len(ids) + (len(ids) < cfg.max_length)):
-                states.add(toy_model.state(code, [START_ID, *ids[:n]]))
-        assert counter.calls == len(states)
+        assert counter.calls == len(pool_states(toy_model, code, pool))
         assert counter.calls < decode_steps(pool)
 
-    def test_cached_ids_never_exceed_cap(self, monkeypatch):
+    def test_cached_ids_never_exceed_cap(self):
         # At top_p 1 every entry holds the whole vocabulary, so the cap
         # admits only a few states and the rest are computed unstored.
         model = DummyModel(vocab_size=8000, seed=1)
         size = len(model.vocabulary)
-        memos = []
-
-        class Recording(decode._NucleusMemo):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.peak = 0
-                memos.append(self)
-
-            def nucleus(self, prefix):
-                entry = super().nucleus(prefix)
-                self.peak = max(self.peak, self.cached_ids)
-                return entry
-
-        monkeypatch.setattr(decode, "_NucleusMemo", Recording)
         counter = CallCounter(model)
-        cfg = tg.SamplingConfig(top_p=1.0, temperature=1.3, num_samples=60, max_length=3, seed=2)
-        pool = tg.decode_candidates(counter, [5, 6], cfg)
-        (memo,) = memos
+        memo = decode.NucleusMemo(counter, 1.0, 1.3)
+        peak = 0
+        nucleus = memo.nucleus
+
+        def recording(code, prefix):
+            nonlocal peak
+            entry = nucleus(code, prefix)
+            peak = max(peak, memo.cached_ids)
+            return entry
+
+        memo.nucleus = recording
+        for seed, code in enumerate(([5, 6], [7], [5, 6])):
+            cfg = tg.SamplingConfig(
+                top_p=1.0, temperature=1.3, num_samples=30, max_length=3, seed=seed
+            )
+            pool = tg.decode_candidates(counter, code, cfg, memo)
+            assert pool == loop_decode_candidates(model, code, cfg)
         assert memo.capacity == decode._MEMO_IDS_PER_VOCAB * size
-        assert memo.peak <= memo.capacity
+        assert peak <= memo.capacity
         # The cap was reached: no further vocabulary-sized entry fits.
-        assert memo.capacity - memo.peak < size
+        assert memo.capacity - peak < size
         assert counter.calls > memo.capacity // size
-        assert pool == loop_decode_candidates(model, [5, 6], cfg)
+
+    def test_default_key_keeps_codes_apart(self):
+        # DummyModel's distributions depend on the code and it keeps the
+        # default key, so equal prefixes under two codes are two states.
+        model = DummyModel(vocab_size=7, seed=3)
+        assert model.state([5], [START_ID]) == ((5,), (START_ID,))
+        counter = CallCounter(model)
+        memo = decode.NucleusMemo(counter, 0.9, 0.8)
+        cfg = tg.SamplingConfig(top_p=0.9, temperature=0.8, num_samples=30, max_length=3, seed=4)
+        states = {}
+        for code in ([5], [6]):
+            pool = tg.decode_candidates(counter, code, cfg, memo)
+            assert pool == loop_decode_candidates(model, code, cfg)
+            states[code[0]] = pool_states(model, code, pool)
+        assert not states[5] & states[6]
+        assert counter.calls == len(states[5]) + len(states[6])
+        assert set(memo._entries) == states[5] | states[6]
+
+    def test_memo_refuses_other_settings(self, toy_model):
+        code = toy_model.vocabulary.encode(topic_code(2))
+        memo = decode.NucleusMemo(toy_model, 0.8, 1.0)
+        for kwargs in ({"top_p": 0.9}, {"temperature": 0.7}):
+            with pytest.raises(ValueError, match="nucleus memo holds top_p=0.8 temperature=1.0"):
+                tg.decode_candidates(toy_model, code, tg.SamplingConfig(**kwargs), memo)
+        with pytest.raises(ValueError, match="another model"):
+            tg.decode_candidates(DummyModel(6, 0), [5], tg.SamplingConfig(), memo)
+        # The seed is not part of the memo's settings.
+        for seed in (1, 2):
+            cfg = tg.SamplingConfig(num_samples=20, max_length=6, seed=seed)
+            assert tg.decode_candidates(toy_model, code, cfg, memo) == loop_decode_candidates(
+                toy_model, code, cfg
+            )
+
+    def test_batched_uniforms_equal_successive_draws(self):
+        for seed, row in ((0, 0), (9, 3), (2**64 - 1, 199)):
+            rng = decode._row_rng(seed, row)
+            successive = [rng.random() for _ in range(48)]
+            assert decode._row_rng(seed, row).random(48).tolist() == successive
+
+
+def pool_states(model, code, pool):
+    """The model states a pool's rows visited: one per draw."""
+    states = set()
+    for cand in pool.candidates:
+        ids = model.vocabulary.encode(cand)
+        for n in range(len(ids) + (len(ids) < pool.config.max_length)):
+            states.add(model.state(code, [START_ID, *ids[:n]]))
+    return states
+
+
+class TestRunMemo:
+    """``cli._pools`` shares one memo across every pool of a run."""
+
+    CONFIG = {"seed": 11, "top_p": 0.8, "temperature": 1.2, "num_samples": 60, "max_length": 8}
+
+    def run_pools(self, model, posts):
+        res = cli._Resolver(SimpleNamespace(**self.CONFIG))
+        return list(cli._pools(res, model, posts, "sample"))
+
+    @staticmethod
+    def posts(topics):
+        return [
+            records.post_from_dict(raw_post(i, code_snippets=[" ".join(topic_code(t))]))
+            for i, t in enumerate(topics)
+        ]
+
+    def test_pools_match_fresh_calls_and_loop_oracle(self, toy_model):
+        posts = self.posts([3, 7, 3, 0, 9, 7])
+        vocab = toy_model.vocabulary
+        for pos, (post, pool) in enumerate(zip(posts, self.run_pools(toy_model, posts))):
+            code = vocab.encode(cli._code_tokens(post, 512))
+            cfg = tg.SamplingConfig(
+                top_p=0.8, temperature=1.2, num_samples=60, max_length=8, seed=11 + pos
+            )
+            fresh = tg.decode_candidates(toy_model, code, cfg)
+            assert pool.candidates == fresh.candidates
+            assert pool.candidates == loop_decode_candidates(toy_model, code, cfg).candidates
+
+    def test_one_model_call_per_distinct_state_of_the_run(self, toy_model, monkeypatch):
+        # The toy vocabulary is small, so its nuclei are a large share of
+        # it; lift the cap so that every state is stored.
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
+        posts = self.posts([3, 7, 3, 0, 9, 7])
+        counter = CallCounter(toy_model)
+        pools = self.run_pools(counter, posts)
+        vocab = toy_model.vocabulary
+        states = set()
+        per_pool = 0
+        for post, pool in zip(posts, pools):
+            code = vocab.encode(cli._code_tokens(post, 512))
+            visited = pool_states(toy_model, code, pool)
+            states |= visited
+            per_pool += len(visited)
+        assert counter.calls == len(states)
+        # Pools of the same topic revisit each other's states.
+        assert counter.calls < per_pool
 
 
 class TestBeamSearch:

@@ -175,3 +175,31 @@ class TestSampleTokenKernel:
         # Cumulative mass slightly below 1 must still return a token.
         dist = np.array([0.5, 0.5 - 1e-12, 0.0])
         assert _kernels.sample_token_kernel(dist, 1.0 - 1e-15) == 1
+
+    def test_matches_loop_with_zero_and_negative_zero_entries(self):
+        # The kernel sums the whole vector, zeros included; a +0.0 or
+        # -0.0 term leaves each running sum bit-identical.
+        rng = stable_rng("draw-zeros")
+        for _ in range(300):
+            size = int(rng.integers(1, 30))
+            dist = rng.random(size)
+            dist[rng.random(size) < 0.4] = 0.0
+            dist[rng.random(size) < 0.3] = -0.0
+            total = float(np.cumsum(dist)[-1])
+            for u in (0.0, float(rng.random()) * total, total, float(np.nextafter(total, 2.0))):
+                assert _kernels.sample_token_kernel(dist, u) == loop_sample_token(dist, u)
+        for dist in ([-0.0, 0.25, 0.0, 0.5], [0.0, -0.0, 0.75], [0.5, -0.0, 0.0]):
+            dist = np.array(dist)
+            for u in (0.0, 0.25, 0.5, 0.74, 0.75, 0.99):
+                assert _kernels.sample_token_kernel(dist, u) == loop_sample_token(dist, u)
+
+    def test_all_zero_vector_draws_nothing(self):
+        for dist in ([0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
+            for u in (0.0, 0.5):
+                assert _kernels.sample_token_kernel(np.array(dist), u) == -1
+                assert loop_sample_token(np.array(dist), u) == -1
+
+    def test_u_at_or_above_total_returns_last_positive(self):
+        dist = np.array([0.125, 0.0, 0.25, 0.0, -0.0])
+        for u in (0.375, 0.5, float(np.nextafter(1.0, 0.0))):
+            assert _kernels.sample_token_kernel(dist, u) == 2 == loop_sample_token(dist, u)

@@ -137,6 +137,21 @@ class TestMaximalMarginalSelect:
                         continue
                     assert margin_of(other) <= recorded + MARGIN_EPS
 
+    def test_marginals_are_pick_order_sums_of_oracle(self):
+        # Bags and norms are built once per pool; the floats must still be
+        # the oracle's, bit for bit, subtracted in pick order. Repeated
+        # bigrams make counts above 1, where the order of the norm's
+        # operations shows.
+        rng = stable_rng("mmns-bits")
+        for _ in range(80):
+            pool = random_pool(rng, m=int(rng.integers(2, 9)), alphabet="abc", max_len=10)
+            sel = tg.maximal_marginal_select(pool, tg.RankingConfig(k=4, dedup=False))
+            for step in range(1, len(sel.indices)):
+                margin = 0.0
+                for s in sel.indices[:step]:
+                    margin -= relevance_oracle(pool[sel.indices[step]], pool[s])
+                assert sel.marginals[step - 1] == margin
+
     def test_permutation_invariant_with_distinct_scores(self):
         pool = [
             ["a", "b", "a", "b"],
@@ -190,6 +205,17 @@ class TestMeanPairwiseRelevance:
         assert tg.mean_pairwise_relevance([]) == 0.0
         assert tg.mean_pairwise_relevance([["a", "b"]]) == 0.0
         assert tg.mean_pairwise_relevance([["a", "b"], ["a", "b"]]) == 1.0
+
+    def test_equals_pair_loop_of_oracle(self):
+        rng = stable_rng("mpr-bits")
+        for _ in range(60):
+            titles = random_pool(rng, m=int(rng.integers(2, 7)), alphabet="abc", max_len=10)
+            n = len(titles)
+            total = 0.0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    total += relevance_oracle(titles[i], titles[j])
+            assert tg.mean_pairwise_relevance(titles) == total / (n * (n - 1) / 2)
 
     def test_average_over_pairs(self):
         titles = [["a", "b"], ["a", "b"], ["x", "y"]]

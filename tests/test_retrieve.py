@@ -68,6 +68,20 @@ class TestBuildIndex:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
             tg.build_index([])
+        with pytest.raises(ValueError, match="empty corpus"):
+            tg.build_index(doc for doc in [])
+
+    def test_generator_builds_the_list_index(self):
+        rng = stable_rng("bm25-stream")
+        docs = [
+            (int(i), [f"t{x}" for x in rng.integers(0, 30, int(rng.integers(1, 20)))], f"title {i}")
+            for i in rng.permutation(60)
+        ]
+        want, got = tg.build_index(docs), tg.build_index(iter(docs))
+        for attr in ("doc_ids", "titles", "doc_lens", "postings", "avgdl"):
+            assert getattr(got, attr) == getattr(want, attr)
+        for tokens in (docs[0][1], ["t1", "t2", "t2"], ["none"]):
+            assert tg.query(got, tokens, 5) == tg.query(want, tokens, 5)
 
 
 class TestQuery:
