@@ -25,6 +25,7 @@ from .metrics import (
     MetricReport,
     bleus4,
     build_report,
+    build_reports,
     metric_at_k,
     rouge_l,
     rouge_n,
@@ -82,6 +83,7 @@ __all__ = [
     "bleus4",
     "build_index",
     "build_report",
+    "build_reports",
     "chronological_split",
     "concat_snippets",
     "decode_candidates",

@@ -96,8 +96,9 @@ def sample_token_kernel(probs: np.ndarray, u: float) -> int:
     """
     # Adding a zero leaves a running sum bit-identical, so the running
     # sums of the positive entries are those of the whole vector, and the
-    # first sum above u >= 0 ends on a positive entry.
-    j = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    # first sum above u >= 0 ends on a positive entry. The ndarray
+    # methods skip numpy's Python wrappers, once per decode step.
+    j = int(probs.cumsum().searchsorted(u, side="right"))
     if j < probs.shape[0]:
         return j
     positive = np.flatnonzero(probs > 0.0)

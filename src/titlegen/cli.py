@@ -358,20 +358,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for ex in examples:
             by_language.setdefault(ex["language"] or "unknown", []).append(ex)
         report["by_language"] = {}
-    for k in sweep:
-        rep = metrics.build_report(
-            [(ex["candidates"], ex["reference"]) for ex in examples],
-            k,
-            ids=[ex["id"] for ex in examples],
-        )
-        report["aggregate"][str(k)] = rep.means
-        report["per_example"][str(k)] = rep.per_example
-        if args.group_by_language:
-            for lang, group in sorted(by_language.items()):
-                lang_rep = metrics.build_report(
-                    [(ex["candidates"], ex["reference"]) for ex in group], k
-                )
-                report["by_language"].setdefault(lang, {})[str(k)] = lang_rep.means
+    reps = metrics.build_reports(
+        [(ex["candidates"], ex["reference"]) for ex in examples],
+        sweep,
+        ids=[ex["id"] for ex in examples],
+    )
+    for rep in reps:
+        report["aggregate"][str(rep.k)] = rep.means
+        report["per_example"][str(rep.k)] = rep.per_example
+    if args.group_by_language:
+        for lang, group in sorted(by_language.items()):
+            lang_reps = metrics.build_reports(
+                [(ex["candidates"], ex["reference"]) for ex in group], sweep
+            )
+            report["by_language"][lang] = {str(rep.k): rep.means for rep in lang_reps}
     records.write_json(args.out, report)
     log.info("evaluate: %d examples, k sweep %s", len(examples), sweep)
     return 0
@@ -405,8 +405,8 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
         "diversity": {s: {} for s in selections},
     }
     for strategy, rows in selections.items():
-        for k in sweep:
-            rep = metrics.build_report([(cands, ref) for cands, ref in zip(rows, refs)], k)
+        reps = metrics.build_reports(list(zip(rows, refs)), sweep)
+        for k, rep in zip(sweep, reps):
             for name in metrics.METRICS:
                 report["metrics"][name][strategy][str(k)] = rep.means[name]
             diversity = [rank.mean_pairwise_relevance(cands[:k]) for cands in rows]

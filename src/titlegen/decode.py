@@ -142,8 +142,7 @@ class NucleusMemo:
         key = self.model.state(code, prefix)
         entry = self._entries.get(key)
         if entry is None:
-            dist = self.model.next_distribution(code, prefix)
-            entry = _kernels.nucleus_kernel(dist, self.top_p, self.temperature)
+            entry = self.model.nucleus(code, prefix, self.top_p, self.temperature)
             if self.cached_ids + entry[0].shape[0] <= self.capacity:
                 self._entries[key] = entry
                 self.cached_ids += entry[0].shape[0]
@@ -182,7 +181,7 @@ def decode_candidates(
 
     Rows revisit model states, so each state's nucleus comes from
     ``memo`` (see :class:`NucleusMemo`): only a state's first visit calls
-    ``next_distribution``. The state contract makes every drawn token
+    ``model.nucleus``. The state contract makes every drawn token
     the same as computing the nucleus afresh at each step. Pass one memo
     to every call of a run to share states across pools; it must have
     been made for ``model`` and this config's top_p and temperature, or

@@ -18,11 +18,17 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .text import END_ID, NEXT_ID, PAD_ID, START_ID, Vocabulary
 
 #: Uniform probability floor added to every vocabulary entry before
 #: renormalization. Keeps END reachable from any state.
 FLOOR = 1e-6
+
+#: Top floor + unigram ids ``NGramLM.nucleus`` first adds to a state's
+#: hit ids; a miss widens it fourfold. On the benchmark's model at
+#: top_p 0.8 a nucleus holds 19 ids on average and 174 at most.
+_BORDER_FIRST = 64
 
 #: Model file identity; a file of another version must be rebuilt.
 FORMAT = "titlegen-ngram-lm"
@@ -41,7 +47,8 @@ class GeneratorModel(ABC):
     ``state`` names the model state a prefix reaches under a code. Equal
     keys must give bit-identical distributions, whatever the codes and
     prefixes they came from; sampling computes each state's nucleus once
-    per run under that key (see ``decode.NucleusMemo``).
+    per run under that key (see ``decode.NucleusMemo``), through
+    ``nucleus``, which a model may override with a faster exact path.
     """
 
     @property
@@ -66,6 +73,46 @@ class GeneratorModel(ABC):
         prefix) pairs share one.
         """
         return (tuple(code), tuple(prefix))
+
+    def nucleus(
+        self, code: Sequence[int], prefix: Sequence[int], top_p: float, temperature: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The nucleus sampling draws from at this (code, prefix): the kept
+        ids in ascending order and their probabilities after temperature,
+        divided by the nucleus mass (``_kernels.nucleus_kernel``).
+
+        The default checks ``next_distribution``'s vector against the
+        contract and raises ``ValueError`` naming the rule it breaks. An
+        override must return arrays equal to the default's bit for bit.
+        """
+        dist = _checked_distribution(self.next_distribution(code, prefix), len(self.vocabulary))
+        return _kernels.nucleus_kernel(dist, top_p, temperature)
+
+
+def _checked_distribution(dist, size: int) -> np.ndarray:
+    """``dist`` as a float64 vector, or a ``ValueError`` naming the rule
+    of ``GeneratorModel.next_distribution`` it breaks."""
+    try:
+        arr = np.asarray(dist, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (size,):
+        raise ValueError(
+            f"next_distribution must return a 1-D vector of {size} numbers, one per token"
+        )
+    total = arr.sum()
+    # Two passes when the vector is valid: a NaN fails the first compare,
+    # an inf the second.
+    if not (arr.min() >= 0.0 and total < math.inf):
+        if not np.isfinite(arr).all():
+            raise ValueError("next_distribution entries must be finite")
+        if arr.min() < 0.0:
+            raise ValueError("next_distribution entries must be nonnegative")
+    if arr[PAD_ID] != 0.0 or arr[START_ID] != 0.0:
+        raise ValueError("next_distribution must give PAD and START probability 0")
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"next_distribution must sum to 1 within 1e-9, got {total!r}")
+    return arr
 
 
 class Level(NamedTuple):
@@ -157,6 +204,8 @@ class NGramLM(GeneratorModel):
         self._row_of = row_of
         self._offsets = [level.offsets.tolist() for level in levels]
         self._last_walk: tuple[tuple, list] = ((), [])  # see _hits
+        self._buf = np.empty(len(vocab), dtype=np.float64)  # see nucleus
+        self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
 
     # -- GeneratorModel --------------------------------------------------
 
@@ -166,14 +215,81 @@ class NGramLM(GeneratorModel):
 
     def next_distribution(self, code: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
         out = self._base.copy()
+        self._add_hits(out, code, prefix)
+        out /= out.sum()
+        return out
+
+    def _add_hits(
+        self, out: np.ndarray, code: Sequence[int], prefix: Sequence[int]
+    ) -> list[np.ndarray]:
+        """Add the rows the state hits to ``out``, a copy of ``_base``, in
+        ``_hits`` order, and zero PAD and START. Returns each row's next ids."""
+        hit_ids = []
         for ctx, row in self._hits(code, prefix):
             l = len(ctx)
             start, end = self._offsets[l][row], self._offsets[l][row + 1]
-            out[self.levels[l].next_ids[start:end]] += self._vals[l][start:end]
+            ids = self.levels[l].next_ids[start:end]
+            out[ids] += self._vals[l][start:end]
+            hit_ids.append(ids)
         out[PAD_ID] = 0.0
         out[START_ID] = 0.0
-        out /= out.sum()
-        return out
+        return hit_ids
+
+    def nucleus(
+        self, code: Sequence[int], prefix: Sequence[int], top_p: float, temperature: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The default's arrays, bit for bit. At temperature 1 and top_p
+        below 1 they come from the state's hit ids and the floor + unigram
+        order, with no divide, tail scan or partition over the vocabulary.
+
+        The total is ``next_distribution``'s: the same vector, the same
+        sum. An id no hit row holds keeps its floor + unigram value, so
+        outside the hit ids and the first ``m`` ids of that order each id
+        is at most the next one's value. The ids above it are then every
+        id above it: in (-p, id) order they are a prefix of the dense
+        stable order, ties included, with the same running sums. If those
+        reach top_p, the nucleus is theirs; otherwise ``m`` widens, and
+        at the vocabulary size the dense kernel runs.
+        """
+        if temperature != 1.0 or top_p >= 1.0:
+            return super().nucleus(code, prefix, top_p, temperature)
+        buf = self._buf
+        np.copyto(buf, self._base)
+        hit_ids = self._add_hits(buf, code, prefix)
+        total = buf.sum()
+        border, border_vals = self._border_order()
+        target = top_p - _kernels._BETA_SLACK
+        m = _BORDER_FIRST
+        # ndarray methods, not numpy's wrappers: these arrays are short.
+        while m < len(border):
+            cand = np.concatenate((*hit_ids, border[:m]))
+            cand = cand[buf[cand] / total > border_vals[m] / total]
+            cand.sort()
+            first = np.ones(len(cand), dtype=bool)
+            np.not_equal(cand[1:], cand[:-1], out=first[1:])
+            cand = cand[first]
+            p = buf[cand] / total
+            order = (-p).argsort(kind="stable")
+            csum = p[order].cumsum()
+            cut = int(csum.searchsorted(target, side="left"))
+            if cut < len(cand):
+                kept = order[: cut + 1]
+                kept.sort()
+                return cand[kept], p[kept] / csum[cut]
+            m *= 4
+        return _kernels.nucleus_kernel(buf / total, top_p, 1.0)
+
+    def _border_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every id in stable descending order of its floor + unigram
+        value with PAD and START at 0, and those values. Built on first use,
+        so a model that never samples never sorts."""
+        if self._border is None:
+            base = self._base.copy()
+            base[PAD_ID] = 0.0
+            base[START_ID] = 0.0
+            ids = np.argsort(-base, kind="stable")
+            self._border = (ids, base[ids])
+        return self._border
 
     def state(self, code: Sequence[int], prefix: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """The suffixes of ``code + [NEXT] + prefix`` the model has a level
@@ -188,8 +304,8 @@ class NGramLM(GeneratorModel):
         """(context, row) of every suffix ``state`` lists, shortest first.
 
         The hits depend only on the tail, so the last tail's are kept: a
-        sampler's ``state`` lookup and the ``next_distribution`` call on
-        a memo miss that follows it walk the levels once.
+        sampler's ``state`` lookup and the ``nucleus`` call on a memo
+        miss that follows it walk the levels once.
         """
         if not prefix or prefix[0] != START_ID:
             raise ValueError("prefix must begin with START")

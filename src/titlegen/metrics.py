@@ -8,6 +8,7 @@ means of per-example values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -137,17 +138,41 @@ def build_report(
     Only the first ``k`` candidates of each row compete; rows with fewer
     candidates use what they have.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    report = MetricReport(k=k)
-    sums = {name: 0.0 for name in METRICS}
+    return build_reports(rows, [k], ids)[0]
+
+
+def build_reports(
+    rows: Sequence[tuple[Sequence[Sequence[str]], Sequence[str]]],
+    ks: Sequence[int],
+    ids: Sequence | None = None,
+) -> list[MetricReport]:
+    """:func:`build_report` at each K of ``ks``, in order.
+
+    Each candidate up to the largest K is scored once per metric; a K's
+    score is the running best at its last candidate, the same value
+    :func:`metric_at_k` takes over that prefix.
+    """
+    if not ks or min(ks) < 1:
+        raise ValueError(f"k must be >= 1, got {list(ks)}")
+    top = max(ks)
+    reports = [MetricReport(k=k) for k in ks]
+    sums = [{name: 0.0 for name in METRICS} for _ in ks]
     for pos, (candidates, reference) in enumerate(rows):
-        entry: dict = {"id": ids[pos] if ids is not None else pos}
-        for name, fn in METRICS.items():
-            score = metric_at_k(list(candidates)[:k], reference, fn)
-            entry[name] = score
-            sums[name] += score
-        report.per_example.append(entry)
-    n = len(report.per_example)
-    report.means = {name: (sums[name] / n if n else 0.0) for name in METRICS}
-    return report
+        cands = list(candidates)[:top]
+        if not cands:
+            raise ValueError("empty candidate list")
+        best = {
+            name: list(itertools.accumulate((fn(c, reference) for c in cands), max))
+            for name, fn in METRICS.items()
+        }
+        for report, total in zip(reports, sums):
+            entry: dict = {"id": ids[pos] if ids is not None else pos}
+            for name in METRICS:
+                score = best[name][min(report.k, len(cands)) - 1]
+                entry[name] = score
+                total[name] += score
+            report.per_example.append(entry)
+    for report, total in zip(reports, sums):
+        n = len(report.per_example)
+        report.means = {name: (total[name] / n if n else 0.0) for name in METRICS}
+    return reports

@@ -6,11 +6,12 @@ import pytest
 import titlegen as tg
 from titlegen import records
 from titlegen.cli import main as cli_main
-from titlegen.text import START_ID
+from titlegen.text import START_ID, tokenize
 
 from .conftest import raw_post, write_raw_corpus
 from .oracles import loop_query, stable_rng
 from .test_lm import BAD_MODELS, join_model, split_model, write_bad_model
+from .test_metrics import per_k_report, random_rows
 from .test_retrieve import BAD_INDEXES, write_bad_index
 
 
@@ -397,6 +398,39 @@ class TestEvaluate:
         assert set(report["by_language"]) <= {"python", "java"}
         for tables in report["by_language"].values():
             assert set(tables) == {"1", "3", "5"}
+
+    def test_report_bytes_equal_per_k_reports(self, tmp_path):
+        rng = stable_rng("evaluate-sweep")
+        rows = []
+        for i, (cands, ref) in enumerate(random_rows(rng, 40)):
+            titles = [" ".join(c) or "x" for c in cands]
+            language = ("python", "java", None)[i % 3]
+            rows.append(
+                {"id": i, "titles": titles, "reference": " ".join(ref), "language": language}
+            )
+        selections = tmp_path / "selections.jsonl"
+        records.write_jsonl(selections, rows)
+        out = tmp_path / "report.json"
+        run(
+            "evaluate", "--selections", selections, "--out", out,
+            "--k-sweep", "1,3,5", "--group-by-language",
+        )
+        examples = [([tokenize(t) for t in r["titles"]], tokenize(r["reference"])) for r in rows]
+        sweep = [1, 3, 5]
+        per_k = {k: per_k_report(examples, k, [r["id"] for r in rows]) for k in sweep}
+        by_language = {}
+        for lang in ("java", "python", "unknown"):
+            group = [ex for ex, r in zip(examples, rows) if (r["language"] or "unknown") == lang]
+            by_language[lang] = {str(k): per_k_report(group, k).means for k in sweep}
+        want = {
+            "k_sweep": sweep,
+            "num_examples": len(rows),
+            "aggregate": {str(k): rep.means for k, rep in per_k.items()},
+            "per_example": {str(k): rep.per_example for k, rep in per_k.items()},
+            "by_language": by_language,
+        }
+        records.write_json(tmp_path / "want.json", want)
+        assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_references_joined_by_id(self, pipeline, tmp_path):
         stripped = tmp_path / "no-ref.jsonl"

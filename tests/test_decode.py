@@ -8,13 +8,14 @@ from scipy import stats
 
 import titlegen as tg
 from titlegen import cli, decode, records
-from titlegen.text import END_ID, PAD, START, START_ID
+from titlegen.text import END_ID, PAD, PAD_ID, START, START_ID
 
 from .conftest import DummyModel, raw_post, topic_code
 from .oracles import (
     enumerate_paths,
     loop_beam_search,
     loop_decode_candidates,
+    loop_nucleus_filter,
     nucleus_oracle,
     rollout_probability,
     stable_rng,
@@ -497,6 +498,129 @@ class TestRunMemo:
         assert counter.calls == len(states)
         # Pools of the same topic revisit each other's states.
         assert counter.calls < per_pool
+
+
+    def test_sparse_nucleus_on_every_state_of_the_run(self, toy_model, monkeypatch):
+        # At temperature 1 the memo takes NGramLM's own nucleus; count its
+        # calls, and check each state's arrays against the default and
+        # the loop oracle.
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
+        calls = []
+        sparse = tg.NGramLM.nucleus
+
+        def counted(model, code, prefix, top_p, temperature):
+            calls.append(model.state(code, prefix))
+            return sparse(model, code, prefix, top_p, temperature)
+
+        monkeypatch.setattr(tg.NGramLM, "nucleus", counted)
+        config = {**self.CONFIG, "temperature": 1.0}
+        res = cli._Resolver(SimpleNamespace(**config))
+        posts = self.posts([3, 7, 3, 0, 9, 7])
+        pools = list(cli._pools(res, toy_model, posts, "sample"))
+        vocab = toy_model.vocabulary
+        states = {}
+        for post, pool in zip(posts, pools):
+            code = vocab.encode(cli._code_tokens(post, 512))
+            for cand in pool.candidates:
+                ids = vocab.encode(cand)
+                for n in range(len(ids) + (len(ids) < pool.config.max_length)):
+                    prefix = [START_ID, *ids[:n]]
+                    states.setdefault(toy_model.state(code, prefix), (code, prefix))
+        assert len(calls) == len(set(calls)) == len(states)
+        assert set(calls) == set(states)
+        for code, prefix in states.values():
+            ids, q = sparse(toy_model, code, prefix, 0.8, 1.0)
+            want_ids, want_q = tg.GeneratorModel.nucleus(toy_model, code, prefix, 0.8, 1.0)
+            assert ids.tobytes() == want_ids.tobytes() and q.tobytes() == want_q.tobytes()
+            dense = np.zeros(len(vocab))
+            dense[ids] = q
+            oracle = loop_nucleus_filter(toy_model.next_distribution(code, prefix), 0.8)
+            np.testing.assert_array_equal(dense, oracle)
+
+
+class VectorModel(tg.GeneratorModel):
+    """Returns one fixed value from ``next_distribution`` in every state,
+    whatever it is; the vocabulary is the five markers and w0..w2."""
+
+    def __init__(self, value):
+        self._vocab = tg.Vocabulary(list(tg.RESERVED) + ["w0", "w1", "w2"])
+        self._value = value
+
+    @property
+    def vocabulary(self):
+        return self._vocab
+
+    def next_distribution(self, code, prefix):
+        return self._value
+
+
+#: Index 0 is START, 1 END, 2 PAD; the rest may be drawn.
+VALID_VECTOR = [0.0, 0.4, 0.0, 0.1, 0.1, 0.2, 0.1, 0.1]
+
+
+class TestModelContractChecks:
+    """Sampling refuses a ``next_distribution`` value that breaks the
+    contract, naming the rule, instead of drawing from it."""
+
+    @pytest.mark.parametrize(
+        "value, rule",
+        [
+            ([0.0, 0.4, 0.0, 0.1, 0.1, 0.2, 0.2], "1-D vector of 8 numbers"),
+            (np.full((8, 1), 0.125), "1-D vector of 8 numbers"),
+            (["x"] * 8, "1-D vector of 8 numbers"),
+            (None, "1-D vector of 8 numbers"),
+        ],
+        ids=["length_7", "two_dimensional", "strings", "none"],
+    )
+    def test_shape(self, value, rule):
+        self.assert_refused(value, rule)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finite(self, bad):
+        value = np.array(VALID_VECTOR)
+        value[5] = bad
+        self.assert_refused(value, "entries must be finite")
+
+    def test_nonnegative(self):
+        value = np.array(VALID_VECTOR)
+        value[5], value[6] = -0.1, 0.4
+        self.assert_refused(value, "entries must be nonnegative")
+
+    @pytest.mark.parametrize("marker", [START_ID, PAD_ID])
+    def test_pad_and_start_zero(self, marker):
+        value = np.array(VALID_VECTOR)
+        value[marker], value[1] = 0.1, 0.3
+        self.assert_refused(value, "PAD and START probability 0")
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.zeros(8),
+            np.array([0.0, 0.4, 0.0, 0.1, 0.1, 5.0, 5.0, 5.0]),
+            np.array(VALID_VECTOR) * (1 + 1e-8),
+        ],
+        ids=["all_zero", "unnormalized", "just_over"],
+    )
+    def test_sum_one(self, value):
+        self.assert_refused(value, "sum to 1 within 1e-9")
+
+    def test_valid_vector_and_list_sample_alike(self):
+        cfg = tg.SamplingConfig(num_samples=40, max_length=4, seed=3)
+        pools = [
+            tg.decode_candidates(VectorModel(value), [5], cfg)
+            for value in (np.array(VALID_VECTOR), VALID_VECTOR)
+        ]
+        assert pools[0] == pools[1]
+        assert pools[0] == loop_decode_candidates(VectorModel(np.array(VALID_VECTOR)), [5], cfg)
+
+    @staticmethod
+    def assert_refused(value, rule):
+        for top_p, temperature in ((0.8, 1.0), (1.0, 1.0), (0.9, 0.7)):
+            cfg = tg.SamplingConfig(
+                top_p=top_p, temperature=temperature, num_samples=4, max_length=3
+            )
+            with pytest.raises(ValueError, match=rule):
+                tg.decode_candidates(VectorModel(value), [5], cfg)
 
 
 class TestBeamSearch:

@@ -3,13 +3,16 @@ import json
 import math
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import titlegen as tg
-from titlegen import records
-from titlegen.text import END_ID, PAD_ID, START_ID
+from titlegen import lm, records
+from titlegen.text import END_ID, NEXT_ID, PAD_ID, START_ID
 
 from .conftest import DummyModel, build_toy_model
 from .oracles import DictNGramLM, stable_rng
@@ -317,6 +320,123 @@ class TestGappedNGramLMContract(GeneratorContract):
         assert_matches_oracle(model, oracle, self.contexts(model))
         model.save(tmp_path / "model.bin")
         assert_matches_oracle(tg.NGramLM.load(tmp_path / "model.bin"), oracle, self.contexts(model))
+
+
+def assert_nucleus_matches_default(model, code, prefix, top_p):
+    """``model.nucleus`` at temperature 1 returns the default's arrays,
+    bit for bit and with the same dtypes."""
+    got = model.nucleus(code, prefix, top_p, 1.0)
+    want = tg.GeneratorModel.nucleus(model, code, prefix, top_p, 1.0)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+#: Context ids of hand-built models, and the ids their codes and
+#: prefixes are drawn from, so that most states hit some context.
+CONTEXT_IDS = [START_ID, NEXT_ID, 5, 6, 7]
+
+
+@st.composite
+def hand_built_models(draw):
+    """Order, vocabulary size, levels and weights of an ``NGramLM`` that
+    training could not make: any next id (PAD and START included), any
+    context with or without its shorter suffixes, zero or tiny weights
+    that tie hit ids with the floor, and wide vocabularies where most ids
+    sit at the floor."""
+    order = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([8, 12, 40, 70, 120]))
+    levels = []
+    for l in range(order):
+        contexts = draw(
+            st.lists(st.tuples(*[st.sampled_from(CONTEXT_IDS)] * l), max_size=4, unique=True)
+        )
+        levels.append(
+            {
+                ctx: draw(
+                    st.dictionaries(
+                        st.integers(0, size - 1), st.integers(1, 5), min_size=1, max_size=6
+                    )
+                )
+                for ctx in contexts
+            }
+        )
+    raw = draw(st.lists(st.sampled_from([0.0, 1e-30, 0.25, 1.0]), min_size=order, max_size=order))
+    weights = [w / sum(raw) for w in raw] if sum(raw) > 0 else None
+    return {"order": order, "size": size, "levels": levels, "weights": weights}
+
+
+def build_hand_model(spec):
+    words = [f"w{i}" for i in range(spec["size"] - len(tg.RESERVED))]
+    vocab = tg.Vocabulary(list(tg.RESERVED) + words)
+    return tg.NGramLM(spec["order"], vocab, spec["levels"], spec["weights"])
+
+
+#: Order 2 over 20 ids: the unigram row holds only id 5, so id 1 (END)
+#: leads the ids tied at the floor; the level-1 row under START adds 0.0
+#: to id 7, so it ties with them too. A nucleus that needs one floor id
+#: must take END: id 7, above the first border id's value only if ties
+#: count, must not take its place.
+FLOOR_TIE_SPEC = {
+    "order": 2,
+    "size": 20,
+    "levels": [{(): {5: 1}}, {(START_ID,): {7: 1}}],
+    "weights": [1.0, 0.0],
+}
+
+
+class TestSparseNucleus:
+    """``NGramLM.nucleus`` against the default (the dense distribution
+    through ``_kernels.nucleus_kernel``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=hand_built_models(),
+        code=st.lists(st.sampled_from(CONTEXT_IDS), max_size=3),
+        tail=st.lists(st.sampled_from(CONTEXT_IDS[2:]), max_size=3),
+        top_p=st.one_of(
+            st.sampled_from([0.5, 0.8, 0.99999, 1.0 - 1e-9]), st.floats(0.01, 0.999999)
+        ),
+        first=st.sampled_from([1, 2, 3, lm._BORDER_FIRST]),
+    )
+    @example(spec=FLOOR_TIE_SPEC, code=[], tail=[], top_p=0.9999835, first=1)
+    def test_equals_default_on_hand_built_models(self, spec, code, tail, top_p, first):
+        model = build_hand_model(spec)
+        # A first border width of a few ids makes small vocabularies
+        # widen, and tie the cut with the border, as large ones do.
+        with mock.patch.object(lm, "_BORDER_FIRST", first):
+            assert_nucleus_matches_default(model, code, [START_ID, *tail], top_p)
+
+    def test_floor_ties_take_the_lowest_id(self):
+        model = build_hand_model(FLOOR_TIE_SPEC)
+        with mock.patch.object(lm, "_BORDER_FIRST", 1):
+            ids, _ = model.nucleus([], [START_ID], 0.9999835, 1.0)
+        assert ids.tolist() == [END_ID, 5]
+
+    def test_equals_default_on_gapped_model(self):
+        model = make_gapped_model()
+        for code, prefix in TestGappedNGramLMContract().contexts(model):
+            for top_p in (0.3, 0.8, 0.99):
+                with mock.patch.object(lm, "_BORDER_FIRST", 1):
+                    assert_nucleus_matches_default(model, code, prefix, top_p)
+
+    def test_equals_default_on_toy_model(self, toy_model):
+        v = toy_model.vocabulary
+        rng = stable_rng("sparse-nucleus")
+        for _ in range(60):
+            code = list(rng.integers(5, len(v), size=3))
+            prefix = [START_ID] + list(rng.integers(5, len(v), size=int(rng.integers(0, 4))))
+            for top_p in (0.2, 0.8, 0.95, 0.999999):
+                assert_nucleus_matches_default(toy_model, code, prefix, top_p)
+
+    @pytest.mark.parametrize("top_p, temperature", [(1.0, 1.0), (0.8, 0.7), (1.0, 1.3)])
+    def test_other_settings_take_the_default(self, toy_model, top_p, temperature):
+        code = toy_model.vocabulary.encode(["fn", "call", "k3"])
+        with mock.patch.object(tg.NGramLM, "_border_order", side_effect=AssertionError):
+            got = toy_model.nucleus(code, [START_ID], top_p, temperature)
+        want = tg.GeneratorModel.nucleus(toy_model, code, [START_ID], top_p, temperature)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def split_model(data):

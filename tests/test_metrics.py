@@ -204,7 +204,49 @@ class TestMetricAtK:
         assert tg.metric_at_k([["a"]], ["a"], tg.rouge_l) == pytest.approx(100.0)
 
 
+def per_k_report(rows, k, ids=None) -> tg.MetricReport:
+    """One K's report with every candidate scored afresh by
+    ``metric_at_k``, as reports were built before the sweep shared its
+    scores."""
+    report = tg.MetricReport(k=k)
+    sums = {name: 0.0 for name in tg.METRICS}
+    for pos, (candidates, reference) in enumerate(rows):
+        entry = {"id": ids[pos] if ids is not None else pos}
+        for name, fn in tg.METRICS.items():
+            entry[name] = tg.metric_at_k(list(candidates)[:k], reference, fn)
+            sums[name] += entry[name]
+        report.per_example.append(entry)
+    n = len(report.per_example)
+    report.means = {name: (sums[name] / n if n else 0.0) for name in tg.METRICS}
+    return report
+
+
+def random_rows(rng, count):
+    """(candidates, reference) rows; some rows hold fewer candidates than
+    the largest K, and some candidates repeat or are empty."""
+    rows = []
+    for _ in range(count):
+        cands = [random_tokens(rng, 0, 6, "abcd") for _ in range(int(rng.integers(1, 8)))]
+        if len(cands) > 1 and rng.random() < 0.3:
+            cands[-1] = list(cands[0])
+        rows.append((cands, random_tokens(rng, 1, 6, "abcd")))
+    return rows
+
+
 class TestBuildReport:
+    def test_sweep_equals_per_k_reports(self):
+        rng = stable_rng("sweep-reports")
+        for sweep in ([1, 3, 5], [2], [1, 2, 4, 8], [5, 3, 1], [3, 3]):
+            rows = random_rows(rng, 30)
+            ids = [f"q{i}" for i in range(len(rows))]
+            got = tg.build_reports(rows, sweep, ids=ids)
+            assert got == [per_k_report(rows, k, ids) for k in sweep]
+
+    @pytest.mark.parametrize("sweep", [[], [1, 0], [-2]])
+    def test_sweep_rejects_bad_k(self, sweep):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            tg.build_reports(random_rows(stable_rng("bad-k"), 2), sweep)
+
     def test_means_are_arithmetic(self):
         rows = [
             ([["a", "b"], ["x"]], ["a", "b"]),
