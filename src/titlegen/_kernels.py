@@ -7,11 +7,7 @@ kernels are vectorized numpy; every sum they take is a sequential
 masses and drawn tokens equal the plain loops' (kept as test oracles)
 bit for bit.
 
-The nucleus does not sort the whole vocabulary. A tail bound drops the
-entries that cannot be in it; a partial selection among the rest finds a
-window of top entries that is a prefix of the stable descending order
-(ties included), and only that window is sorted. The window widens until
-its cumulative mass reaches the threshold.
+The nucleus sorts only the entries a tail bound cannot rule out.
 """
 
 from __future__ import annotations
@@ -24,11 +20,6 @@ BACKEND = "numpy"
 #: Guards against float ties: a prefix whose exact mass equals beta must
 #: not be rejected because the running sum landed a few ulps below it.
 _BETA_SLACK = 1e-12
-
-#: Entries in the first partial-selection window. On the benchmark's
-#: n-gram model at top_p 0.8 half the nuclei hold under 20 ids and four
-#: in five under 64, so one window usually does; a miss widens it fourfold.
-_FIRST_WINDOW = 64
 
 
 def apply_temperature_kernel(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -45,38 +36,31 @@ def apply_temperature_kernel(probs: np.ndarray, temperature: float) -> np.ndarra
     return out
 
 
-def _nucleus(probs: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Nucleus ids in stable descending order (ties by ascending id) and
-    their mass: the shortest such prefix whose running sum reaches
-    ``beta`` (within slack), or every id if none does."""
-    n = probs.shape[0]
-    target = beta - _BETA_SLACK
-    # On a normalized input the entries below (1 - beta) / n hold less
-    # than 1 - beta together, so the nucleus lies among the rest. That
-    # drops the long flat tail before any selection: np.partition slows
-    # several-fold when thousands of entries tie at the model's floor.
-    pool = np.flatnonzero(probs >= (1.0 - beta) / n)
-    window = _FIRST_WINDOW
-    while True:
-        # Every set {probs >= v}, in id order, is exactly the first
-        # entries of the stable descending order, ties included.
-        size = pool.shape[0]
-        if window < size:
-            vals = probs[pool]
-            ids = pool[vals >= np.partition(vals, size - window)[size - window]]
-        else:
-            ids = pool
-        ids = ids[np.argsort(-probs[ids], kind="stable")]
-        csum = np.cumsum(probs[ids])
-        cut = int(np.searchsorted(csum, target, side="left"))
-        if cut < ids.shape[0]:
-            return ids[: cut + 1], csum[cut]
-        if ids.shape[0] == n:
-            return ids, csum[-1]
-        if ids.shape[0] == size:
-            # Mass short of 1: the tail bound failed; search everything.
-            pool = np.arange(n)
-        window *= 4
+def nucleus_cut(
+    ids: np.ndarray, p: np.ndarray, beta: float, complete: bool
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The nucleus among ``ids``, ascending, and ``p``, their probabilities.
+
+    ``ids`` must hold every id whose probability is above some value, so
+    that in stable descending order (ties by ascending id) they are the
+    first entries of the whole vector's order, with the same running
+    sums. The nucleus is the shortest such prefix whose running sum
+    reaches ``beta`` (within slack). Returns its ids in ascending order
+    and their probabilities divided by its mass. If the running sum falls
+    short, every id when ``complete`` (``ids`` is the whole vocabulary),
+    else None.
+    """
+    # ndarray methods, not numpy's wrappers: the inputs are often short.
+    order = (-p).argsort(kind="stable")
+    csum = p[order].cumsum()
+    cut = int(csum.searchsorted(beta - _BETA_SLACK, side="left"))
+    if cut == len(ids):
+        if not complete:
+            return None
+        cut -= 1
+    kept = order[: cut + 1]
+    kept.sort()
+    return ids[kept], p[kept] / csum[cut]
 
 
 def nucleus_filter_kernel(probs: np.ndarray, beta: float) -> np.ndarray:
@@ -120,9 +104,15 @@ def nucleus_kernel(
         probs = apply_temperature_kernel(probs, temperature)
     if beta >= 1.0:
         return np.arange(probs.shape[0]), probs
-    ids, mass = _nucleus(probs, beta)
-    ids = np.sort(ids)
-    return ids, probs[ids] / mass
+    n = probs.shape[0]
+    # On a normalized input the entries below (1 - beta) / n hold less
+    # than 1 - beta together, so the nucleus lies among the rest. Should
+    # their mass fall short, the whole vocabulary is searched.
+    ids = np.flatnonzero(probs >= (1.0 - beta) / n)
+    found = nucleus_cut(ids, probs[ids], beta, ids.shape[0] == n)
+    if found is None:
+        found = nucleus_cut(np.arange(n), probs, beta, True)
+    return found
 
 
 def sample_step_kernel(probs: np.ndarray, beta: float, temperature: float, u: float) -> int:

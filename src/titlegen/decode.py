@@ -29,7 +29,7 @@ class SamplingConfig:
     def __post_init__(self):
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
@@ -83,7 +83,7 @@ def nucleus_filter(dist, beta: float) -> np.ndarray:
 
 def apply_temperature(dist, t: float) -> np.ndarray:
     """Exponent-rescale p_i^(1/t), renormalized; t=1 is the identity."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"temperature must be positive, got {t}")
     return _kernels.apply_temperature_kernel(_validate_dist(dist), t)
 

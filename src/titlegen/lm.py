@@ -258,9 +258,7 @@ class NGramLM(GeneratorModel):
         hit_ids = self._add_hits(buf, code, prefix)
         total = buf.sum()
         border, border_vals = self._border_order()
-        target = top_p - _kernels._BETA_SLACK
         m = _BORDER_FIRST
-        # ndarray methods, not numpy's wrappers: these arrays are short.
         while m < len(border):
             cand = np.concatenate((*hit_ids, border[:m]))
             cand = cand[buf[cand] / total > border_vals[m] / total]
@@ -268,14 +266,9 @@ class NGramLM(GeneratorModel):
             first = np.ones(len(cand), dtype=bool)
             np.not_equal(cand[1:], cand[:-1], out=first[1:])
             cand = cand[first]
-            p = buf[cand] / total
-            order = (-p).argsort(kind="stable")
-            csum = p[order].cumsum()
-            cut = int(csum.searchsorted(target, side="left"))
-            if cut < len(cand):
-                kept = order[: cut + 1]
-                kept.sort()
-                return cand[kept], p[kept] / csum[cut]
+            found = _kernels.nucleus_cut(cand, buf[cand] / total, top_p, False)
+            if found is not None:
+                return found
             m *= 4
         return _kernels.nucleus_kernel(buf / total, top_p, 1.0)
 

@@ -138,5 +138,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # Split on "\n" alone, the one separator ``save`` writes:
+        # ``str.splitlines`` also splits on form feeds, "\x85", "\u2028"
+        # and others a token may hold.
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        if lines[-1] == "":
+            lines.pop()
         return cls(lines)

@@ -466,9 +466,8 @@ def loop_beam_search(model, code, beam_size, k, max_length=48):
 
 def loop_decode_candidates(model, code, config):
     """The per-row sampler the package once ran, kept as the reference:
-    every step of every row calls ``next_distribution`` and the full fused
-    sampling kernel, with nothing shared between rows or steps."""
-    from titlegen import _kernels
+    every step of every row calls ``next_distribution`` and the per-element
+    sampling loops, with nothing shared between rows or steps."""
     from titlegen.decode import CandidatePool
     from titlegen.text import END_ID, START_ID
 
@@ -480,9 +479,7 @@ def loop_decode_candidates(model, code, config):
         out = []
         while len(out) < config.max_length:
             dist = model.next_distribution(code, prefix)
-            tok = int(
-                _kernels.sample_step_kernel(dist, config.top_p, config.temperature, rng.random())
-            )
+            tok = loop_sample_step(dist, config.top_p, config.temperature, rng.random())
             if tok == END_ID:
                 break
             out.append(tok)

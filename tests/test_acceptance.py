@@ -59,7 +59,8 @@ def criterion(capfd):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # First calls may compile; timed criteria measure steady-state work.
+    # Keeps one-off first-call costs out of the timed criteria, which
+    # measure steady-state work.
     d = np.array([0.6, 0.4])
     _kernels.apply_temperature_kernel(d, 0.5)
     _kernels.nucleus_filter_kernel(d, 0.5)

@@ -231,6 +231,17 @@ class TestGenerate:
         assert "--limit must be >= 0, got -1" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("temperature", ["nan", "0", "-1"])
+    def test_bad_temperature_fails_without_output(self, pipeline, tmp_path, capsys, temperature):
+        out = tmp_path / "pools.jsonl"
+        assert fails(
+            "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--out", out, "--limit", 1, "--num-samples", 2, "--temperature", temperature,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("titlegen generate: error: temperature must be positive")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad_id", ["past_end", -1])
     def test_out_of_range_model_id_fails(self, pipeline, tmp_path, capsys, bad_id):
         # A next-token id outside the vocabulary under the START context,
@@ -335,6 +346,7 @@ class TestRank:
             ("max_length", "48", "config max_length must be an integer"),
             ("seed", True, "config seed must be an integer"),
             ("meta", ["id", 1], "meta must be an object"),
+            ("temperature", float("nan"), "temperature must be positive, got nan"),
         ],
     )
     def test_malformed_pool_metadata_fails_without_output(

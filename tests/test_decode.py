@@ -98,6 +98,7 @@ class TestSamplingConfig:
             {"max_length": 0},
             {"seed": -1},
             {"seed": 2**64},
+            {"temperature": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -208,6 +209,10 @@ class TestApplyTemperature:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             tg.apply_temperature([1.0], 0.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="temperature must be positive, got nan"):
+            tg.apply_temperature([0.5, 0.3, 0.2], np.nan)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_rejects_non_finite(self, bad):

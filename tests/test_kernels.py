@@ -2,6 +2,8 @@
 the per-element loops they replaced, and the fused sampling step must
 equal the composition of the public ops and of its own two stages."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from titlegen import _kernels
 from titlegen.lm import FLOOR
 
 from .oracles import (
+    BETA_SLACK,
     lcs_exhaustive,
     lcs_table,
     loop_apply_temperature,
@@ -42,6 +45,73 @@ class TestFusedStep:
             composed = _kernels.sample_token_kernel(kept, u)
             fused = _kernels.sample_step_kernel(dist, beta, t, u)
             assert int(fused) == int(composed)
+
+
+def same_arrays(got, want) -> bool:
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestNucleusCut:
+    """``nucleus_cut`` on the ids above a threshold: the dense kernel's
+    nucleus when their running sum reaches beta, None when it falls short."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        counts=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40).filter(
+            any
+        ),
+        scale=st.sampled_from([1.0, 0.5]),
+        beta=st.one_of(st.sampled_from([0.3, 0.5, 0.8, 0.99]), st.floats(0.01, 0.999)),
+        rank=st.integers(min_value=-1, max_value=5),
+    )
+    def test_prefix_above_any_threshold(self, counts, scale, beta, rank):
+        # Integer plateaus give ties at every threshold; at half scale the
+        # whole vector can fall short of beta.
+        raw = np.array(counts, dtype=np.float64)
+        p = raw / raw.sum() * scale
+        levels = np.unique(p)
+        v = levels[rank] if 0 <= rank < len(levels) else -1.0
+        ids = np.flatnonzero(p > v)
+        want = _kernels.nucleus_kernel(p, beta, 1.0)
+        # The stable descending order of ``ids`` is a prefix of the whole
+        # vector's; it reaches beta if a running sum over it does.
+        acc, reached = 0.0, False
+        for i in np.argsort(-p, kind="stable")[: len(ids)]:
+            acc += p[i]
+            if acc >= beta - BETA_SLACK:
+                reached = True
+                break
+        got = _kernels.nucleus_cut(ids, p[ids], beta, False)
+        if reached:
+            assert same_arrays(got, want)
+        else:
+            assert got is None
+        assert same_arrays(_kernels.nucleus_cut(np.arange(len(p)), p, beta, True), want)
+        dense = np.zeros_like(p)
+        dense[want[0]] = want[1]
+        np.testing.assert_array_equal(dense, loop_nucleus_filter(p, beta))
+
+    def test_no_entry_survives_the_tail_bound(self):
+        # Every entry lies below (1 - beta) / n: the whole vocabulary is
+        # searched, and its mass falls short, so every id is kept.
+        p = np.full(8000, 0.1 / 8000)
+        ids, q = _kernels.nucleus_kernel(p, 0.8, 1.0)
+        np.testing.assert_array_equal(ids, np.arange(8000))
+        np.testing.assert_array_equal(q, p / np.cumsum(p)[-1])
+        np.testing.assert_array_equal(
+            _kernels.nucleus_filter_kernel(p, 0.8), loop_nucleus_filter(p, 0.8)
+        )
+
+    def test_ties_at_the_tail_bound_are_searched_first(self):
+        # Four entries sit exactly on (1 - beta) / n = 1/16 and the nucleus
+        # needs all of them: the tail bound keeps them, so one cut finds it
+        # without searching the whole vocabulary.
+        p = np.array([0.25, 0.0625, 0.0625, 0.0625, 0.0625, 0.0, 0.0, 0.0])
+        with mock.patch.object(_kernels, "nucleus_cut", wraps=_kernels.nucleus_cut) as cut:
+            ids, q = _kernels.nucleus_kernel(p, 0.5, 1.0)
+        assert cut.call_count == 1
+        np.testing.assert_array_equal(ids, [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(q, [0.5, 0.125, 0.125, 0.125, 0.125])
 
 
 class TestLcsKernel:

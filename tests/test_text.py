@@ -113,6 +113,25 @@ class TestVocabulary:
         assert lines[:5] == list(text.RESERVED)
         assert lines[v.id("how")] == "how"
 
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_roundtrip_keeps_ids_of_tokens_splitlines_would_split(self, tmp_path, sep):
+        v = text.Vocabulary()
+        v.encode(["a", f"c{sep}d", sep, "z", ""], grow=True)
+        path = tmp_path / "vocab.txt"
+        v.save(path)
+        loaded = text.Vocabulary.load(path)
+        assert loaded == v
+        assert loaded.id("z") == v.id("z")
+
+    @pytest.mark.parametrize("token", ["a\nb", "a\rb", "\r\n"])
+    def test_save_refuses_line_breaks(self, tmp_path, token):
+        v = text.Vocabulary()
+        v.add(token)
+        with pytest.raises(ValueError, match="not serializable on one line"):
+            v.save(tmp_path / "vocab.txt")
+
 
 class TestStripMarkers:
     def test_strips_all_reserved(self):
