@@ -1,16 +1,19 @@
 """Numeric kernels for the per-step sampling transform and LCS length.
 
 These sit in the innermost loops (one call per generated token per
-candidate, and one DP per candidate pair in ROUGE-L). The sampling
-kernels are vectorized numpy; every sum they take is a sequential
-``np.cumsum`` in the order a per-element loop adds, so kept sets, their
-masses and drawn tokens equal the plain loops' (kept as test oracles)
-bit for bit.
+candidate, and one DP per candidate pair in ROUGE-L). The temperature
+and nucleus kernels are vectorized numpy, and the step draw bisects a
+table of running sums built once per nucleus. Every sum they take is a
+sequential ``np.cumsum`` in the order a per-element loop adds, so kept
+sets, their masses and drawn tokens equal the plain loops' (kept as test
+oracles) bit for bit.
 
 The nucleus sorts only the entries a tail bound cannot rule out.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -36,6 +39,18 @@ def apply_temperature_kernel(probs: np.ndarray, temperature: float) -> np.ndarra
     return out
 
 
+def nucleus_cuts(p_sorted: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums along the last axis of ``p_sorted``, probabilities in
+    stable descending order (rows of a 2-D array may end in zeros), and
+    per row the index of the first sum that reaches ``beta`` within
+    slack, or the row length if none does."""
+    csum = p_sorted.cumsum(axis=-1)
+    if not p_sorted.shape[-1]:
+        return csum, np.zeros(p_sorted.shape[:-1], dtype=np.int64)
+    reach = csum >= beta - _BETA_SLACK
+    return csum, np.where(reach.any(axis=-1), reach.argmax(axis=-1), p_sorted.shape[-1])
+
+
 def nucleus_cut(
     ids: np.ndarray, p: np.ndarray, beta: float, complete: bool
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -52,8 +67,8 @@ def nucleus_cut(
     """
     # ndarray methods, not numpy's wrappers: the inputs are often short.
     order = (-p).argsort(kind="stable")
-    csum = p[order].cumsum()
-    cut = int(csum.searchsorted(beta - _BETA_SLACK, side="left"))
+    csum, cut = nucleus_cuts(p[order], beta)
+    cut = int(cut)
     if cut == len(ids):
         if not complete:
             return None
@@ -96,9 +111,8 @@ def nucleus_kernel(
 
     Returns the kept ids in ascending order and their probabilities after
     temperature, divided by the nucleus mass. At ``beta >= 1`` every id
-    is kept and nothing is divided. An inverse-CDF draw over the second
-    array (``sample_step_kernel`` with ``beta = temperature = 1``) gives
-    the index into the first.
+    is kept and nothing is divided. ``sample_step_kernel`` over the second
+    array's running sums gives the index into the first.
     """
     if temperature != 1.0:
         probs = apply_temperature_kernel(probs, temperature)
@@ -115,18 +129,25 @@ def nucleus_kernel(
     return found
 
 
-def sample_step_kernel(probs: np.ndarray, beta: float, temperature: float, u: float) -> int:
-    """Fused temperature -> nucleus -> inverse-CDF step.
+def sample_step_kernel(cdf, u: float) -> int:
+    """Inverse-CDF draw from a draw table: ``cdf`` holds the running sums
+    ``q.cumsum()`` of finite nonnegative ``q`` (a list, ``array.array``
+    or 1-D ndarray), ``u`` lies in [0, 1).
 
-    Makes exactly the decisions of the composed public ops without
-    building the vocabulary-length filtered vector. At ``beta =
-    temperature = 1`` both transforms are the identity: a plain draw.
+    Returns the first index whose running sum exceeds ``u``, which is
+    ``searchsorted(cdf, u, side="right")``; that entry of ``q`` is
+    positive. If rounding leaves the total at or below ``u``, the entry
+    that brought the sum to its total: the last positive one, unless a
+    later positive entry was too small to change the sum. -1 if the table
+    has no mass. Outside that rounding case it equals
+    ``sample_token_kernel(q, u)``.
     """
-    if beta >= 1.0 and temperature == 1.0:
-        return sample_token_kernel(probs, u)
-    ids, q = nucleus_kernel(probs, beta, temperature)
-    j = sample_token_kernel(q, u)
-    return int(ids[j]) if j >= 0 else -1
+    j = bisect_right(cdf, u)
+    if j < len(cdf):
+        return j
+    if not len(cdf) or not cdf[-1] > 0.0:
+        return -1
+    return bisect_left(cdf, cdf[-1])
 
 
 def lcs_length_kernel(a: np.ndarray, b: np.ndarray) -> int:

@@ -14,6 +14,8 @@ defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import logging
 import os
@@ -132,14 +134,18 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     nucleus memo for the whole run."""
     seed = res.get("seed", int)
     code_limit = res.get("code_limit", int)
-    max_length = res.get("max_length", int)
-    sampling = {
-        "top_p": res.get("top_p", float),
-        "temperature": res.get("temperature", float),
-        "num_samples": res.get("num_samples", int),
-    }
     beam_size = res.get("beam_size", int)
-    memo = decode.NucleusMemo(model, sampling["top_p"], sampling["temperature"])
+    # Checked once, before any post, so a bad setting fails the run
+    # whatever the strategy and however many posts there are.
+    sampling = decode.SamplingConfig(
+        top_p=res.get("top_p", float),
+        temperature=res.get("temperature", float),
+        num_samples=res.get("num_samples", int),
+        max_length=res.get("max_length", int),
+        seed=seed % 2**64,
+    )
+    max_length = sampling.max_length
+    memo = decode.NucleusMemo(model, sampling.top_p, sampling.temperature)
     vocab = model.vocabulary
     for pos, post in enumerate(posts):
         code = vocab.encode(_code_tokens(post, code_limit))
@@ -153,7 +159,7 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
             )
             pool = decode.CandidatePool(vocab.decode(code), [vocab.decode(s) for s in seqs], config)
         else:
-            config = decode.SamplingConfig(**sampling, max_length=max_length, seed=row_seed)
+            config = dataclasses.replace(sampling, seed=row_seed)
             pool = decode.decode_candidates(model, code, config, memo)
         pool.meta = _post_meta(post)
         yield pool
@@ -509,13 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves a parser unchanged, so
+    # in-process callers need not pay for a build on every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    args = _parser().parse_args(argv)
+    # The handler is set up by the first call; the level is each call's.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -8,6 +8,7 @@ concern and never happens here.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .lm import GeneratorModel
-from .text import END_ID, START_ID
+from .text import END_ID, NEXT_ID, START_ID
 
 
 @dataclass(frozen=True)
@@ -100,24 +101,29 @@ def _row_rng(seed: int, row: int) -> np.random.Generator:
 
 
 #: The most nucleus ids one run's memo holds, as a multiple of the
-#: vocabulary size; each id costs 16 bytes. On the benchmark's model
-#: (V ~ 7.2k, top_p 0.8) a run's distinct states take 6 V ids over 4
-#: posts, 29 V over 100 and 36 V over 400, levelling off as the model's
-#: states run out, so there a run of any length fits. Near top_p 1 every
-#: entry approaches V ids, and an unbounded memo would hold a
-#: vocabulary-sized pair of arrays per state.
+#: vocabulary size; each id costs 16 bytes, and each tail key is charged
+#: as one id. On the benchmark's model (V ~ 7.2k, top_p 0.8) a run's
+#: distinct states take 6 V ids over 4 posts, 29 V over 100 and 36 V over
+#: 400, levelling off as the model's states run out, so there a run of
+#: any length fits. Near top_p 1 every entry approaches V ids, and an
+#: unbounded memo would hold a vocabulary-sized table per state.
 _MEMO_IDS_PER_VOCAB = 64
 
 
 class NucleusMemo:
-    """Each model state's nucleus under one (model, top_p, temperature).
+    """Each model state's draw table under one (model, top_p, temperature).
 
-    Entries are keyed by ``model.state(code, prefix)``. Equal keys give
-    bit-identical distributions under any code, and the nucleus does not
-    depend on the seed, so one memo serves every pool of a run. An entry
-    is the kept ids in ascending order and their probabilities after
-    temperature, divided by the nucleus mass. The memo holds at most
-    ``capacity`` ids; past that, new states are computed and not stored.
+    A table is the state's nucleus as ``model.nuclei`` gives it: the kept
+    ids in ascending order (``array('q')``) and the running sums of their
+    probabilities after temperature, divided by the nucleus mass
+    (``array('d')``, ``q.cumsum()``), which ``_kernels.sample_step_kernel``
+    bisects. Entries are keyed by ``model.state(code, prefix)``. Equal keys
+    give bit-identical distributions under any code, and the nucleus does
+    not depend on the seed, so one memo serves every pool of a run. For a
+    model with a ``window``, tails of ``code + [NEXT] + prefix`` map to
+    tables too, so ``state`` runs once per distinct tail. The memo holds
+    at most ``capacity`` ids; past that, new states are computed and not
+    stored.
     """
 
     def __init__(self, model: GeneratorModel, top_p: float, temperature: float):
@@ -125,6 +131,7 @@ class NucleusMemo:
         self.top_p = top_p
         self.temperature = temperature
         self._entries: dict = {}
+        self._tails: dict = {}
         self.cached_ids = 0
         self.capacity = _MEMO_IDS_PER_VOCAB * len(model.vocabulary)
 
@@ -138,32 +145,61 @@ class NucleusMemo:
                 f" not top_p={config.top_p} temperature={config.temperature}"
             )
 
-    def nucleus(self, code: Sequence[int], prefix: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        key = self.model.state(code, prefix)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self.model.nucleus(code, prefix, self.top_p, self.temperature)
-            if self.cached_ids + entry[0].shape[0] <= self.capacity:
-                self._entries[key] = entry
-                self.cached_ids += entry[0].shape[0]
-        return entry
+    def tables(
+        self, code: Sequence[int], prefixes: list[list[int]], tails: list[tuple] | None = None
+    ) -> list[tuple[array, array]]:
+        """The draw table of each prefix under ``code``. ``tails`` holds
+        each prefix's tail when the model has a ``window``, else None. The
+        states no entry holds are computed in one ``model.nuclei`` call."""
+        if tails is None:
+            keys = [self.model.state(code, prefix) for prefix in prefixes]
+            held = self._entries
+        else:
+            keys, held = tails, self._tails
+        got = list(map(held.get, keys))
+        if None in got:
+            new = {}
+            for i, table in enumerate(got):
+                if table is None:
+                    new.setdefault(keys[i], i)
+            found = self._fill(code, prefixes, new, tails is not None)
+            got = [found[key] if table is None else table for table, key in zip(got, keys)]
+        return got
 
-
-def _generate_row(
-    memo: NucleusMemo, code: Sequence[int], config: SamplingConfig, row: int
-) -> list[int]:
-    # One call gives the values successive rng.random() calls would.
-    uniforms = _row_rng(config.seed, row).random(config.max_length).tolist()
-    prefix = [START_ID]
-    for u in uniforms:
-        ids, q = memo.nucleus(code, prefix)
-        # beta = temperature = 1: a plain draw over the cached nucleus.
-        j = int(_kernels.sample_step_kernel(q, 1.0, 1.0, u))
-        tok = int(ids[j]) if j >= 0 else -1
-        if tok == END_ID:
-            break
-        prefix.append(tok)
-    return prefix[1:]
+    def _fill(self, code, prefixes, new: dict, by_tail: bool) -> dict:
+        """Tables for ``new``, keys no entry holds, each mapped to a row
+        of ``prefixes`` that has it."""
+        states = {
+            key: self.model.state(code, prefixes[i]) if by_tail else key
+            for key, i in new.items()
+        }
+        misses = {}
+        for key, state in states.items():
+            if state not in self._entries:
+                misses.setdefault(state, new[key])
+        computed = self.model.nuclei(
+            code, [prefixes[i] for i in misses.values()], self.top_p, self.temperature
+        )
+        fresh = {}
+        for state, (ids, q) in zip(misses, computed):
+            table = (
+                array("q", ids.astype(np.int64, copy=False).tobytes()),
+                array("d", q.cumsum().tobytes()),
+            )
+            fresh[state] = table
+            if self.cached_ids + len(ids) <= self.capacity:
+                self._entries[state] = table
+                self.cached_ids += len(ids)
+        found = {}
+        for key, state in states.items():
+            table = self._entries.get(state)
+            if table is None:
+                table = fresh[state]
+            elif by_tail and self.cached_ids < self.capacity:
+                self._tails[key] = table
+                self.cached_ids += 1
+            found[key] = table
+        return found
 
 
 def decode_candidates(
@@ -179,24 +215,55 @@ def decode_candidates(
     rng streams depend only on (seed, row index), so the first M rows
     of a larger batch are identical to a batch of exactly M.
 
-    Rows revisit model states, so each state's nucleus comes from
-    ``memo`` (see :class:`NucleusMemo`): only a state's first visit calls
-    ``model.nucleus``. The state contract makes every drawn token
-    the same as computing the nucleus afresh at each step. Pass one memo
-    to every call of a run to share states across pools; it must have
-    been made for ``model`` and this config's top_p and temperature, or
-    this raises ``ValueError``. Without one, the call uses a fresh memo.
+    The rows advance together, one step at a time, and each state's draw
+    table comes from ``memo`` (see :class:`NucleusMemo`): at each step the
+    states no entry holds yet are computed in one ``model.nuclei`` call,
+    and every live row draws by bisecting its table with its own next
+    uniform. The state contract makes every drawn token the same as
+    computing the nucleus afresh at each step of each row in turn. Pass
+    one memo to every call of a run to share states across pools; it must
+    have been made for ``model`` and this config's top_p and temperature,
+    or this raises ``ValueError``. Without one, the call uses a fresh memo.
     """
     if memo is None:
         memo = NucleusMemo(model, config.top_p, config.temperature)
     else:
         memo.check(model, config)
-    vocab = model.vocabulary
-    candidates = [
-        vocab.decode(_generate_row(memo, code, config, row)) for row in range(config.num_samples)
+    # One call gives the values successive rng.random() calls would.
+    uniforms = [
+        _row_rng(config.seed, row).random(config.max_length).tolist()
+        for row in range(config.num_samples)
     ]
+    prefixes = [[START_ID] for _ in uniforms]
+    window = model.window
+    if window is not None:
+        start = (*code, NEXT_ID, START_ID)
+        tails = [start[max(len(start) - window, 0) :]] * len(prefixes)
+    live = list(range(len(prefixes)))
+    for step in range(config.max_length):
+        tables = memo.tables(
+            code,
+            [prefixes[r] for r in live],
+            None if window is None else [tails[r] for r in live],
+        )
+        still = []
+        for r, (ids, cdf) in zip(live, tables):
+            j = _kernels.sample_step_kernel(cdf, uniforms[r][step])
+            tok = ids[j] if j >= 0 else -1
+            if tok != END_ID:
+                prefixes[r].append(tok)
+                if window is not None:
+                    tail = (*tails[r], tok)
+                    tails[r] = tail[1:] if len(tail) > window else tail
+                still.append(r)
+        live = still
+        if not live:
+            break
+    vocab = model.vocabulary
     return CandidatePool(
-        input=vocab.decode(list(code)), candidates=candidates, config=config
+        input=vocab.decode(list(code)),
+        candidates=[vocab.decode(prefix[1:]) for prefix in prefixes],
+        config=config,
     )
 
 

@@ -25,10 +25,18 @@ from .text import END_ID, NEXT_ID, PAD_ID, START_ID, Vocabulary
 #: renormalization. Keeps END reachable from any state.
 FLOOR = 1e-6
 
-#: Top floor + unigram ids ``NGramLM.nucleus`` first adds to a state's
+#: Top floor + unigram ids ``NGramLM.nuclei`` first adds to a state's
 #: hit ids; a miss widens it fourfold. On the benchmark's model at
 #: top_p 0.8 a nucleus holds 19 ids on average and 174 at most.
 _BORDER_FIRST = 64
+
+#: Bytes of the (states x V) block ``NGramLM.nuclei`` fills at once;
+#: larger batches run in chunks of as many states as fit.
+_BLOCK_BYTES = 2 << 20
+
+#: Tails whose level walks ``NGramLM._hits`` keeps; it starts afresh
+#: when full.
+_WALKS_KEPT = 4096
 
 #: Model file identity; a file of another version must be rebuilt.
 FORMAT = "titlegen-ngram-lm"
@@ -48,8 +56,14 @@ class GeneratorModel(ABC):
     keys must give bit-identical distributions, whatever the codes and
     prefixes they came from; sampling computes each state's nucleus once
     per run under that key (see ``decode.NucleusMemo``), through
-    ``nucleus``, which a model may override with a faster exact path.
+    ``nuclei``, which a model may override with a faster exact path.
+
+    ``window`` is None, or a count ``w`` such that the state depends only
+    on the last ``w`` ids of ``code + [NEXT] + prefix``; sampling then
+    calls ``state`` once per distinct such tail instead of once per step.
     """
+
+    window: int | None = None
 
     @property
     @abstractmethod
@@ -87,6 +101,17 @@ class GeneratorModel(ABC):
         """
         dist = _checked_distribution(self.next_distribution(code, prefix), len(self.vocabulary))
         return _kernels.nucleus_kernel(dist, top_p, temperature)
+
+    def nuclei(
+        self,
+        code: Sequence[int],
+        prefixes: Sequence[Sequence[int]],
+        top_p: float,
+        temperature: float,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``nucleus`` of each prefix under ``code``, in order. The default
+        loops; an override computes them together, with the same arrays."""
+        return [self.nucleus(code, prefix, top_p, temperature) for prefix in prefixes]
 
 
 def _checked_distribution(dist, size: int) -> np.ndarray:
@@ -196,6 +221,7 @@ class NGramLM(GeneratorModel):
             row_of.append(dict(zip(keys.tolist(), range(len(contexts)))) if l else {})
         base[levels[0].next_ids] += vals[0]
         self.order = order
+        self.window = order - 1
         self._vocab = vocab
         self.levels = levels
         self.weights = weights
@@ -203,9 +229,9 @@ class NGramLM(GeneratorModel):
         self._vals = vals
         self._row_of = row_of
         self._offsets = [level.offsets.tolist() for level in levels]
-        self._last_walk: tuple[tuple, list] = ((), [])  # see _hits
-        self._buf = np.empty(len(vocab), dtype=np.float64)  # see nucleus
+        self._walks: dict[tuple, list] = {}  # see _hits
         self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
+        self._flat: tuple[list[int], np.ndarray, np.ndarray] | None = None  # see _flat_levels
 
     # -- GeneratorModel --------------------------------------------------
 
@@ -214,35 +240,37 @@ class NGramLM(GeneratorModel):
         return self._vocab
 
     def next_distribution(self, code: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
+        # The rows the state hits, in ``_hits`` order; ``nuclei`` adds
+        # them in the same order per entry.
         out = self._base.copy()
-        self._add_hits(out, code, prefix)
-        out /= out.sum()
-        return out
-
-    def _add_hits(
-        self, out: np.ndarray, code: Sequence[int], prefix: Sequence[int]
-    ) -> list[np.ndarray]:
-        """Add the rows the state hits to ``out``, a copy of ``_base``, in
-        ``_hits`` order, and zero PAD and START. Returns each row's next ids."""
-        hit_ids = []
         for ctx, row in self._hits(code, prefix):
             l = len(ctx)
             start, end = self._offsets[l][row], self._offsets[l][row + 1]
-            ids = self.levels[l].next_ids[start:end]
-            out[ids] += self._vals[l][start:end]
-            hit_ids.append(ids)
+            out[self.levels[l].next_ids[start:end]] += self._vals[l][start:end]
         out[PAD_ID] = 0.0
         out[START_ID] = 0.0
-        return hit_ids
+        out /= out.sum()
+        return out
 
     def nucleus(
         self, code: Sequence[int], prefix: Sequence[int], top_p: float, temperature: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The default's arrays, bit for bit. At temperature 1 and top_p
-        below 1 they come from the state's hit ids and the floor + unigram
-        order, with no divide, tail scan or partition over the vocabulary.
+        """``nuclei`` of the one prefix."""
+        return self.nuclei(code, [prefix], top_p, temperature)[0]
 
-        The total is ``next_distribution``'s: the same vector, the same
+    def nuclei(
+        self,
+        code: Sequence[int],
+        prefixes: Sequence[Sequence[int]],
+        top_p: float,
+        temperature: float,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The default's arrays, bit for bit. At temperature 1 and top_p
+        below 1 they come from each state's hit ids and the floor + unigram
+        order, with no divide, tail scan or partition over the vocabulary,
+        and the states run together, a block of them at a time.
+
+        Each total is ``next_distribution``'s: the same vector, the same
         sum. An id no hit row holds keeps its floor + unigram value, so
         outside the hit ids and the first ``m`` ids of that order each id
         is at most the next one's value. The ids above it are then every
@@ -252,25 +280,110 @@ class NGramLM(GeneratorModel):
         at the vocabulary size the dense kernel runs.
         """
         if temperature != 1.0 or top_p >= 1.0:
-            return super().nucleus(code, prefix, top_p, temperature)
-        buf = self._buf
-        np.copyto(buf, self._base)
-        hit_ids = self._add_hits(buf, code, prefix)
-        total = buf.sum()
-        border, border_vals = self._border_order()
+            return [GeneratorModel.nucleus(self, code, p, top_p, temperature) for p in prefixes]
+        rows = max(1, _BLOCK_BYTES // (8 * len(self._vocab)))
+        found = []
+        for at in range(0, len(prefixes), rows):
+            found += self._block_nuclei(code, prefixes[at : at + rows], top_p)
+        return found
+
+    def _block_nuclei(self, code, prefixes, top_p) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``nuclei`` at temperature 1 for one block's worth of prefixes."""
+        size = len(self._vocab)
+        block = np.empty((len(prefixes), size))
+        block[:] = self._base
+        flat = block.reshape(-1)
+        # Every hit row's entries, state by state, each state's rows in
+        # ``_hits`` order: ``add.at`` adds in array order, so each entry
+        # gets its values in ``next_distribution``'s order.
+        bases, next_ids, vals = self._flat_levels()
+        who, starts, lens = [], [], []
+        for s, prefix in enumerate(prefixes):
+            for ctx, row in self._hits(code, prefix):
+                offsets = self._offsets[len(ctx)]
+                who.append(s * size)
+                starts.append(bases[len(ctx)] + offsets[row])
+                lens.append(offsets[row + 1] - offsets[row])
+        lens = np.array(lens, dtype=np.int64)
+        starts = np.array(starts, dtype=np.int64) - lens.cumsum() + lens
+        entries = np.repeat(starts, lens) + np.arange(lens.sum())
+        hit_keys = np.repeat(np.array(who, dtype=np.int64), lens) + next_ids[entries]
+        np.add.at(flat, hit_keys, vals[entries])
+        block[:, PAD_ID] = 0.0
+        block[:, START_ID] = 0.0
+        totals = block.sum(axis=1)
+        found = [None] * len(prefixes)
+        pending = np.arange(len(prefixes))
         m = _BORDER_FIRST
-        while m < len(border):
-            cand = np.concatenate((*hit_ids, border[:m]))
-            cand = cand[buf[cand] / total > border_vals[m] / total]
-            cand.sort()
-            first = np.ones(len(cand), dtype=bool)
-            np.not_equal(cand[1:], cand[:-1], out=first[1:])
-            cand = cand[first]
-            found = _kernels.nucleus_cut(cand, buf[cand] / total, top_p, False)
-            if found is not None:
-                return found
+        while pending.size and m < size:
+            pending = self._cut_block(block, totals, pending, hit_keys, m, top_p, found)
             m *= 4
-        return _kernels.nucleus_kernel(buf / total, top_p, 1.0)
+        for s in pending:
+            found[s] = _kernels.nucleus_kernel(block[s] / totals[s], top_p, 1.0)
+        return found
+
+    def _cut_block(self, block, totals, pending, hit_keys, m, top_p, found):
+        """Cut each pending state's nucleus among its hit ids and the first
+        ``m`` border ids into ``found``, as ``nucleus_cut`` would for each
+        state alone; returns the states whose running sum fell short.
+
+        ``hit_keys`` are state * V + id. The stable (-p, id) order only
+        matters where the cut splits a run of equal values, since equal
+        values in any order give the same running sums. So each state's
+        values are sorted by value alone, and at the cut the lowest ids of
+        the tied run are kept."""
+        size = block.shape[1]
+        flat = block.reshape(-1)
+        border, border_vals = self._border_order()
+        if len(pending) < block.shape[0]:
+            hit_keys = hit_keys[np.isin(hit_keys // size, pending)]
+        keys = np.concatenate((hit_keys, (pending[:, None] * size + border[:m]).ravel()))
+        tot = totals[keys // size]
+        keys = keys[flat[keys] / tot > border_vals[m] / tot]
+        # Each state's candidates once, ascending by state, then id.
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        # One row of probabilities per pending state, in id order, padded
+        # with zeros.
+        if not len(keys):
+            return pending
+        rows = np.searchsorted(pending, keys // size)
+        counts = np.bincount(rows, minlength=len(pending))
+        cols = np.arange(len(keys)) - (counts.cumsum() - counts)[rows]
+        grid = np.zeros((len(pending), counts.max()))
+        grid[rows, cols] = flat[keys]
+        grid /= totals[pending][:, None]
+        ranked = -np.sort(-grid, axis=1)
+        csum, cut = _kernels.nucleus_cuts(ranked, top_p)
+        last = np.minimum(cut, grid.shape[1] - 1)[:, None]
+        edge = np.take_along_axis(ranked, last, axis=1)
+        done = cut < counts
+        above = grid > edge
+        tied = grid == edge
+        short = last - above.sum(axis=1, keepdims=True)
+        kept = (above | (tied & (tied.cumsum(axis=1) <= short + 1))) & done[:, None]
+        mass = np.where(done[:, None], np.take_along_axis(csum, last, axis=1), 1.0)
+        q = (grid / mass)[kept]
+        ids = keys[kept[rows, cols]] % size
+        ends = kept.sum(axis=1).cumsum().tolist()
+        for s in np.flatnonzero(done).tolist():
+            start = ends[s - 1] if s else 0
+            found[pending[s]] = (ids[start : ends[s]], q[start : ends[s]])
+        return pending[~done]
+
+    def _flat_levels(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Every level's next ids and entry values end to end, and where
+        each level starts. Built on first use, like ``_border_order``."""
+        if self._flat is None:
+            sizes = [len(level.next_ids) for level in self.levels]
+            self._flat = (
+                [0, *itertools.accumulate(sizes)],
+                np.concatenate([level.next_ids for level in self.levels]),
+                np.concatenate(self._vals),
+            )
+        return self._flat
 
     def _border_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Every id in stable descending order of its floor + unigram
@@ -291,14 +404,15 @@ class NGramLM(GeneratorModel):
         Every hit is listed, not only the longest: a hand-built model can
         hold a context without its shorter suffixes.
         """
-        return tuple(ctx for ctx, _ in self._hits(code, prefix))
+        return tuple([ctx for ctx, _ in self._hits(code, prefix)])
 
     def _hits(self, code: Sequence[int], prefix: Sequence[int]) -> list[tuple[tuple, int]]:
         """(context, row) of every suffix ``state`` lists, shortest first.
 
-        The hits depend only on the tail, so the last tail's are kept: a
-        sampler's ``state`` lookup and the ``nucleus`` call on a memo
-        miss that follows it walk the levels once.
+        The hits depend only on the tail (the last ``window`` ids), so
+        recent tails' hits are kept: a sampler's ``state`` lookups and the
+        ``nuclei`` call on the memo misses that follow them walk the levels
+        once per tail.
         """
         if not prefix or prefix[0] != START_ID:
             raise ValueError("prefix must begin with START")
@@ -307,9 +421,9 @@ class NGramLM(GeneratorModel):
             tail = tuple(prefix[len(prefix) - span :])
         else:
             tail = (*code[-span:], NEXT_ID, *prefix)[-span:]
-        last_tail, last_hits = self._last_walk
-        if tail == last_tail:
-            return last_hits
+        hits = self._walks.get(tail)
+        if hits is not None:
+            return hits
         size = len(self._vocab)
         hits = []
         key, scale = 0, 1
@@ -322,7 +436,9 @@ class NGramLM(GeneratorModel):
             row = self._row_of[l].get(key)
             if row is not None:
                 hits.append((tail[-l:], row))
-        self._last_walk = (tail, hits)
+        if len(self._walks) >= _WALKS_KEPT:
+            self._walks.clear()
+        self._walks[tail] = hits
         return hits
 
     # -- serialization ---------------------------------------------------

@@ -65,7 +65,7 @@ def warm_kernels():
     _kernels.apply_temperature_kernel(d, 0.5)
     _kernels.nucleus_filter_kernel(d, 0.5)
     _kernels.sample_token_kernel(d, 0.3)
-    _kernels.sample_step_kernel(d, 0.5, 0.9, 0.3)
+    _kernels.sample_step_kernel(d.cumsum(), 0.3)
     _kernels.lcs_length_kernel(
         np.array([0, 1], dtype=np.int64), np.array([1, 0], dtype=np.int64)
     )
@@ -138,8 +138,9 @@ def test_criterion_2_sampling_fidelity(criterion):
         rng = np.random.default_rng(20210814)
         draws = 100_000
         counts = np.zeros(dist.shape[0], dtype=np.int64)
-        for u in rng.random(draws):
-            counts[int(_kernels.sample_step_kernel(dist, 1.0, 1.0, u))] += 1
+        cdf = dist.cumsum().tolist()
+        for u in rng.random(draws).tolist():
+            counts[_kernels.sample_step_kernel(cdf, u)] += 1
         freqs = counts / draws
         _, p_value = scipy.stats.chisquare(counts, dist * draws)
         worst = float(np.abs(freqs - dist).max())

@@ -1,4 +1,9 @@
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -240,6 +245,35 @@ class TestGenerate:
         )
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith("titlegen generate: error: temperature must be positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--limit", 0, "--temperature", "nan"], "temperature must be positive, got nan"),
+            (
+                ["--limit", 1, "--strategy", "beam", "--beam-size", 2, "--temperature", "nan"],
+                "temperature must be positive, got nan",
+            ),
+            (
+                ["--limit", 1, "--strategy", "beam", "--beam-size", 2, "--top-p", 7],
+                "top_p must be in (0, 1], got 7.0",
+            ),
+        ],
+        ids=["no_posts", "beam_nan_temperature", "beam_top_p"],
+    )
+    def test_bad_setting_fails_with_no_sampled_post(
+        self, pipeline, tmp_path, capsys, flags, message
+    ):
+        # The settings are checked before the first post, not only when a
+        # post is sampled.
+        out = tmp_path / "pools.jsonl"
+        assert fails(
+            "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--out", out, *flags,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"titlegen generate: error: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("bad_id", ["past_end", -1])
@@ -642,6 +676,63 @@ class TestCompareStrategies:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "--limit must be >= 0, got -1" in line
         assert not out.exists()
+
+    def test_bad_setting_fails_before_any_post(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "compare.json"
+        assert fails(
+            "compare-strategies", "--model", pipeline.model,
+            "--input", pipeline.splits / "test.jsonl", "--out", out, "--limit", 1,
+            "--top-p", 7,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "titlegen compare-strategies: error: top_p must be in (0, 1], got 7.0"
+        assert not out.exists()
+
+
+class TestMainReuse:
+    """``main`` builds its parser once per process. Consecutive calls with
+    other subcommands and flags give what fresh processes give."""
+
+    def calls(self, pipeline, out_dir):
+        generate = [
+            "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--limit", 3, "--num-samples", 12, "--max-length", 8,
+        ]
+        rank = ["rank", "--pools", pipeline.pools, "--k", 5]
+        return [
+            ("no_dedup", [*rank, "--no-dedup", "--out", out_dir / "no_dedup.jsonl"]),
+            ("dedup", [*rank, "--out", out_dir / "dedup.jsonl"]),
+            ("verbose", ["--verbose", *generate, "--out", out_dir / "verbose.jsonl"]),
+            ("quiet", [*generate, "--seed", 4, "--out", out_dir / "quiet.jsonl"]),
+        ]
+
+    def test_consecutive_calls_equal_fresh_processes(self, pipeline, tmp_path, caplog):
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        logged = {}
+        for name, argv in self.calls(pipeline, here):
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                run(*argv)
+            logged[name] = [
+                f"{r.levelname} {r.name}: {r.getMessage()}"
+                for r in caplog.records
+                if r.name == "titlegen"
+            ]
+        env = {**os.environ, "PYTHONPATH": str(Path(tg.__file__).parents[1])}
+        env.pop("TITLEGEN_SEED", None)
+        for name, argv in self.calls(pipeline, fresh):
+            proc = subprocess.run(
+                [sys.executable, "-m", "titlegen", *map(str, argv)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.splitlines() == logged[name], name
+            assert (here / f"{name}.jsonl").read_bytes() == (fresh / f"{name}.jsonl").read_bytes()
+        assert logged["verbose"] == ["INFO titlegen: generate: 3 pools (sample)"]
+        assert logged["quiet"] == []
+        assert (here / "no_dedup.jsonl").read_bytes() != (here / "dedup.jsonl").read_bytes()
 
 
 #: ``--config`` values of the wrong type: each fails with one line.

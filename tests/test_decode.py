@@ -8,9 +8,10 @@ from scipy import stats
 
 import titlegen as tg
 from titlegen import cli, decode, records
-from titlegen.text import END_ID, PAD, PAD_ID, START, START_ID
+from titlegen.text import END_ID, NEXT_ID, PAD, PAD_ID, START, START_ID
 
 from .conftest import DummyModel, raw_post, topic_code
+from .test_lm import make_gapped_model
 from .oracles import (
     enumerate_paths,
     loop_beam_search,
@@ -387,15 +388,15 @@ class TestNucleusMemo:
         counter = CallCounter(model)
         memo = decode.NucleusMemo(counter, 1.0, 1.3)
         peak = 0
-        nucleus = memo.nucleus
+        tables = memo.tables
 
-        def recording(code, prefix):
+        def recording(code, prefixes, tails=None):
             nonlocal peak
-            entry = nucleus(code, prefix)
+            entries = tables(code, prefixes, tails)
             peak = max(peak, memo.cached_ids)
-            return entry
+            return entries
 
-        memo.nucleus = recording
+        memo.tables = recording
         for seed, code in enumerate(([5, 6], [7], [5, 6])):
             cfg = tg.SamplingConfig(
                 top_p=1.0, temperature=1.3, num_samples=30, max_length=3, seed=seed
@@ -445,6 +446,119 @@ class TestNucleusMemo:
             rng = decode._row_rng(seed, row)
             successive = [rng.random() for _ in range(48)]
             assert decode._row_rng(seed, row).random(48).tolist() == successive
+
+
+def lockstep_model(name, toy_model):
+    """(model, code) for the lockstep checks: a trained n-gram model with
+    and without code, the gapped one (a context without its shorter
+    suffix) and a model with no window."""
+    if name == "ngram":
+        return toy_model, toy_model.vocabulary.encode(topic_code(3))
+    if name == "ngram_no_code":
+        # Code, NEXT and START are shorter than the window: tails grow
+        # before they slide.
+        return toy_model, []
+    if name == "gapped":
+        model = make_gapped_model()
+        return model, model.vocabulary.encode(["c", "a"])
+    return DummyModel(vocab_size=9, seed=5), [5, 8]
+
+
+LOCKSTEP_MODELS = ["ngram", "ngram_no_code", "gapped", "dummy"]
+
+
+class TestLockstep:
+    """``decode_candidates`` advances a pool's rows together and draws by
+    bisecting cached tables; every pool must equal the per-row, per-step
+    reference exactly."""
+
+    @pytest.mark.parametrize("name", LOCKSTEP_MODELS)
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"max_length": 1, "num_samples": 30},
+            {"num_samples": 1, "max_length": 8},
+            {"top_p": 1.0, "num_samples": 40, "max_length": 8},
+            {"temperature": 0.7, "num_samples": 40, "max_length": 8},
+            {"top_p": 0.9, "temperature": 1.6, "num_samples": 40, "max_length": 8},
+        ],
+        ids=["max_length_1", "one_row", "top_p_1", "cold", "hot_nucleus"],
+    )
+    def test_matches_loop_oracle(self, toy_model, name, settings):
+        model, code = lockstep_model(name, toy_model)
+        cfg = tg.SamplingConfig(**{"seed": 7, **settings})
+        assert tg.decode_candidates(model, code, cfg) == loop_decode_candidates(model, code, cfg)
+
+    @pytest.mark.parametrize("name", LOCKSTEP_MODELS)
+    def test_rows_end_at_different_steps(self, toy_model, name):
+        model, code = lockstep_model(name, toy_model)
+        cfg = tg.SamplingConfig(top_p=0.99, temperature=2.0, num_samples=60, max_length=9, seed=3)
+        pool = tg.decode_candidates(model, code, cfg)
+        assert pool == loop_decode_candidates(model, code, cfg)
+        lengths = {len(c) for c in pool.candidates}
+        assert len(lengths) >= 3 and min(lengths) < cfg.max_length
+
+    @pytest.mark.parametrize("name", LOCKSTEP_MODELS)
+    def test_exhausted_cap(self, toy_model, name, monkeypatch):
+        # At top_p 1 a table holds the whole vocabulary, so a cap of one
+        # vocabulary's ids holds the first state only; every later state
+        # is computed and used without being stored.
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 1)
+        model, code = lockstep_model(name, toy_model)
+        memo = decode.NucleusMemo(model, 1.0, 1.0)
+        for seed in range(3):
+            cfg = tg.SamplingConfig(top_p=1.0, num_samples=30, max_length=5, seed=seed)
+            pool = tg.decode_candidates(model, code, cfg, memo)
+            assert pool == loop_decode_candidates(model, code, cfg)
+        assert len(memo._entries) == 1 and not memo._tails
+        assert memo.cached_ids == memo.capacity == len(model.vocabulary)
+
+    def test_tails_point_at_stored_tables(self, toy_model, monkeypatch):
+        # A cap of one vocabulary's ids fills partway through the run; from
+        # then on some states are computed but not stored, and no tail may
+        # keep such a table alive outside the count.
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 1)
+        memo = decode.NucleusMemo(toy_model, 0.95, 1.0)
+        vocab = toy_model.vocabulary
+        states = set()
+        for topic in range(10):
+            code = vocab.encode(topic_code(topic))
+            cfg = tg.SamplingConfig(top_p=0.95, num_samples=40, max_length=8, seed=topic)
+            pool = tg.decode_candidates(toy_model, code, cfg, memo)
+            assert pool == loop_decode_candidates(toy_model, code, cfg)
+            states |= pool_states(toy_model, code, pool)
+        assert len(memo._entries) < len(states)
+        stored = {id(table) for table in memo._entries.values()}
+        assert all(id(table) in stored for table in memo._tails.values())
+        held = sum(len(ids) for ids, _ in memo._entries.values()) + len(memo._tails)
+        assert memo.cached_ids == held <= memo.capacity
+
+    def test_state_once_per_tail(self, toy_model, monkeypatch):
+        # The toy model has a window, so rows find their tables by tail,
+        # and ``state`` runs only for a tail not seen before in the run.
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
+        window = toy_model.window
+        assert window == toy_model.order - 1
+        seen = []
+        state = tg.NGramLM.state
+
+        def recording(model, code, prefix):
+            seen.append((*code, NEXT_ID, *prefix)[-window:])
+            return state(model, code, prefix)
+
+        monkeypatch.setattr(tg.NGramLM, "state", recording)
+        memo = decode.NucleusMemo(toy_model, 0.8, 1.0)
+        tails = set()
+        for topic in (3, 7, 3):
+            code = toy_model.vocabulary.encode(topic_code(topic))
+            cfg = tg.SamplingConfig(num_samples=60, max_length=8, seed=topic)
+            pool = tg.decode_candidates(toy_model, code, cfg, memo)
+            for cand in pool.candidates:
+                ids = toy_model.vocabulary.encode(cand)
+                for n in range(len(ids) + (len(ids) < cfg.max_length)):
+                    tails.add((*code, NEXT_ID, START_ID, *ids[:n])[-window:])
+        assert len(seen) == len(set(seen)) == len(tails)
+        assert set(seen) == tails
 
 
 def pool_states(model, code, pool):
@@ -506,18 +620,18 @@ class TestRunMemo:
 
 
     def test_sparse_nucleus_on_every_state_of_the_run(self, toy_model, monkeypatch):
-        # At temperature 1 the memo takes NGramLM's own nucleus; count its
-        # calls, and check each state's arrays against the default and
-        # the loop oracle.
+        # At temperature 1 the memo takes NGramLM's own nuclei; count the
+        # states it computes, and check each state's arrays against the
+        # default and the loop oracle.
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
         calls = []
-        sparse = tg.NGramLM.nucleus
+        sparse = tg.NGramLM.nuclei
 
-        def counted(model, code, prefix, top_p, temperature):
-            calls.append(model.state(code, prefix))
-            return sparse(model, code, prefix, top_p, temperature)
+        def counted(model, code, prefixes, top_p, temperature):
+            calls.extend(model.state(code, prefix) for prefix in prefixes)
+            return sparse(model, code, prefixes, top_p, temperature)
 
-        monkeypatch.setattr(tg.NGramLM, "nucleus", counted)
+        monkeypatch.setattr(tg.NGramLM, "nuclei", counted)
         config = {**self.CONFIG, "temperature": 1.0}
         res = cli._Resolver(SimpleNamespace(**config))
         posts = self.posts([3, 7, 3, 0, 9, 7])
@@ -534,7 +648,7 @@ class TestRunMemo:
         assert len(calls) == len(set(calls)) == len(states)
         assert set(calls) == set(states)
         for code, prefix in states.values():
-            ids, q = sparse(toy_model, code, prefix, 0.8, 1.0)
+            ((ids, q),) = sparse(toy_model, code, [prefix], 0.8, 1.0)
             want_ids, want_q = tg.GeneratorModel.nucleus(toy_model, code, prefix, 0.8, 1.0)
             assert ids.tobytes() == want_ids.tobytes() and q.tobytes() == want_q.tobytes()
             dense = np.zeros(len(vocab))

@@ -1,7 +1,9 @@
 """Kernel-level checks: the vectorized kernels must be bit-identical to
-the per-element loops they replaced, and the fused sampling step must
-equal the composition of the public ops and of its own two stages."""
+the per-element loops they replaced, and a sampling step (the nucleus,
+its running sums, a bisect draw) must equal the composition of the
+public ops."""
 
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -28,11 +30,18 @@ def random_dist(rng, size):
     return raw / raw.sum()
 
 
+def step_draw(dist, beta, t, u) -> int:
+    """One sampling step as decoding takes it: the nucleus, its running
+    sums, and a bisect draw mapped back to a token id."""
+    ids, q = _kernels.nucleus_kernel(dist, beta, t)
+    j = _kernels.sample_step_kernel(q.cumsum(), u)
+    return int(ids[j]) if j >= 0 else -1
+
+
 class TestFusedStep:
     def test_equals_composed_ops(self):
-        # Bit-identical decisions: the fused kernel shares the nucleus
-        # and draw helpers with the public ops; it only skips building
-        # the filtered vector.
+        # Bit-identical decisions: the step shares the nucleus with the
+        # public ops; it only skips building the filtered vector.
         rng = stable_rng("fused")
         for _ in range(300):
             size = int(rng.integers(2, 30))
@@ -43,8 +52,7 @@ class TestFusedStep:
             scaled = _kernels.apply_temperature_kernel(dist, t)
             kept = _kernels.nucleus_filter_kernel(scaled, beta)
             composed = _kernels.sample_token_kernel(kept, u)
-            fused = _kernels.sample_step_kernel(dist, beta, t, u)
-            assert int(fused) == int(composed)
+            assert step_draw(dist, beta, t, u) == int(composed)
 
 
 def same_arrays(got, want) -> bool:
@@ -148,18 +156,19 @@ class TestBackendEquivalence:
             _kernels.nucleus_filter_kernel(scaled, beta), loop_nucleus_filter(scaled, beta)
         )
         assert _kernels.sample_token_kernel(scaled, u) == loop_sample_token(scaled, u)
-        fused = _kernels.sample_step_kernel(dist, beta, t, u)
-        assert fused == loop_sample_step(dist, beta, t, u)
+        assert _kernels.sample_step_kernel(scaled.cumsum(), u) == loop_sample_token(scaled, u)
+        step = step_draw(dist, beta, t, u)
+        assert step == loop_sample_step(dist, beta, t, u)
         # The split stage: ascending kept ids and their rescaled mass
         # spread back over the vocabulary give the loops' filtered
-        # vector, and a plain draw over them gives the fused token.
+        # vector, and a plain draw over them gives the step's token.
         ids, q = _kernels.nucleus_kernel(dist, beta, t)
         assert np.all(np.diff(ids) > 0)
         dense = np.zeros_like(dist)
         dense[ids] = q
         np.testing.assert_array_equal(dense, loop_nucleus_filter(scaled, beta))
-        j = _kernels.sample_step_kernel(q, 1.0, 1.0, u)
-        assert (int(ids[j]) if j >= 0 else -1) == fused
+        j = _kernels.sample_token_kernel(q, u)
+        assert (int(ids[j]) if j >= 0 else -1) == step
 
     def test_impls_match_active_backend(self):
         rng = stable_rng("backend")
@@ -273,3 +282,47 @@ class TestSampleTokenKernel:
         dist = np.array([0.125, 0.0, 0.25, 0.0, -0.0])
         for u in (0.375, 0.5, float(np.nextafter(1.0, 0.0))):
             assert _kernels.sample_token_kernel(dist, u) == 2 == loop_sample_token(dist, u)
+
+
+class TestSampleStepKernel:
+    """The bisect draw over a table of running sums against
+    ``sample_token_kernel`` over the probabilities."""
+
+    @staticmethod
+    def assert_matches_token_draw(q, u):
+        want = _kernels.sample_token_kernel(q, u)
+        cdf = q.cumsum()
+        for table in (cdf, cdf.tolist(), array("d", cdf.tobytes())):
+            assert _kernels.sample_step_kernel(table, u) == want
+
+    def test_zero_entries(self):
+        rng = stable_rng("step-zeros")
+        for _ in range(300):
+            size = int(rng.integers(1, 30))
+            q = rng.random(size)
+            q[rng.random(size) < 0.4] = 0.0
+            q[rng.random(size) < 0.3] = -0.0
+            for u in (0.0, float(rng.random()) * float(q.cumsum()[-1])):
+                self.assert_matches_token_draw(q, u)
+
+    def test_u_on_a_running_sum(self):
+        q = np.array([0.125, 0.0, 0.25, 0.0, 0.5, 0.125])
+        for u in (*q.cumsum().tolist(), 0.0):
+            self.assert_matches_token_draw(q, u)
+        assert _kernels.sample_step_kernel(q.cumsum(), 0.375) == 4
+
+    def test_u_at_or_above_total(self):
+        for q in ([0.125, 0.0, 0.25, 0.0, -0.0], [0.5, 0.5 - 1e-12, 0.0], [0.25, 0.25, 0.0]):
+            q = np.array(q)
+            total = float(q.cumsum()[-1])
+            for u in (total, float(np.nextafter(total, 2.0)), float(np.nextafter(1.0, 0.0))):
+                if u >= total:
+                    self.assert_matches_token_draw(q, u)
+        assert _kernels.sample_step_kernel(np.array([0.125, 0.0, 0.25, 0.0]).cumsum(), 0.5) == 2
+
+    def test_all_zero_or_empty_table(self):
+        for q in ([0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
+            for u in (0.0, 0.5):
+                self.assert_matches_token_draw(np.array(q), u)
+                assert _kernels.sample_step_kernel(np.array(q).cumsum(), u) == -1
+        assert _kernels.sample_step_kernel([], 0.3) == -1

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import titlegen as tg
-from titlegen import lm, records
+from titlegen import decode, lm, records
 from titlegen.text import END_ID, NEXT_ID, PAD_ID, START_ID
 
 from .conftest import DummyModel, build_toy_model
@@ -437,6 +437,76 @@ class TestSparseNucleus:
         want = tg.GeneratorModel.nucleus(toy_model, code, [START_ID], top_p, temperature)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+
+def zipf_model(size=600, posts=900):
+    """An order-4 model trained on titles of Zipf-drawn words: a few
+    hundred ids, so nuclei near top_p 1 widen past the first border
+    window and reach the dense kernel."""
+    rng = stable_rng("zipf-model", size, posts)
+    words = [f"w{i}" for i in range(size)]
+    weights = 1.0 / np.arange(1, size + 1) ** 1.1
+    vocab = tg.Vocabulary()
+    pairs = []
+    for _ in range(posts):
+        code = rng.choice(words[:40], size=3).tolist()
+        title = rng.choice(words, size=int(rng.integers(3, 9)), p=weights / weights.sum())
+        pairs.append((vocab.encode(code, grow=True), vocab.encode(title.tolist(), grow=True)))
+    return tg.train_ngram_lm(pairs, order=4, vocab=vocab)
+
+
+class TestBatchedNuclei:
+    """``NGramLM.nuclei`` on every state a sampling run computes: the
+    default's arrays bit for bit, through widening, the dense kernel and
+    batches split into blocks."""
+
+    @pytest.mark.parametrize("top_p", [0.8, 0.95, 0.995])
+    def test_every_miss_state_of_a_run(self, top_p, monkeypatch):
+        model = zipf_model()
+        size = len(model.vocabulary)
+        assert size > 4 * lm._BORDER_FIRST
+        # Blocks of 3 states, so most batches are split; every state is
+        # stored, so each is computed once.
+        monkeypatch.setattr(lm, "_BLOCK_BYTES", 3 * 8 * size)
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
+        batches, widths, dense = [], [], []
+        nuclei, cut_block, kernel = tg.NGramLM.nuclei, tg.NGramLM._cut_block, lm._kernels.nucleus_kernel
+
+        def recording_nuclei(self, code, prefixes, p, t):
+            batches.append((list(code), [list(prefix) for prefix in prefixes]))
+            return nuclei(self, code, prefixes, p, t)
+
+        def recording_cut(self, block, totals, pending, hit_keys, m, *rest):
+            widths.append(m)
+            return cut_block(self, block, totals, pending, hit_keys, m, *rest)
+
+        def recording_kernel(probs, beta, temperature):
+            dense.append(beta)
+            return kernel(probs, beta, temperature)
+
+        monkeypatch.setattr(tg.NGramLM, "nuclei", recording_nuclei)
+        monkeypatch.setattr(tg.NGramLM, "_cut_block", recording_cut)
+        monkeypatch.setattr(lm._kernels, "nucleus_kernel", recording_kernel)
+        memo = decode.NucleusMemo(model, top_p, 1.0)
+        for topic in range(4):
+            code = model.vocabulary.encode([f"w{topic}", f"w{topic + 7}", f"w{topic + 20}"])
+            cfg = tg.SamplingConfig(top_p=top_p, num_samples=60, max_length=10, seed=topic)
+            tg.decode_candidates(model, code, cfg, memo)
+        assert max(len(prefixes) for _, prefixes in batches) > 3
+        # Near top_p 1 the first window falls short, then the widest.
+        assert (max(widths) > lm._BORDER_FIRST) == (top_p > 0.9)
+        assert bool(dense) == (top_p > 0.99)
+        monkeypatch.setattr(lm._kernels, "nucleus_kernel", kernel)
+        checked = 0
+        for code, prefixes in batches:
+            got = nuclei(model, code, prefixes, top_p, 1.0)
+            assert len(got) == len(prefixes)
+            for prefix, arrays in zip(prefixes, got):
+                want = tg.GeneratorModel.nucleus(model, code, prefix, top_p, 1.0)
+                for a, b in zip(arrays, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                checked += 1
+        assert checked == len(memo._entries) > 100
 
 
 def split_model(data):
