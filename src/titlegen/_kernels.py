@@ -1,7 +1,7 @@
 """Numeric kernels for the per-step sampling transform and LCS length.
 
 These sit in the innermost loops (one call per generated token per
-candidate, and one DP per candidate pair in ROUGE-L). The temperature
+candidate, and one LCS per candidate pair in ROUGE-L). The temperature
 and nucleus kernels are vectorized numpy, and the step draw bisects a
 table of running sums built once per nucleus. Every sum they take is a
 sequential ``np.cumsum`` in the order a per-element loop adds, so kept
@@ -150,19 +150,20 @@ def sample_step_kernel(cdf, u: float) -> int:
     return bisect_left(cdf, cdf[-1])
 
 
-def lcs_length_kernel(a: np.ndarray, b: np.ndarray) -> int:
-    """Length of the longest common subsequence of two int sequences."""
-    n = a.shape[0]
-    m = b.shape[0]
-    prev = np.zeros(m + 1, dtype=np.int64)
-    curr = np.zeros(m + 1, dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            if a[i] == b[j]:
-                curr[j + 1] = prev[j] + 1
-            elif prev[j + 1] >= curr[j]:
-                curr[j + 1] = prev[j + 1]
-            else:
-                curr[j + 1] = curr[j]
-        prev, curr = curr, prev
-    return int(prev[m])
+def lcs_length_kernel(a, b) -> int:
+    """Length of the longest common subsequence of two int sequences
+    (lists or 1-D int arrays).
+
+    Bit-parallel (Allison-Dix, Hyyro): bit j of ``v`` is clear where the
+    DP row steps up at position j of ``b``, so the length is the count
+    of clear bits among ``len(b)``. Exact integer arithmetic, any length.
+    """
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for x in a:
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()

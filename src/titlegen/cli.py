@@ -285,6 +285,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     _require_files(args.input)
     k = res.get("k", int)
+    # Checked before anything is read or built, so no input can slip
+    # past it or leave an index behind.
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     code_limit = res.get("code_limit", int)
     if args.index:
         _require_files(args.index)

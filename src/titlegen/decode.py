@@ -94,10 +94,20 @@ def sample_token(dist, rng: np.random.Generator) -> int:
     return int(_kernels.sample_token_kernel(_validate_dist(dist), rng.random()))
 
 
-def _row_rng(seed: int, row: int) -> np.random.Generator:
-    # Splittable per-row stream: reproducible regardless of how many
-    # rows run or in which order.
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row,)))
+def _row_uniforms(seed: int, rows: int, length: int) -> list[list[float]]:
+    """Row r's first ``length`` values of
+    ``default_rng(SeedSequence(seed, spawn_key=(r,))).random()``, for r
+    in ``range(rows)``.
+
+    The splittable per-row streams are reproducible however many rows run
+    or in which order. The raw PCG64 words are converted in one block,
+    the way numpy draws a float64: the top 53 bits times 2**-53.
+    """
+    raw = np.empty((rows, length), dtype=np.uint64)
+    for row in range(rows):
+        stream = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row,)))
+        raw[row] = stream.random_raw(length)
+    return ((raw >> 11) * 2.0**-53).tolist()
 
 
 #: The most nucleus ids one run's memo holds, as a multiple of the
@@ -229,11 +239,7 @@ def decode_candidates(
         memo = NucleusMemo(model, config.top_p, config.temperature)
     else:
         memo.check(model, config)
-    # One call gives the values successive rng.random() calls would.
-    uniforms = [
-        _row_rng(config.seed, row).random(config.max_length).tolist()
-        for row in range(config.num_samples)
-    ]
+    uniforms = _row_uniforms(config.seed, config.num_samples, config.max_length)
     prefixes = [[START_ID] for _ in uniforms]
     window = model.window
     if window is not None:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import _kernels
 from .text import strip_markers
 
@@ -88,9 +86,9 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> float:
     if not cand:
         return 0.0
     ids: dict[str, int] = {}
-    a = np.array([ids.setdefault(t, len(ids)) for t in cand], dtype=np.int64)
-    b = np.array([ids.setdefault(t, len(ids)) for t in ref], dtype=np.int64)
-    lcs = int(_kernels.lcs_length_kernel(a, b))
+    a = [ids.setdefault(t, len(ids)) for t in cand]
+    b = [ids.setdefault(t, len(ids)) for t in ref]
+    lcs = _kernels.lcs_length_kernel(a, b)
     if lcs == 0:
         return 0.0
     precision = lcs / len(cand)

@@ -239,5 +239,11 @@ def query(index: BM25Index, code: Sequence[str], k: int) -> list[tuple[str, floa
             # Positions are distinct within a term, so no addition is lost.
             scores[index._positions[lo:hi]] += index._weights[lo:hi]
     hits = np.flatnonzero(scores > 0.0)
+    if hits.size > k:
+        # Only hits at or above the k-th largest score can make the top
+        # k; ties at that score stay for the tie-break.
+        vals = scores[hits]
+        cut = hits.size - k
+        hits = hits[vals >= np.partition(vals, cut)[cut]]
     top = hits[np.lexsort((index._id_rank[hits], -scores[hits]))[:k]]
     return [(index.titles[pos], s) for pos, s in zip(top.tolist(), scores[top].tolist())]

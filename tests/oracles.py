@@ -14,9 +14,36 @@ from collections import Counter
 
 import numpy as np
 
-# -- n-gram helpers ----------------------------------------------------------
-
 RESERVED = ("<s>", "</s>", "[PAD]", "[NEXT]", "[UNK]")
+_RESERVED_SET = frozenset(RESERVED)
+
+# -- tokenizer ---------------------------------------------------------------
+
+
+def loop_tokenize(text: str) -> list[str]:
+    """The tokenizer the chunk memo replaced: every chunk walked one
+    character at a time on every call."""
+    tokens: list[str] = []
+    for chunk in text.split():
+        if chunk in _RESERVED_SET:
+            tokens.append(chunk)
+            continue
+        chunk = chunk.lower()
+        run: list[str] = []
+        for ch in chunk:
+            if ch.isalnum():
+                run.append(ch)
+            else:
+                if run:
+                    tokens.append("".join(run))
+                    run = []
+                tokens.append(ch)
+        if run:
+            tokens.append("".join(run))
+    return tokens
+
+
+# -- n-gram helpers ----------------------------------------------------------
 
 
 def strip(tokens):

@@ -601,6 +601,19 @@ class TestRetrieve:
             scores.update(row["scores"])
         assert len(scores) > 500
 
+    @pytest.mark.parametrize("queries", [0, 1], ids=["empty_input", "one_post"])
+    def test_k_below_one_fails_without_output(self, pipeline, tmp_path, capsys, queries):
+        posts = tmp_path / "input.jsonl"
+        records.write_jsonl(posts, read_rows(pipeline.splits / "test.jsonl")[:queries])
+        out, index_path = tmp_path / "r.jsonl", tmp_path / "idx.json"
+        assert fails(
+            "retrieve", "--input", posts, "--train", pipeline.splits / "train.jsonl",
+            "--out", out, "--index-out", index_path, "--k", 0,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "k must be >= 1, got 0" in line
+        assert not out.exists() and not index_path.exists()
+
     @pytest.mark.parametrize(
         "mutate, message", [c[1:] for c in BAD_INDEXES], ids=[c[0] for c in BAD_INDEXES]
     )

@@ -442,10 +442,14 @@ class TestNucleusMemo:
             )
 
     def test_batched_uniforms_equal_successive_draws(self):
-        for seed, row in ((0, 0), (9, 3), (2**64 - 1, 199)):
-            rng = decode._row_rng(seed, row)
-            successive = [rng.random() for _ in range(48)]
-            assert decode._row_rng(seed, row).random(48).tolist() == successive
+        # Each row of the block against its own generator's draws.
+        cases = ((0, 1, 48), (9, 4, 7), (4100, 200, 48), (2**64 - 1, 3, 48), (3, 2, 0))
+        for seed, rows, length in cases:
+            block = decode._row_uniforms(seed, rows, length)
+            assert len(block) == rows
+            for row, got in enumerate(block):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row,)))
+                assert got == [rng.random() for _ in range(length)]
 
 
 def lockstep_model(name, toy_model):

@@ -122,6 +122,12 @@ class TestNucleusCut:
         np.testing.assert_array_equal(q, [0.5, 0.125, 0.125, 0.125, 0.125])
 
 
+# Lengths drawn uniformly up to 200: plain lists stay mostly short.
+long_ints = st.integers(0, 200).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n)
+)
+
+
 class TestLcsKernel:
     @given(
         st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=10),
@@ -133,6 +139,15 @@ class TestLcsKernel:
             np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
         )
         assert int(got) == lcs_table(a, b)
+
+    @given(long_ints, long_ints)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dp_table_beyond_one_word(self, a, b):
+        # Up to 200 positions of b: the bit vector spans several words.
+        want = lcs_table(a, b)
+        assert _kernels.lcs_length_kernel(a, b) == want
+        arrays = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        assert _kernels.lcs_length_kernel(*arrays) == want
 
     def test_matches_exhaustive_oracle_on_random_pairs(self):
         rng = stable_rng("lcs")

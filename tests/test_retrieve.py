@@ -189,6 +189,25 @@ class TestLoopEquivalence:
             short += len(got) < k
         assert ties > 50 and short > 50  # both cases were exercised
 
+    def test_ties_across_the_kth_score(self):
+        # Copies of one document under shuffled ids tie at the k-th
+        # score, more of them than the top k has room for.
+        rng = stable_rng("bm25-kth-ties")
+        spans = 0
+        for _ in range(50):
+            docs = make_docs(rng, n=int(rng.integers(1, 8)), alphabet="abcd")
+            docs += [(0, ["a", "z"], "")] * int(rng.integers(2, 12))
+            ids = rng.permutation(10 * len(docs))[: len(docs)]
+            docs = [(int(i), toks, f"title {int(i)}") for i, (_, toks, _t) in zip(ids, docs)]
+            index = tg.build_index(docs)
+            for q in (["a"], ["a", "z"], ["z", "b", "a"]):
+                every = loop_query(index, q, len(docs))
+                for k in range(1, len(docs) + 1):
+                    got = tg.query(index, q, k)
+                    assert got == loop_query(index, q, k)
+                    spans += len(every) > k and every[k - 1][1] == every[k][1]
+        assert spans > 100
+
     def test_other_k1_and_b(self):
         rng = stable_rng("bm25-loop-params")
         for k1, b in ((0.0, 0.0), (0.0, 1.0), (2.0, 1.0), (0.5, 0.3), (1.2, 0)):

@@ -6,10 +6,26 @@ from hypothesis import strategies as st
 
 from titlegen import text
 
+from .oracles import loop_tokenize
+
 words = st.lists(
     st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6),
     min_size=0,
     max_size=12,
+)
+
+# Case pairs whose lowering is not one-to-one (final sigma, dotted I),
+# whitespace that only str.split knows ("\x1c", "\x85", no-break and
+# ideographic spaces), "_", digits, CJK and a combining mark.
+_ODD_CHARS = "aZςΣİ0٣_.(\u0301中文\x1c\x85\xa0\u3000\t"
+_markers = st.sampled_from(text.RESERVED)
+_pieces = st.one_of(
+    st.text(alphabet=_ODD_CHARS, max_size=8),
+    _markers,
+    _markers.map(lambda m: "a" + m),
+    _markers.map(lambda m: m + "ς"),
+    _markers.map(str.lower),
+    _markers.map(str.upper),
 )
 
 
@@ -33,6 +49,34 @@ class TestTokenize:
     def test_never_produces_markers_from_plain_text(self):
         # Brackets split, so the marker string cannot be assembled.
         assert "[PAD]" not in text.tokenize("a[PAD]b")
+
+    @given(
+        st.lists(_pieces, min_size=1, max_size=8),
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(["", " ", "\x85"])), max_size=30),
+    )
+    def test_matches_loop_oracle(self, pool, picks):
+        # Picks draw from a small pool, so chunks repeat within and
+        # across calls, and "" glues markers to their neighbours.
+        body = "".join(pool[i % len(pool)] + sep for i, sep in picks)
+        assert text.tokenize(body) == loop_tokenize(body)
+        assert text.tokenize(body) == loop_tokenize(body)
+
+    def test_memo_cap_starts_afresh(self, monkeypatch):
+        monkeypatch.setattr(text, "_CHUNKS_KEPT", 2)
+        monkeypatch.setattr(text, "_chunks", {})
+        body = "Foo.bar(x) [NEXT] İx foo ΣΑς a[NEXT] Foo.bar(x) [next] x ΣΑς"
+        for _ in range(3):
+            assert text.tokenize(body) == loop_tokenize(body)
+            assert len(text._chunks) <= 2
+
+    @pytest.mark.parametrize("body", ["Foo.bar", "Foo.bar x", "[NEXT]"])
+    def test_returned_lists_are_fresh(self, body):
+        want = loop_tokenize(body)
+        for _ in range(2):
+            got = text.tokenize(body)
+            assert got == want
+            got.append("y")
+            got[0] = "zz"
 
     @given(words)
     def test_idempotent_on_normalized_text(self, toks):
