@@ -19,7 +19,7 @@ from .decode import (
     nucleus_filter,
     sample_token,
 )
-from .lm import GeneratorModel, NGramLM, next_distribution, train_ngram_lm
+from .lm import GeneratorModel, NGramLM, train_ngram_lm
 from .metrics import (
     METRICS,
     MetricReport,
@@ -93,7 +93,6 @@ __all__ = [
     "maximal_marginal_select",
     "mean_pairwise_relevance",
     "metric_at_k",
-    "next_distribution",
     "nucleus_filter",
     "query",
     "relevance",

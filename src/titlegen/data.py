@@ -108,7 +108,9 @@ def chronological_split(
     Within each language, posts are ordered by (created_at, id), the
     newest val+test posts are shuffled with a per-language stream of
     ``seed`` and dealt to validation then test, and everything earlier
-    goes to train. Languages are emitted in sorted name order.
+    goes to train. Languages are emitted in sorted name order. A
+    language whose ``created_at`` values mix naive and UTC-offset times
+    cannot be ordered, and raises ``ValueError``.
     """
     by_language: dict[str, list[Post]] = {}
     for post in posts:
@@ -117,7 +119,12 @@ def chronological_split(
     validation: list[Post] = []
     test: list[Post] = []
     for language in sorted(by_language):
-        group = sorted(by_language[language], key=lambda p: (p.created_at, p.id))
+        group = by_language[language]
+        if len({p.created_at.utcoffset() is None for p in group}) > 1:
+            raise ValueError(
+                f"language {language!r}: created_at mixes times with and without a UTC offset"
+            )
+        group.sort(key=lambda p: (p.created_at, p.id))
         vc, tc = spec.resolve(language, len(group))
         cut = len(group) - (vc + tc)
         train.extend(group[:cut])

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .lm import GeneratorModel
-from .text import END_ID, NEXT_ID, START_ID
+from .text import END_ID, START_ID
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,12 @@ def _row_uniforms(seed: int, rows: int, length: int) -> list[list[float]]:
 
 
 #: The most nucleus ids one run's memo holds, as a multiple of the
-#: vocabulary size; each id costs 16 bytes, and each tail key is charged
-#: as one id. On the benchmark's model (V ~ 7.2k, top_p 0.8) a run's
-#: distinct states take 6 V ids over 4 posts, 29 V over 100 and 36 V over
-#: 400, levelling off as the model's states run out, so there a run of
-#: any length fits. Near top_p 1 every entry approaches V ids, and an
-#: unbounded memo would hold a vocabulary-sized table per state.
+#: vocabulary size; each id costs 16 bytes. On the benchmark's model
+#: (V ~ 7.2k, top_p 0.8) a run's distinct states take 6 V ids over 4
+#: posts, 29 V over 100 and 36 V over 400, levelling off as the model's
+#: states run out, so there a run of any length fits. Near top_p 1 every
+#: entry approaches V ids, and an unbounded memo would hold a
+#: vocabulary-sized table per state.
 _MEMO_IDS_PER_VOCAB = 64
 
 
@@ -129,11 +129,9 @@ class NucleusMemo:
     (``array('d')``, ``q.cumsum()``), which ``_kernels.sample_step_kernel``
     bisects. Entries are keyed by ``model.state(code, prefix)``. Equal keys
     give bit-identical distributions under any code, and the nucleus does
-    not depend on the seed, so one memo serves every pool of a run. For a
-    model with a ``window``, tails of ``code + [NEXT] + prefix`` map to
-    tables too, so ``state`` runs once per distinct tail. The memo holds
-    at most ``capacity`` ids; past that, new states are computed and not
-    stored.
+    not depend on the seed, so one memo serves every pool of a run. The
+    memo holds at most ``capacity`` ids; past that, new states are
+    computed and not stored.
     """
 
     def __init__(self, model: GeneratorModel, top_p: float, temperature: float):
@@ -141,7 +139,6 @@ class NucleusMemo:
         self.top_p = top_p
         self.temperature = temperature
         self._entries: dict = {}
-        self._tails: dict = {}
         self.cached_ids = 0
         self.capacity = _MEMO_IDS_PER_VOCAB * len(model.vocabulary)
 
@@ -155,61 +152,31 @@ class NucleusMemo:
                 f" not top_p={config.top_p} temperature={config.temperature}"
             )
 
-    def tables(
-        self, code: Sequence[int], prefixes: list[list[int]], tails: list[tuple] | None = None
-    ) -> list[tuple[array, array]]:
-        """The draw table of each prefix under ``code``. ``tails`` holds
-        each prefix's tail when the model has a ``window``, else None. The
-        states no entry holds are computed in one ``model.nuclei`` call."""
-        if tails is None:
-            keys = [self.model.state(code, prefix) for prefix in prefixes]
-            held = self._entries
-        else:
-            keys, held = tails, self._tails
-        got = list(map(held.get, keys))
+    def tables(self, code: Sequence[int], prefixes: list[list[int]]) -> list[tuple[array, array]]:
+        """The draw table of each prefix under ``code``. The states no entry
+        holds are computed in one ``model.nuclei`` call."""
+        keys = [self.model.state(code, prefix) for prefix in prefixes]
+        got = list(map(self._entries.get, keys))
         if None in got:
-            new = {}
+            misses = {}
             for i, table in enumerate(got):
                 if table is None:
-                    new.setdefault(keys[i], i)
-            found = self._fill(code, prefixes, new, tails is not None)
-            got = [found[key] if table is None else table for table, key in zip(got, keys)]
-        return got
-
-    def _fill(self, code, prefixes, new: dict, by_tail: bool) -> dict:
-        """Tables for ``new``, keys no entry holds, each mapped to a row
-        of ``prefixes`` that has it."""
-        states = {
-            key: self.model.state(code, prefixes[i]) if by_tail else key
-            for key, i in new.items()
-        }
-        misses = {}
-        for key, state in states.items():
-            if state not in self._entries:
-                misses.setdefault(state, new[key])
-        computed = self.model.nuclei(
-            code, [prefixes[i] for i in misses.values()], self.top_p, self.temperature
-        )
-        fresh = {}
-        for state, (ids, q) in zip(misses, computed):
-            table = (
-                array("q", ids.astype(np.int64, copy=False).tobytes()),
-                array("d", q.cumsum().tobytes()),
+                    misses.setdefault(keys[i], i)
+            computed = self.model.nuclei(
+                code, [prefixes[i] for i in misses.values()], self.top_p, self.temperature
             )
-            fresh[state] = table
-            if self.cached_ids + len(ids) <= self.capacity:
-                self._entries[state] = table
-                self.cached_ids += len(ids)
-        found = {}
-        for key, state in states.items():
-            table = self._entries.get(state)
-            if table is None:
-                table = fresh[state]
-            elif by_tail and self.cached_ids < self.capacity:
-                self._tails[key] = table
-                self.cached_ids += 1
-            found[key] = table
-        return found
+            fresh = {}
+            for key, (ids, q) in zip(misses, computed):
+                table = (
+                    array("q", ids.astype(np.int64, copy=False).tobytes()),
+                    array("d", q.cumsum().tobytes()),
+                )
+                fresh[key] = table
+                if self.cached_ids + len(ids) <= self.capacity:
+                    self._entries[key] = table
+                    self.cached_ids += len(ids)
+            got = [fresh[key] if table is None else table for table, key in zip(got, keys)]
+        return got
 
 
 def decode_candidates(
@@ -241,26 +208,15 @@ def decode_candidates(
         memo.check(model, config)
     uniforms = _row_uniforms(config.seed, config.num_samples, config.max_length)
     prefixes = [[START_ID] for _ in uniforms]
-    window = model.window
-    if window is not None:
-        start = (*code, NEXT_ID, START_ID)
-        tails = [start[max(len(start) - window, 0) :]] * len(prefixes)
     live = list(range(len(prefixes)))
     for step in range(config.max_length):
-        tables = memo.tables(
-            code,
-            [prefixes[r] for r in live],
-            None if window is None else [tails[r] for r in live],
-        )
+        tables = memo.tables(code, [prefixes[r] for r in live])
         still = []
         for r, (ids, cdf) in zip(live, tables):
             j = _kernels.sample_step_kernel(cdf, uniforms[r][step])
             tok = ids[j] if j >= 0 else -1
             if tok != END_ID:
                 prefixes[r].append(tok)
-                if window is not None:
-                    tail = (*tails[r], tok)
-                    tails[r] = tail[1:] if len(tail) > window else tail
                 still.append(r)
         live = still
         if not live:

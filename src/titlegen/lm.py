@@ -34,9 +34,12 @@ _BORDER_FIRST = 64
 #: larger batches run in chunks of as many states as fit.
 _BLOCK_BYTES = 2 << 20
 
-#: Tails whose level walks ``NGramLM._hits`` keeps; it starts afresh
-#: when full.
-_WALKS_KEPT = 4096
+#: Tails whose level walks ``NGramLM._walk`` keeps; it starts afresh
+#: when full. Sampling looks up every row's state at every step, so the
+#: walks must hold a run's working set of tails or the levels are walked
+#: again: 24,379 distinct tails in a 100-post run on the benchmark's
+#: model, ~420 bytes each.
+_WALKS_KEPT = 1 << 15
 
 #: Model file identity; a file of another version must be rebuilt.
 FORMAT = "titlegen-ngram-lm"
@@ -57,13 +60,7 @@ class GeneratorModel(ABC):
     prefixes they came from; sampling computes each state's nucleus once
     per run under that key (see ``decode.NucleusMemo``), through
     ``nuclei``, which a model may override with a faster exact path.
-
-    ``window`` is None, or a count ``w`` such that the state depends only
-    on the last ``w`` ids of ``code + [NEXT] + prefix``; sampling then
-    calls ``state`` once per distinct such tail instead of once per step.
     """
-
-    window: int | None = None
 
     @property
     @abstractmethod
@@ -88,20 +85,6 @@ class GeneratorModel(ABC):
         """
         return (tuple(code), tuple(prefix))
 
-    def nucleus(
-        self, code: Sequence[int], prefix: Sequence[int], top_p: float, temperature: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The nucleus sampling draws from at this (code, prefix): the kept
-        ids in ascending order and their probabilities after temperature,
-        divided by the nucleus mass (``_kernels.nucleus_kernel``).
-
-        The default checks ``next_distribution``'s vector against the
-        contract and raises ``ValueError`` naming the rule it breaks. An
-        override must return arrays equal to the default's bit for bit.
-        """
-        dist = _checked_distribution(self.next_distribution(code, prefix), len(self.vocabulary))
-        return _kernels.nucleus_kernel(dist, top_p, temperature)
-
     def nuclei(
         self,
         code: Sequence[int],
@@ -109,9 +92,25 @@ class GeneratorModel(ABC):
         top_p: float,
         temperature: float,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``nucleus`` of each prefix under ``code``, in order. The default
-        loops; an override computes them together, with the same arrays."""
-        return [self.nucleus(code, prefix, top_p, temperature) for prefix in prefixes]
+        """The nucleus sampling draws from at each prefix under ``code``, in
+        order: the kept ids in ascending order and their probabilities
+        after temperature, divided by the nucleus mass
+        (``_kernels.nucleus_kernel``).
+
+        The default checks each ``next_distribution`` vector against the
+        contract and raises ``ValueError`` naming the rule it breaks. An
+        override may compute the states together, and must return arrays
+        equal to the default's bit for bit.
+        """
+        size = len(self.vocabulary)
+        return [
+            _kernels.nucleus_kernel(
+                _checked_distribution(self.next_distribution(code, prefix), size),
+                top_p,
+                temperature,
+            )
+            for prefix in prefixes
+        ]
 
 
 def _checked_distribution(dist, size: int) -> np.ndarray:
@@ -221,7 +220,6 @@ class NGramLM(GeneratorModel):
             row_of.append(dict(zip(keys.tolist(), range(len(contexts)))) if l else {})
         base[levels[0].next_ids] += vals[0]
         self.order = order
-        self.window = order - 1
         self._vocab = vocab
         self.levels = levels
         self.weights = weights
@@ -229,7 +227,7 @@ class NGramLM(GeneratorModel):
         self._vals = vals
         self._row_of = row_of
         self._offsets = [level.offsets.tolist() for level in levels]
-        self._walks: dict[tuple, list] = {}  # see _hits
+        self._walks: dict[tuple, tuple[tuple, list[int]]] = {}  # see _walk
         self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
         self._flat: tuple[list[int], np.ndarray, np.ndarray] | None = None  # see _flat_levels
 
@@ -240,10 +238,10 @@ class NGramLM(GeneratorModel):
         return self._vocab
 
     def next_distribution(self, code: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
-        # The rows the state hits, in ``_hits`` order; ``nuclei`` adds
+        # The rows the state hits, in ``_walk`` order; ``nuclei`` adds
         # them in the same order per entry.
         out = self._base.copy()
-        for ctx, row in self._hits(code, prefix):
+        for ctx, row in zip(*self._walk(code, prefix)):
             l = len(ctx)
             start, end = self._offsets[l][row], self._offsets[l][row + 1]
             out[self.levels[l].next_ids[start:end]] += self._vals[l][start:end]
@@ -251,12 +249,6 @@ class NGramLM(GeneratorModel):
         out[START_ID] = 0.0
         out /= out.sum()
         return out
-
-    def nucleus(
-        self, code: Sequence[int], prefix: Sequence[int], top_p: float, temperature: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``nuclei`` of the one prefix."""
-        return self.nuclei(code, [prefix], top_p, temperature)[0]
 
     def nuclei(
         self,
@@ -280,7 +272,7 @@ class NGramLM(GeneratorModel):
         at the vocabulary size the dense kernel runs.
         """
         if temperature != 1.0 or top_p >= 1.0:
-            return [GeneratorModel.nucleus(self, code, p, top_p, temperature) for p in prefixes]
+            return GeneratorModel.nuclei(self, code, prefixes, top_p, temperature)
         rows = max(1, _BLOCK_BYTES // (8 * len(self._vocab)))
         found = []
         for at in range(0, len(prefixes), rows):
@@ -294,12 +286,12 @@ class NGramLM(GeneratorModel):
         block[:] = self._base
         flat = block.reshape(-1)
         # Every hit row's entries, state by state, each state's rows in
-        # ``_hits`` order: ``add.at`` adds in array order, so each entry
+        # ``_walk`` order: ``add.at`` adds in array order, so each entry
         # gets its values in ``next_distribution``'s order.
         bases, next_ids, vals = self._flat_levels()
         who, starts, lens = [], [], []
         for s, prefix in enumerate(prefixes):
-            for ctx, row in self._hits(code, prefix):
+            for ctx, row in zip(*self._walk(code, prefix)):
                 offsets = self._offsets[len(ctx)]
                 who.append(s * size)
                 starts.append(bases[len(ctx)] + offsets[row])
@@ -404,13 +396,16 @@ class NGramLM(GeneratorModel):
         Every hit is listed, not only the longest: a hand-built model can
         hold a context without its shorter suffixes.
         """
-        return tuple([ctx for ctx, _ in self._hits(code, prefix)])
+        return self._walk(code, prefix)[0]
 
-    def _hits(self, code: Sequence[int], prefix: Sequence[int]) -> list[tuple[tuple, int]]:
-        """(context, row) of every suffix ``state`` lists, shortest first.
+    def _walk(
+        self, code: Sequence[int], prefix: Sequence[int]
+    ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        """The ``state`` key, and the row of each of its contexts at the
+        level of the context's length.
 
-        The hits depend only on the tail (the last ``window`` ids), so
-        recent tails' hits are kept: a sampler's ``state`` lookups and the
+        Both depend only on the tail, the last ``order - 1`` ids, so recent
+        tails' walks are kept: a sampler's ``state`` lookups and the
         ``nuclei`` call on the memo misses that follow them walk the levels
         once per tail.
         """
@@ -421,11 +416,11 @@ class NGramLM(GeneratorModel):
             tail = tuple(prefix[len(prefix) - span :])
         else:
             tail = (*code[-span:], NEXT_ID, *prefix)[-span:]
-        hits = self._walks.get(tail)
-        if hits is not None:
-            return hits
+        walk = self._walks.get(tail)
+        if walk is not None:
+            return walk
         size = len(self._vocab)
-        hits = []
+        contexts, rows = [], []
         key, scale = 0, 1
         for l in range(1, len(tail) + 1):
             tok = tail[-l]
@@ -435,11 +430,12 @@ class NGramLM(GeneratorModel):
             scale *= size
             row = self._row_of[l].get(key)
             if row is not None:
-                hits.append((tail[-l:], row))
+                contexts.append(tail[-l:])
+                rows.append(row)
         if len(self._walks) >= _WALKS_KEPT:
             self._walks.clear()
-        self._walks[tail] = hits
-        return hits
+        walk = self._walks[tail] = (tuple(contexts), rows)
+        return walk
 
     # -- serialization ---------------------------------------------------
 
@@ -644,10 +640,3 @@ def _level_of_windows(windows: np.ndarray, counts: np.ndarray) -> Level:
     new[1:] = (windows[1:, :l] != windows[:-1, :l]).any(axis=1)
     starts = np.flatnonzero(new)
     return Level(windows[starts, :l], np.append(starts, len(windows)), windows[:, l].copy(), counts)
-
-
-def next_distribution(
-    model: GeneratorModel, code: Sequence[int], prefix: Sequence[int]
-) -> np.ndarray:
-    """Functional spelling of :meth:`GeneratorModel.next_distribution`."""
-    return model.next_distribution(code, prefix)

@@ -131,6 +131,16 @@ def post_from_dict(row: dict) -> Post:
     title = str(row["title"])
     if not title.strip():
         raise ValueError("title is blank")
+    # ``prepare`` writes each language's splits to a directory of its name.
+    language = row["language"]
+    if (
+        not isinstance(language, str)
+        or language in ("", ".", "..")
+        or "/" in language
+        or "\\" in language
+        or "\0" in language
+    ):
+        raise ValueError(f"language must be a directory name, got {language!r}")
     return Post(
         id=int(row["id"]),
         title=title,
@@ -139,7 +149,7 @@ def post_from_dict(row: dict) -> Post:
         is_closed=bool(row["is_closed"]),
         has_accepted_answer=bool(row["has_accepted_answer"]),
         votes=int(row["votes"]),
-        language=str(row["language"]),
+        language=language,
     )
 
 

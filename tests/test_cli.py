@@ -151,6 +151,68 @@ class TestPrepare:
         for name in ("train", "validation", "test"):
             assert all(r["title"].strip() for r in read_rows(out / f"{name}.jsonl"))
 
+    @pytest.mark.parametrize(
+        "language",
+        ["", ".", "../up", "ABSOLUTE", None, "a\\b", "a\x00b"],
+        ids=["empty", "dot", "parent", "absolute", "null", "backslash", "nul"],
+    )
+    def test_language_that_is_no_directory_name_skipped(self, tmp_path, language):
+        # ``prepare`` writes each language's splits to a directory of its
+        # name, so a language that is a path must not reach it.
+        raw = tmp_path / "raw.jsonl"
+        rows = write_raw_corpus(raw)
+        if language == "ABSOLUTE":
+            language = str(tmp_path / "elsewhere")
+        with open(raw, "a", encoding="utf-8") as fh:
+            for pid in (9001, 9002, 9003):
+                post = raw_post(pid, language=language, created_at="2021-02-01T00:00:00")
+                fh.write(json.dumps(post) + "\n")
+        out = tmp_path / "work" / "splits"
+        run(
+            "prepare", "--input", raw, "--out-dir", out,
+            "--val-count", 15, "--test-count", 15,
+        )
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["records_read"] == len(rows)
+        assert manifest["records_skipped"] == 3
+        assert set(manifest["languages"]) == {"python", "java"}
+        for name in ("train", "validation", "test"):
+            assert len(read_rows(out / f"{name}.jsonl")) == manifest["totals"][name]
+            for lang, counts in manifest["languages"].items():
+                assert len(read_rows(out / lang / f"{name}.jsonl")) == counts[name]
+        written = [p for p in tmp_path.rglob("*") if not p.is_dir()]
+        assert all(p == raw or out in p.parents for p in written)
+
+    def test_mixed_utc_offsets_fail_without_output(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        write_raw_corpus(raw)
+        with open(raw, "a", encoding="utf-8") as fh:
+            post = raw_post(9001, created_at="2021-02-01T00:00:00+00:00", language="python")
+            fh.write(json.dumps(post) + "\n")
+        out = tmp_path / "splits"
+        assert fails(
+            "prepare", "--input", raw, "--out-dir", out,
+            "--val-count", 15, "--test-count", 15,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            "titlegen prepare: error: language 'python': created_at mixes times"
+            " with and without a UTC offset"
+        )
+        assert not out.exists()
+        # A language whose times all carry an offset splits beside naive
+        # ones, and keeps its offsets.
+        write_raw_corpus(raw)
+        with open(raw, "a", encoding="utf-8") as fh:
+            post = raw_post(9002, created_at="2021-02-01T00:00:00+02:00", language="rust")
+            fh.write(json.dumps(post) + "\n")
+        run(
+            "prepare", "--input", raw, "--out-dir", out,
+            "--val-count", 15, "--test-count", 15,
+        )
+        (rust,) = read_rows(out / "rust" / "train.jsonl")
+        assert rust["created_at"] == "2021-02-01T00:00:00+02:00"
+
 
 class TestTrainLm:
     def test_model_loads_and_generates(self, pipeline):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import titlegen as tg
-from titlegen import cli, decode, records
+from titlegen import cli, decode, lm, records
 from titlegen.text import END_ID, NEXT_ID, PAD, PAD_ID, START, START_ID
 
 from .conftest import DummyModel, raw_post, topic_code
@@ -390,9 +390,9 @@ class TestNucleusMemo:
         peak = 0
         tables = memo.tables
 
-        def recording(code, prefixes, tails=None):
+        def recording(code, prefixes):
             nonlocal peak
-            entries = tables(code, prefixes, tails)
+            entries = tables(code, prefixes)
             peak = max(peak, memo.cached_ids)
             return entries
 
@@ -455,12 +455,12 @@ class TestNucleusMemo:
 def lockstep_model(name, toy_model):
     """(model, code) for the lockstep checks: a trained n-gram model with
     and without code, the gapped one (a context without its shorter
-    suffix) and a model with no window."""
+    suffix) and a model that keeps the default state key."""
     if name == "ngram":
         return toy_model, toy_model.vocabulary.encode(topic_code(3))
     if name == "ngram_no_code":
-        # Code, NEXT and START are shorter than the window: tails grow
-        # before they slide.
+        # Code, NEXT and START are shorter than the model's context: tails
+        # grow before they slide.
         return toy_model, []
     if name == "gapped":
         model = make_gapped_model()
@@ -514,13 +514,13 @@ class TestLockstep:
             cfg = tg.SamplingConfig(top_p=1.0, num_samples=30, max_length=5, seed=seed)
             pool = tg.decode_candidates(model, code, cfg, memo)
             assert pool == loop_decode_candidates(model, code, cfg)
-        assert len(memo._entries) == 1 and not memo._tails
+        assert len(memo._entries) == 1
         assert memo.cached_ids == memo.capacity == len(model.vocabulary)
 
-    def test_tails_point_at_stored_tables(self, toy_model, monkeypatch):
+    def test_cached_ids_count_stored_ids(self, toy_model, monkeypatch):
         # A cap of one vocabulary's ids fills partway through the run; from
-        # then on some states are computed but not stored, and no tail may
-        # keep such a table alive outside the count.
+        # then on some states are computed but not stored, and only the
+        # stored tables' ids count.
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 1)
         memo = decode.NucleusMemo(toy_model, 0.95, 1.0)
         vocab = toy_model.vocabulary
@@ -532,37 +532,55 @@ class TestLockstep:
             assert pool == loop_decode_candidates(toy_model, code, cfg)
             states |= pool_states(toy_model, code, pool)
         assert len(memo._entries) < len(states)
-        stored = {id(table) for table in memo._entries.values()}
-        assert all(id(table) in stored for table in memo._tails.values())
-        held = sum(len(ids) for ids, _ in memo._entries.values()) + len(memo._tails)
+        held = sum(len(ids) for ids, _ in memo._entries.values())
         assert memo.cached_ids == held <= memo.capacity
 
-    def test_state_once_per_tail(self, toy_model, monkeypatch):
-        # The toy model has a window, so rows find their tables by tail,
-        # and ``state`` runs only for a tail not seen before in the run.
+    def test_levels_walked_once_per_tail(self, toy_model, monkeypatch):
+        # NGramLM keeps each tail's walk, so over a run of three pools the
+        # levels are walked once per distinct tail of ``order - 1`` ids,
+        # by ``state`` and ``nuclei`` together.
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
-        window = toy_model.window
-        assert window == toy_model.order - 1
-        seen = []
-        state = tg.NGramLM.state
+        monkeypatch.setattr(lm, "_WALKS_KEPT", 10**6)
+        walked, lookups = [], []
 
-        def recording(model, code, prefix):
-            seen.append((*code, NEXT_ID, *prefix)[-window:])
-            return state(model, code, prefix)
+        class Walks(dict):
+            def __setitem__(self, tail, walk):
+                walked.append(tail)
+                super().__setitem__(tail, walk)
 
-        monkeypatch.setattr(tg.NGramLM, "state", recording)
+        class Rows(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(toy_model, "_walks", Walks())
+        monkeypatch.setattr(toy_model, "_row_of", [{}] + [Rows(r) for r in toy_model._row_of[1:]])
+        span = toy_model.order - 1
         memo = decode.NucleusMemo(toy_model, 0.8, 1.0)
-        tails = set()
+        tails, visited = set(), []
         for topic in (3, 7, 3):
             code = toy_model.vocabulary.encode(topic_code(topic))
             cfg = tg.SamplingConfig(num_samples=60, max_length=8, seed=topic)
             pool = tg.decode_candidates(toy_model, code, cfg, memo)
+            assert pool == loop_decode_candidates(toy_model, code, cfg)
             for cand in pool.candidates:
                 ids = toy_model.vocabulary.encode(cand)
                 for n in range(len(ids) + (len(ids) < cfg.max_length)):
-                    tails.add((*code, NEXT_ID, START_ID, *ids[:n])[-window:])
-        assert len(seen) == len(set(seen)) == len(tails)
-        assert set(seen) == tails
+                    prefix = [START_ID, *ids[:n]]
+                    tails.add((*code, NEXT_ID, *prefix)[-span:])
+                    visited.append((code, prefix))
+        assert len(walked) == len(set(walked)) == len(tails)
+        assert set(walked) == tails
+        # One lookup per level a tail reaches: no walk outside the kept ones.
+        assert len(lookups) == sum(map(len, walked))
+        # ``state`` is the tuple of the kept walk's hit contexts, and each
+        # context's row at its level holds that context.
+        for code, prefix in visited:
+            contexts, rows = toy_model._walk(code, prefix)
+            assert toy_model.state(code, prefix) == contexts
+            for ctx, row in zip(contexts, rows):
+                assert tuple(toy_model.levels[len(ctx)].contexts[row].tolist()) == ctx
+        assert len(walked) == len(tails)
 
 
 def pool_states(model, code, pool):
@@ -653,7 +671,7 @@ class TestRunMemo:
         assert set(calls) == set(states)
         for code, prefix in states.values():
             ((ids, q),) = sparse(toy_model, code, [prefix], 0.8, 1.0)
-            want_ids, want_q = tg.GeneratorModel.nucleus(toy_model, code, prefix, 0.8, 1.0)
+            ((want_ids, want_q),) = tg.GeneratorModel.nuclei(toy_model, code, [prefix], 0.8, 1.0)
             assert ids.tobytes() == want_ids.tobytes() and q.tobytes() == want_q.tobytes()
             dense = np.zeros(len(vocab))
             dense[ids] = q

@@ -323,10 +323,10 @@ class TestGappedNGramLMContract(GeneratorContract):
 
 
 def assert_nucleus_matches_default(model, code, prefix, top_p):
-    """``model.nucleus`` at temperature 1 returns the default's arrays,
+    """``model.nuclei`` at temperature 1 returns the default's arrays,
     bit for bit and with the same dtypes."""
-    got = model.nucleus(code, prefix, top_p, 1.0)
-    want = tg.GeneratorModel.nucleus(model, code, prefix, top_p, 1.0)
+    (got,) = model.nuclei(code, [prefix], top_p, 1.0)
+    (want,) = tg.GeneratorModel.nuclei(model, code, [prefix], top_p, 1.0)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -386,7 +386,7 @@ FLOOR_TIE_SPEC = {
 
 
 class TestSparseNucleus:
-    """``NGramLM.nucleus`` against the default (the dense distribution
+    """``NGramLM.nuclei`` of one state against the default (the dense distribution
     through ``_kernels.nucleus_kernel``)."""
 
     @settings(max_examples=300, deadline=None)
@@ -410,7 +410,7 @@ class TestSparseNucleus:
     def test_floor_ties_take_the_lowest_id(self):
         model = build_hand_model(FLOOR_TIE_SPEC)
         with mock.patch.object(lm, "_BORDER_FIRST", 1):
-            ids, _ = model.nucleus([], [START_ID], 0.9999835, 1.0)
+            ((ids, _),) = model.nuclei([], [[START_ID]], 0.9999835, 1.0)
         assert ids.tolist() == [END_ID, 5]
 
     def test_equals_default_on_gapped_model(self):
@@ -433,8 +433,8 @@ class TestSparseNucleus:
     def test_other_settings_take_the_default(self, toy_model, top_p, temperature):
         code = toy_model.vocabulary.encode(["fn", "call", "k3"])
         with mock.patch.object(tg.NGramLM, "_border_order", side_effect=AssertionError):
-            got = toy_model.nucleus(code, [START_ID], top_p, temperature)
-        want = tg.GeneratorModel.nucleus(toy_model, code, [START_ID], top_p, temperature)
+            (got,) = toy_model.nuclei(code, [[START_ID]], top_p, temperature)
+        (want,) = tg.GeneratorModel.nuclei(toy_model, code, [[START_ID]], top_p, temperature)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -502,7 +502,7 @@ class TestBatchedNuclei:
             got = nuclei(model, code, prefixes, top_p, 1.0)
             assert len(got) == len(prefixes)
             for prefix, arrays in zip(prefixes, got):
-                want = tg.GeneratorModel.nucleus(model, code, prefix, top_p, 1.0)
+                (want,) = tg.GeneratorModel.nuclei(model, code, [prefix], top_p, 1.0)
                 for a, b in zip(arrays, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 checked += 1
