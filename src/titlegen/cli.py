@@ -198,10 +198,15 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if not posts:
         raise ValueError("no posts survive filtering")
     train, validation, test = data.chronological_split(posts, spec, seed)
+    splits = {"train": train, "validation": validation, "test": test}
+    # Each language's splits go to a directory of its name, beside these.
+    outputs = {*(f"{name}.jsonl" for name in splits), "manifest.json"}
+    languages = sorted({p.language for p in posts})
+    for lang in languages:
+        if lang in outputs:
+            raise ValueError(f"language {lang!r} has the name of one of prepare's own outputs")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = {"train": train, "validation": validation, "test": test}
-    languages = sorted({p.language for p in posts})
     manifest: dict = {
         "seed": seed,
         "records_read": stats.read,

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from pathlib import Path
 from typing import Hashable, NamedTuple, Sequence
 
@@ -192,8 +193,8 @@ class NGramLM(GeneratorModel):
         floor plus the weighted level-0 row, and each entry's value
         ``weights[l] * count / row total``, one float operation after
         another, so distributions do not depend on how the counts were
-        stored. A context's row is found by its key (see
-        ``_context_keys``)."""
+        stored. A context's row is found by bisecting its level's sorted
+        keys (see ``_context_keys``)."""
         if isinstance(order, bool) or not isinstance(order, int) or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if len(levels) != order:
@@ -213,11 +214,10 @@ class NGramLM(GeneratorModel):
         levels = tuple(level for level, _ in checked)
 
         base = np.full(len(vocab), FLOOR, dtype=np.float64)
-        vals, row_of = [], []  # per level: entry values; context key -> row
-        for l, ((contexts, offsets, next_ids, counts), keys) in enumerate(checked):
+        vals = []  # per level: entry values
+        for l, ((_, offsets, _, counts), _) in enumerate(checked):
             totals = np.add.reduceat(counts, offsets[:-1])
             vals.append(weights[l] * counts / np.repeat(totals, np.diff(offsets)))
-            row_of.append(dict(zip(keys.tolist(), range(len(contexts)))) if l else {})
         base[levels[0].next_ids] += vals[0]
         self.order = order
         self._vocab = vocab
@@ -225,7 +225,7 @@ class NGramLM(GeneratorModel):
         self.weights = weights
         self._base = base
         self._vals = vals
-        self._row_of = row_of
+        self._keys = [keys.tolist() for _, keys in checked]  # ascending, row order
         self._offsets = [level.offsets.tolist() for level in levels]
         self._walks: dict[tuple, tuple[tuple, list[int]]] = {}  # see _walk
         self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
@@ -428,8 +428,9 @@ class NGramLM(GeneratorModel):
                 break  # no context holds it, so no longer suffix can match
             key += int(tok) * scale
             scale *= size
-            row = self._row_of[l].get(key)
-            if row is not None:
+            keys = self._keys[l]
+            row = bisect_left(keys, key)
+            if row < len(keys) and keys[row] == key:
                 contexts.append(tail[-l:])
                 rows.append(row)
         if len(self._walks) >= _WALKS_KEPT:

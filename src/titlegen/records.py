@@ -128,7 +128,16 @@ def post_from_dict(row: dict) -> Post:
     snippets = row["code_snippets"]
     if not isinstance(snippets, list) or not all(isinstance(s, str) for s in snippets):
         raise ValueError("code_snippets must be a list of strings")
-    title = str(row["title"])
+    # JSON types as they are, not coerced: the string "false" is no bool.
+    for field in ("id", "votes"):
+        if type(row[field]) is not int:
+            raise ValueError(f"{field} must be an integer, got {row[field]!r}")
+    for field in ("is_closed", "has_accepted_answer"):
+        if type(row[field]) is not bool:
+            raise ValueError(f"{field} must be true or false, got {row[field]!r}")
+    title = row["title"]
+    if not isinstance(title, str):
+        raise ValueError(f"title must be a string, got {title!r}")
     if not title.strip():
         raise ValueError("title is blank")
     # ``prepare`` writes each language's splits to a directory of its name.
@@ -142,13 +151,13 @@ def post_from_dict(row: dict) -> Post:
     ):
         raise ValueError(f"language must be a directory name, got {language!r}")
     return Post(
-        id=int(row["id"]),
+        id=row["id"],
         title=title,
         code_snippets=list(snippets),
         created_at=datetime.fromisoformat(row["created_at"]),
-        is_closed=bool(row["is_closed"]),
-        has_accepted_answer=bool(row["has_accepted_answer"]),
-        votes=int(row["votes"]),
+        is_closed=row["is_closed"],
+        has_accepted_answer=row["has_accepted_answer"],
+        votes=row["votes"],
         language=language,
     )
 

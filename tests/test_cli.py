@@ -213,6 +213,61 @@ class TestPrepare:
         (rust,) = read_rows(out / "rust" / "train.jsonl")
         assert rust["created_at"] == "2021-02-01T00:00:00+02:00"
 
+    @pytest.mark.parametrize(
+        "language", ["train.jsonl", "validation.jsonl", "test.jsonl", "manifest.json"]
+    )
+    def test_language_named_like_an_output_fails_without_output(
+        self, tmp_path, capsys, language
+    ):
+        raw = tmp_path / "raw.jsonl"
+        posts = [raw_post(pid) for pid in range(1, 13)]
+        posts += [raw_post(pid, language=language) for pid in range(13, 16)]
+        raw.write_text("".join(json.dumps(p) + "\n" for p in posts), encoding="utf-8")
+        out = tmp_path / "splits"
+        assert fails(
+            "prepare", "--input", raw, "--out-dir", out, "--val-count", 2, "--test-count", 2
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            f"titlegen prepare: error: language {language!r} has the name of one of"
+            " prepare's own outputs"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("is_closed", "false"),
+            ("votes", 2.9),
+            ("votes", True),
+            ("title", None),
+            ("id", "203"),
+        ],
+        ids=["closed-string", "votes-float", "votes-bool", "title-null", "id-string"],
+    )
+    def test_field_of_wrong_type_skipped(self, tmp_path, field, value):
+        # A field is read as the JSON type it must have, never coerced:
+        # each bad post is skipped and counted, and the splits are those
+        # of the corpus without it.
+        raw = tmp_path / "raw.jsonl"
+        rows = write_raw_corpus(raw)
+        argv = ["--val-count", 15, "--test-count", 15]
+        run("prepare", "--input", raw, "--out-dir", tmp_path / "clean", *argv)
+        with open(raw, "a", encoding="utf-8") as fh:
+            for pid in (9001, 9002, 9003):
+                post = raw_post(pid, created_at="2021-02-01T00:00:00", **{field: value})
+                fh.write(json.dumps(post) + "\n")
+        out = tmp_path / "splits"
+        run("prepare", "--input", raw, "--out-dir", out, *argv)
+        manifest = json.loads((out / "manifest.json").read_text())
+        clean = json.loads((tmp_path / "clean" / "manifest.json").read_text())
+        assert manifest["records_read"] == len(rows)
+        assert manifest["records_skipped"] == 3
+        assert manifest["totals"] == clean["totals"]
+        assert manifest["filtered_posts"] == len(rows)
+        for name in ("train", "validation", "test"):
+            assert len(read_rows(out / f"{name}.jsonl")) == manifest["totals"][name]
+
 
 class TestTrainLm:
     def test_model_loads_and_generates(self, pipeline):

@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from types import SimpleNamespace
 
 import numpy as np
@@ -548,13 +549,12 @@ class TestLockstep:
                 walked.append(tail)
                 super().__setitem__(tail, walk)
 
-        class Rows(dict):
-            def get(self, key, default=None):
-                lookups.append(key)
-                return super().get(key, default)
+        def counted_bisect(keys, key):
+            lookups.append(key)
+            return bisect_left(keys, key)
 
         monkeypatch.setattr(toy_model, "_walks", Walks())
-        monkeypatch.setattr(toy_model, "_row_of", [{}] + [Rows(r) for r in toy_model._row_of[1:]])
+        monkeypatch.setattr(lm, "bisect_left", counted_bisect)
         span = toy_model.order - 1
         memo = decode.NucleusMemo(toy_model, 0.8, 1.0)
         tails, visited = set(), []

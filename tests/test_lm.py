@@ -39,6 +39,23 @@ def assert_matches_oracle(model, oracle, probes):
         )
 
 
+def make_long_model():
+    """An order-20 model and its training pairs. V ** 19 passes 2 ** 63,
+    so the longest levels key their contexts with Python ints rather
+    than int64."""
+    rng = stable_rng("lm-long")
+    v = make_vocab(list("abcdef"))
+    assert len(v) ** 19 >= 2**63 > len(v) ** 18
+    words = [v.id(t) for t in "abcdef"]
+    pairs = [
+        (rng.choice(words, size=20).tolist(), rng.choice(words, size=4).tolist())
+        for _ in range(6)
+    ]
+    model = tg.train_ngram_lm(pairs, 20, v)
+    assert len(model.levels[19].contexts) > 0
+    return model, pairs
+
+
 def make_vocab(tokens):
     v = tg.Vocabulary()
     v.encode(tokens, grow=True)
@@ -125,19 +142,8 @@ class TestNextDistribution:
             assert_matches_oracle(tg.NGramLM.load(tmp_path / "model.bin"), oracle, probes)
 
     def test_long_contexts_match_dict_oracle(self):
-        # At order 20, V ** 19 passes 2 ** 63, so the longest levels key
-        # their contexts with Python ints rather than int64.
-        rng = stable_rng("lm-long")
-        v = make_vocab(list("abcdef"))
-        assert len(v) ** 19 >= 2**63 > len(v) ** 18
-        words = [v.id(t) for t in "abcdef"]
-        pairs = [
-            (rng.choice(words, size=20).tolist(), rng.choice(words, size=4).tolist())
-            for _ in range(6)
-        ]
-        model = tg.train_ngram_lm(pairs, 20, v)
-        oracle = DictNGramLM.train(pairs, 20, len(v))
-        assert len(model.levels[19].contexts) > 0
+        model, pairs = make_long_model()
+        oracle = DictNGramLM.train(pairs, 20, len(model.vocabulary))
         probes = [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(6)]
         assert_matches_oracle(model, oracle, probes)
 
@@ -320,6 +326,61 @@ class TestGappedNGramLMContract(GeneratorContract):
         assert_matches_oracle(model, oracle, self.contexts(model))
         model.save(tmp_path / "model.bin")
         assert_matches_oracle(tg.NGramLM.load(tmp_path / "model.bin"), oracle, self.contexts(model))
+
+
+class TestRowLookup:
+    """``_walk`` finds each context's row by bisecting its level's keys."""
+
+    def test_gapped_levels(self):
+        v = make_vocab(list("abcde"))
+        assert [v.id(t) for t in "abcde"] == [5, 6, 7, 8, 9]
+        levels = [
+            {(): {5: 1, 9: 2}},
+            {(6,): {5: 1}, (8,): {7: 2, 9: 1}},
+            {(5, 7): {6: 1}, (7, 6): {END_ID: 3}, (8, 8): {5: 1}},
+        ]
+        model = tg.NGramLM(order=3, vocab=v, levels=levels)
+        assert_rows_found(model, {1: [(0,), (7,), (9,)], 2: [(0, 0), (5, 8), (7, 7), (9, 9)]})
+
+    def test_python_int_keys(self):
+        model, _ = make_long_model()
+        assert model._keys[19] and all(type(k) is int for k in model._keys[19])
+        high = len(model.vocabulary) - 1
+        probes = {}
+        for l in range(1, model.order):
+            stored = model.levels[l].contexts.tolist()
+            # The lowest and highest keys, and the successor of each stored
+            # context's last id.
+            probes[l] = [(0,) * l, (high,) * l]
+            probes[l] += [(*c[:-1], c[-1] + 1) for c in stored if c[-1] < high]
+        assert_rows_found(model, probes)
+
+
+def assert_rows_found(model, probes):
+    """Every stored context is walked to its row. ``probes[l]`` are
+    length-``l`` contexts: those the level lacks must be found nowhere,
+    and among them, over all levels, must be one below a level's first
+    context, one between two of its contexts and one above its last."""
+    span = model.order - 1
+    below = between = above = 0
+
+    def walked(ctx):
+        contexts, rows = model._walk([], [START_ID, *[PAD_ID] * span, *ctx])
+        for c, row in zip(contexts, rows):
+            assert tuple(model.levels[len(c)].contexts[row].tolist()) == c
+        return dict(zip(contexts, rows))
+
+    for l in range(1, model.order):
+        stored = [tuple(c) for c in model.levels[l].contexts.tolist()]
+        for row, ctx in enumerate(stored):
+            assert walked(ctx)[ctx] == row
+        absent = set(probes[l]) - set(stored)
+        for ctx in absent:
+            assert ctx not in walked(ctx)
+        below += sum(ctx < stored[0] for ctx in absent)
+        between += sum(stored[0] < ctx < stored[-1] for ctx in absent)
+        above += sum(ctx > stored[-1] for ctx in absent)
+    assert below and between and above
 
 
 def assert_nucleus_matches_default(model, code, prefix, top_p):
