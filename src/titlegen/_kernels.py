@@ -39,43 +39,33 @@ def apply_temperature_kernel(probs: np.ndarray, temperature: float) -> np.ndarra
     return out
 
 
-def nucleus_cuts(p_sorted: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Running sums along the last axis of ``p_sorted``, probabilities in
-    stable descending order (rows of a 2-D array may end in zeros), and
-    per row the index of the first sum that reaches ``beta`` within
-    slack, or the row length if none does."""
-    csum = p_sorted.cumsum(axis=-1)
-    if not p_sorted.shape[-1]:
-        return csum, np.zeros(p_sorted.shape[:-1], dtype=np.int64)
-    reach = csum >= beta - _BETA_SLACK
-    return csum, np.where(reach.any(axis=-1), reach.argmax(axis=-1), p_sorted.shape[-1])
+def nucleus_cut(grid: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nucleus of each row of ``grid``: nonnegative probabilities, a
+    row's entries in ascending id order, any zero padding at its end.
 
-
-def nucleus_cut(
-    ids: np.ndarray, p: np.ndarray, beta: float, complete: bool
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The nucleus among ``ids``, ascending, and ``p``, their probabilities.
-
-    ``ids`` must hold every id whose probability is above some value, so
-    that in stable descending order (ties by ascending id) they are the
-    first entries of the whole vector's order, with the same running
-    sums. The nucleus is the shortest such prefix whose running sum
-    reaches ``beta`` (within slack). Returns its ids in ascending order
-    and their probabilities divided by its mass. If the running sum falls
-    short, every id when ``complete`` (``ids`` is the whole vocabulary),
-    else None.
+    A row's nucleus is the shortest prefix of its stable (-p, id) order
+    whose running sum reaches ``beta`` (within slack). That order only
+    matters where the cut splits a run of equal values, since equal
+    values in any order give the same running sums. So each row is
+    sorted by value alone, and at the cut the lowest ids of the tied run
+    are kept. Returns the mask of kept entries, each row's nucleus mass
+    and whether the row reached ``beta``. A row that falls short keeps
+    every entry, with its total as the mass.
     """
-    # ndarray methods, not numpy's wrappers: the inputs are often short.
-    order = (-p).argsort(kind="stable")
-    csum, cut = nucleus_cuts(p[order], beta)
-    cut = int(cut)
-    if cut == len(ids):
-        if not complete:
-            return None
-        cut -= 1
-    kept = order[: cut + 1]
-    kept.sort()
-    return ids[kept], p[kept] / csum[cut]
+    rows, width = grid.shape
+    if not width:
+        return np.zeros(grid.shape, dtype=bool), np.zeros(rows), np.zeros(rows, dtype=bool)
+    ranked = -np.sort(-grid, axis=1)
+    csum = ranked.cumsum(axis=1)
+    reach = csum >= beta - _BETA_SLACK
+    reached = reach.any(axis=1)
+    last = np.where(reached, reach.argmax(axis=1), width - 1)[:, None]
+    edge = np.take_along_axis(ranked, last, axis=1)
+    above = grid > edge
+    tied = grid == edge
+    short = last - above.sum(axis=1, keepdims=True)
+    kept = above | (tied & (tied.cumsum(axis=1) <= short + 1))
+    return kept, np.take_along_axis(csum, last, axis=1)[:, 0], reached
 
 
 def nucleus_filter_kernel(probs: np.ndarray, beta: float) -> np.ndarray:
@@ -123,10 +113,12 @@ def nucleus_kernel(
     # than 1 - beta together, so the nucleus lies among the rest. Should
     # their mass fall short, the whole vocabulary is searched.
     ids = np.flatnonzero(probs >= (1.0 - beta) / n)
-    found = nucleus_cut(ids, probs[ids], beta, ids.shape[0] == n)
-    if found is None:
-        found = nucleus_cut(np.arange(n), probs, beta, True)
-    return found
+    kept, mass, reached = nucleus_cut(probs[None, ids], beta)
+    if not reached[0] and ids.shape[0] < n:
+        ids = np.arange(n)
+        kept, mass, _ = nucleus_cut(probs[None], beta)
+    ids = ids[kept[0]]
+    return ids, probs[ids] / mass[0]
 
 
 def sample_step_kernel(cdf, u: float) -> int:

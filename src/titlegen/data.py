@@ -10,7 +10,7 @@ snippet.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Iterator, Sequence
 
@@ -38,13 +38,12 @@ class SplitSpec:
     Languages with at least ``val_count + test_count`` filtered posts
     use the absolute counts; smaller languages fall back to
     ``floor(available * fraction)`` each for validation and test, or
-    raise when ``fraction`` is None. ``per_language`` overrides both.
+    raise when ``fraction`` is None.
     """
 
     val_count: int = 5000
     test_count: int = 5000
     fraction: float | None = 0.10
-    per_language: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.val_count < 0 or self.test_count < 0:
@@ -54,23 +53,15 @@ class SplitSpec:
 
     def resolve(self, language: str, available: int) -> tuple[int, int]:
         """Validation and test counts for one language's pool size."""
-        if language in self.per_language:
-            vc, tc = self.per_language[language]
-        elif available >= self.val_count + self.test_count:
-            vc, tc = self.val_count, self.test_count
-        elif self.fraction is not None:
-            vc = tc = int(available * self.fraction)
-        else:
-            raise ValueError(
-                f"language {language!r}: {available} posts cannot fill "
-                f"validation={self.val_count} test={self.test_count}"
-            )
-        if vc + tc > available:
-            raise ValueError(
-                f"language {language!r}: {available} posts cannot fill "
-                f"validation={vc} test={tc}"
-            )
-        return vc, tc
+        if available >= self.val_count + self.test_count:
+            return self.val_count, self.test_count
+        if self.fraction is not None:
+            share = int(available * self.fraction)
+            return share, share
+        raise ValueError(
+            f"language {language!r}: {available} posts cannot fill "
+            f"validation={self.val_count} test={self.test_count}"
+        )
 
 
 def filter_posts(raw: Iterable[Post]) -> Iterator[Post]:

@@ -154,7 +154,8 @@ class NucleusMemo:
 
     def tables(self, code: Sequence[int], prefixes: list[list[int]]) -> list[tuple[array, array]]:
         """The draw table of each prefix under ``code``. The states no entry
-        holds are computed in one ``model.nuclei`` call."""
+        holds are computed in one ``model.nuclei`` call, whose tables are
+        checked against its contract in O(1) each (see ``_checked_table``)."""
         keys = [self.model.state(code, prefix) for prefix in prefixes]
         got = list(map(self._entries.get, keys))
         if None in got:
@@ -165,11 +166,17 @@ class NucleusMemo:
             computed = self.model.nuclei(
                 code, [prefixes[i] for i in misses.values()], self.top_p, self.temperature
             )
-            fresh = {}
+            if len(computed) != len(misses):
+                raise ValueError(
+                    f"nuclei must return one (ids, probabilities) pair per prefix:"
+                    f" asked for {len(misses)}, got {len(computed)}"
+                )
+            fresh, size = {}, len(self.model.vocabulary)
             for key, (ids, q) in zip(misses, computed):
-                table = (
+                table = _checked_table(
                     array("q", ids.astype(np.int64, copy=False).tobytes()),
                     array("d", q.cumsum().tobytes()),
+                    size,
                 )
                 fresh[key] = table
                 if self.cached_ids + len(ids) <= self.capacity:
@@ -177,6 +184,22 @@ class NucleusMemo:
                     self.cached_ids += len(ids)
             got = [fresh[key] if table is None else table for table, key in zip(got, keys)]
         return got
+
+
+def _checked_table(ids: array, cdf: array, size: int) -> tuple[array, array]:
+    """``(ids, cdf)``, or a ``ValueError`` naming the rule of
+    ``GeneratorModel.nuclei`` it breaks. Every check is O(1): the ids are
+    ascending by contract, so the first and last bound them all."""
+    if not len(ids) == len(cdf) > 0:
+        raise ValueError(
+            f"nuclei must return as many probabilities as ids, at least one;"
+            f" got {len(ids)} ids and {len(cdf)} probabilities"
+        )
+    if not cdf[-1] > 0.0:
+        raise ValueError(f"nuclei probabilities must have positive mass, got {cdf[-1]!r}")
+    if not (ids[0] >= 0 and ids[-1] < size):
+        raise ValueError(f"nuclei ids must lie in the vocabulary of {size} tokens")
+    return ids, cdf
 
 
 def decode_candidates(
@@ -213,8 +236,7 @@ def decode_candidates(
         tables = memo.tables(code, [prefixes[r] for r in live])
         still = []
         for r, (ids, cdf) in zip(live, tables):
-            j = _kernels.sample_step_kernel(cdf, uniforms[r][step])
-            tok = ids[j] if j >= 0 else -1
+            tok = ids[_kernels.sample_step_kernel(cdf, uniforms[r][step])]
             if tok != END_ID:
                 prefixes[r].append(tok)
                 still.append(r)

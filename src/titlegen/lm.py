@@ -101,7 +101,9 @@ class GeneratorModel(ABC):
         The default checks each ``next_distribution`` vector against the
         contract and raises ``ValueError`` naming the rule it breaks. An
         override may compute the states together, and must return arrays
-        equal to the default's bit for bit.
+        equal to the default's bit for bit; sampling refuses one whose
+        result lacks a pair per prefix, or a pair of as many probabilities
+        as ids, at least one, with positive mass and ids in the vocabulary.
         """
         size = len(self.vocabulary)
         return [
@@ -190,10 +192,12 @@ class NGramLM(GeneratorModel):
 
     def _setup(self, order, vocab, levels, weights) -> None:
         """Validate the arrays, then precompute what a call reads: the
-        floor plus the weighted level-0 row, and each entry's value
-        ``weights[l] * count / row total``, one float operation after
-        another, so distributions do not depend on how the counts were
-        stored. A context's row is found by bisecting its level's sorted
+        floor plus the weighted level-0 row, and every level's next ids
+        and entry values ``weights[l] * count / row total``, one float
+        operation after another, so distributions do not depend on how
+        the counts were stored. The entries lie end to end, level after
+        level, and ``_offsets[l]`` holds level ``l``'s row offsets into
+        them. A context's row is found by bisecting its level's sorted
         keys (see ``_context_keys``)."""
         if isinstance(order, bool) or not isinstance(order, int) or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
@@ -214,22 +218,24 @@ class NGramLM(GeneratorModel):
         levels = tuple(level for level, _ in checked)
 
         base = np.full(len(vocab), FLOOR, dtype=np.float64)
-        vals = []  # per level: entry values
-        for l, ((_, offsets, _, counts), _) in enumerate(checked):
-            totals = np.add.reduceat(counts, offsets[:-1])
-            vals.append(weights[l] * counts / np.repeat(totals, np.diff(offsets)))
+        vals, offsets, start = [], [], 0
+        for l, level in enumerate(levels):
+            totals = np.add.reduceat(level.counts, level.offsets[:-1])
+            vals.append(weights[l] * level.counts / np.repeat(totals, np.diff(level.offsets)))
+            offsets.append((level.offsets + start).tolist())
+            start += len(level.next_ids)
         base[levels[0].next_ids] += vals[0]
         self.order = order
         self._vocab = vocab
         self.levels = levels
         self.weights = weights
         self._base = base
-        self._vals = vals
+        self._next_ids = np.concatenate([level.next_ids for level in levels])
+        self._vals = np.concatenate(vals)
+        self._offsets = offsets
         self._keys = [keys.tolist() for _, keys in checked]  # ascending, row order
-        self._offsets = [level.offsets.tolist() for level in levels]
         self._walks: dict[tuple, tuple[tuple, list[int]]] = {}  # see _walk
         self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
-        self._flat: tuple[list[int], np.ndarray, np.ndarray] | None = None  # see _flat_levels
 
     # -- GeneratorModel --------------------------------------------------
 
@@ -242,9 +248,9 @@ class NGramLM(GeneratorModel):
         # them in the same order per entry.
         out = self._base.copy()
         for ctx, row in zip(*self._walk(code, prefix)):
-            l = len(ctx)
-            start, end = self._offsets[l][row], self._offsets[l][row + 1]
-            out[self.levels[l].next_ids[start:end]] += self._vals[l][start:end]
+            offsets = self._offsets[len(ctx)]
+            start, end = offsets[row], offsets[row + 1]
+            out[self._next_ids[start:end]] += self._vals[start:end]
         out[PAD_ID] = 0.0
         out[START_ID] = 0.0
         out /= out.sum()
@@ -288,19 +294,18 @@ class NGramLM(GeneratorModel):
         # Every hit row's entries, state by state, each state's rows in
         # ``_walk`` order: ``add.at`` adds in array order, so each entry
         # gets its values in ``next_distribution``'s order.
-        bases, next_ids, vals = self._flat_levels()
         who, starts, lens = [], [], []
         for s, prefix in enumerate(prefixes):
             for ctx, row in zip(*self._walk(code, prefix)):
                 offsets = self._offsets[len(ctx)]
                 who.append(s * size)
-                starts.append(bases[len(ctx)] + offsets[row])
+                starts.append(offsets[row])
                 lens.append(offsets[row + 1] - offsets[row])
         lens = np.array(lens, dtype=np.int64)
         starts = np.array(starts, dtype=np.int64) - lens.cumsum() + lens
         entries = np.repeat(starts, lens) + np.arange(lens.sum())
-        hit_keys = np.repeat(np.array(who, dtype=np.int64), lens) + next_ids[entries]
-        np.add.at(flat, hit_keys, vals[entries])
+        hit_keys = np.repeat(np.array(who, dtype=np.int64), lens) + self._next_ids[entries]
+        np.add.at(flat, hit_keys, self._vals[entries])
         block[:, PAD_ID] = 0.0
         block[:, START_ID] = 0.0
         totals = block.sum(axis=1)
@@ -316,14 +321,9 @@ class NGramLM(GeneratorModel):
 
     def _cut_block(self, block, totals, pending, hit_keys, m, top_p, found):
         """Cut each pending state's nucleus among its hit ids and the first
-        ``m`` border ids into ``found``, as ``nucleus_cut`` would for each
-        state alone; returns the states whose running sum fell short.
-
-        ``hit_keys`` are state * V + id. The stable (-p, id) order only
-        matters where the cut splits a run of equal values, since equal
-        values in any order give the same running sums. So each state's
-        values are sorted by value alone, and at the cut the lowest ids of
-        the tied run are kept."""
+        ``m`` border ids into ``found`` with ``_kernels.nucleus_cut``;
+        returns the states whose running sum fell short. ``hit_keys`` are
+        state * V + id."""
         size = block.shape[1]
         flat = block.reshape(-1)
         border, border_vals = self._border_order()
@@ -347,35 +347,16 @@ class NGramLM(GeneratorModel):
         grid = np.zeros((len(pending), counts.max()))
         grid[rows, cols] = flat[keys]
         grid /= totals[pending][:, None]
-        ranked = -np.sort(-grid, axis=1)
-        csum, cut = _kernels.nucleus_cuts(ranked, top_p)
-        last = np.minimum(cut, grid.shape[1] - 1)[:, None]
-        edge = np.take_along_axis(ranked, last, axis=1)
-        done = cut < counts
-        above = grid > edge
-        tied = grid == edge
-        short = last - above.sum(axis=1, keepdims=True)
-        kept = (above | (tied & (tied.cumsum(axis=1) <= short + 1))) & done[:, None]
-        mass = np.where(done[:, None], np.take_along_axis(csum, last, axis=1), 1.0)
-        q = (grid / mass)[kept]
+        kept, mass, done = _kernels.nucleus_cut(grid, top_p)
+        kept &= done[:, None]
+        sizes = kept.sum(axis=1)
+        q = grid[kept] / np.repeat(mass, sizes)
         ids = keys[kept[rows, cols]] % size
-        ends = kept.sum(axis=1).cumsum().tolist()
+        ends = sizes.cumsum().tolist()
         for s in np.flatnonzero(done).tolist():
             start = ends[s - 1] if s else 0
             found[pending[s]] = (ids[start : ends[s]], q[start : ends[s]])
         return pending[~done]
-
-    def _flat_levels(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Every level's next ids and entry values end to end, and where
-        each level starts. Built on first use, like ``_border_order``."""
-        if self._flat is None:
-            sizes = [len(level.next_ids) for level in self.levels]
-            self._flat = (
-                [0, *itertools.accumulate(sizes)],
-                np.concatenate([level.next_ids for level in self.levels]),
-                np.concatenate(self._vals),
-            )
-        return self._flat
 
     def _border_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Every id in stable descending order of its floor + unigram

@@ -82,16 +82,6 @@ class TestSplitSpec:
         with pytest.raises(ValueError, match="'ruby'"):
             spec.resolve("ruby", 8)
 
-    def test_per_language_override_wins(self):
-        spec = tg.SplitSpec(val_count=5, test_count=5, per_language={"go": (1, 2)})
-        assert spec.resolve("go", 100) == (1, 2)
-        assert spec.resolve("python", 100) == (5, 5)
-
-    def test_override_too_large_raises(self):
-        spec = tg.SplitSpec(per_language={"go": (3, 3)})
-        with pytest.raises(ValueError, match="'go'"):
-            spec.resolve("go", 5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             tg.SplitSpec(val_count=-1)

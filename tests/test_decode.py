@@ -745,6 +745,27 @@ class TestModelContractChecks:
     def test_sum_one(self, value):
         self.assert_refused(value, "sum to 1 within 1e-9")
 
+    @pytest.mark.parametrize(
+        "nuclei, rule",
+        [
+            (lambda n: [], r"one \(ids, probabilities\) pair per prefix"),
+            (lambda n: [(np.array([], dtype=np.int64), np.array([]))] * n, "at least one"),
+            (lambda n: [(np.array([3, 4]), np.array([1.0]))] * n, "as many probabilities as ids"),
+            (lambda n: [(np.array([3]), np.array([0.0]))] * n, "positive mass"),
+            (lambda n: [(np.array([-1, 3]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens"),
+            (lambda n: [(np.array([3, 8]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens"),
+        ],
+        ids=["too_few", "empty", "unequal", "no_mass", "negative_id", "id_past_vocab"],
+    )
+    def test_nuclei_override(self, nuclei, rule):
+        # Unchecked, an empty nucleus draws index -1 and emits the last
+        # token, and too few tables end in a bare KeyError of a state.
+        model = VectorModel(VALID_VECTOR)
+        model.nuclei = lambda code, prefixes, top_p, t: nuclei(len(prefixes))
+        cfg = tg.SamplingConfig(num_samples=4, max_length=3)
+        with pytest.raises(ValueError, match=rule):
+            tg.decode_candidates(model, [5], cfg)
+
     def test_valid_vector_and_list_sample_alike(self):
         cfg = tg.SamplingConfig(num_samples=40, max_length=4, seed=3)
         pools = [

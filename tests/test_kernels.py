@@ -61,7 +61,8 @@ def same_arrays(got, want) -> bool:
 
 class TestNucleusCut:
     """``nucleus_cut`` on the ids above a threshold: the dense kernel's
-    nucleus when their running sum reaches beta, None when it falls short."""
+    nucleus when their running sum reaches beta; when it falls short, not
+    reached, every entry kept and their running sum as the mass."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -89,15 +90,43 @@ class TestNucleusCut:
             if acc >= beta - BETA_SLACK:
                 reached = True
                 break
-        got = _kernels.nucleus_cut(ids, p[ids], beta, False)
+        kept, mass, got_reached = _kernels.nucleus_cut(p[None, ids], beta)
+        assert got_reached.tolist() == [reached]
         if reached:
-            assert same_arrays(got, want)
+            assert same_arrays((ids[kept[0]], p[ids[kept[0]]] / mass[0]), want)
         else:
-            assert got is None
-        assert same_arrays(_kernels.nucleus_cut(np.arange(len(p)), p, beta, True), want)
+            assert kept[0].all() and mass[0] == acc
+        kept, mass, _ = _kernels.nucleus_cut(p[None], beta)
+        assert same_arrays((np.flatnonzero(kept[0]), p[kept[0]] / mass[0]), want)
         dense = np.zeros_like(p)
         dense[want[0]] = want[1]
         np.testing.assert_array_equal(dense, loop_nucleus_filter(p, beta))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(min_value=0, max_value=4), max_size=12), min_size=1, max_size=5
+        ),
+        scale=st.sampled_from([1.0, 0.5]),
+        beta=st.one_of(st.sampled_from([0.3, 0.5, 0.8, 0.99]), st.floats(0.01, 0.999)),
+        pad=st.integers(min_value=0, max_value=4),
+    )
+    def test_padded_rows_cut_as_each_row_alone(self, rows, scale, beta, pad):
+        # Rows of different lengths in one zero-padded grid: each row's
+        # mask, mass and reach are its own, whatever the padding width,
+        # and a row keeps its padding only when it falls short.
+        grid = np.zeros((len(rows), max(map(len, rows)) + pad))
+        for r, counts in enumerate(rows):
+            if any(counts):
+                grid[r, : len(counts)] = np.array(counts) / sum(counts) * scale
+        kept, mass, reached = _kernels.nucleus_cut(grid, beta)
+        for r, counts in enumerate(rows):
+            n = len(counts)
+            alone = _kernels.nucleus_cut(grid[r : r + 1, :n], beta)
+            assert kept[r, :n].tolist() == alone[0][0].tolist()
+            assert mass[r : r + 1].tobytes() == alone[1].tobytes()
+            assert reached[r] == alone[2][0]
+            assert (kept[r, n:] == (not reached[r])).all()
 
     def test_no_entry_survives_the_tail_bound(self):
         # Every entry lies below (1 - beta) / n: the whole vocabulary is
