@@ -268,9 +268,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
     select = _selector(args.strategy, k, dedup=not args.no_dedup)
     short = 0
     rows = []
-    for raw in records.read_jsonl(args.pools):
+    stats = records.ReadStats()
+    for raw in records.read_jsonl(args.pools, stats):
         pool = records.pool_from_dict(raw)
-        indices, diagnostics = select(pool)
+        try:
+            indices, diagnostics = select(pool)
+        except ValueError as exc:
+            name = f"pool {pool.meta['id']}" if "id" in pool.meta else f"pool on line {stats.line}"
+            raise ValueError(f"{name}: {exc}") from None
         if len(indices) < k:
             short += 1
         titles = [" ".join(pool.candidates[i]) for i in indices]

@@ -68,6 +68,8 @@ def _validate_dist(dist) -> np.ndarray:
         raise ValueError("distribution entries must be finite")
     if np.any(arr < 0.0):
         raise ValueError("distribution entries must be nonnegative")
+    if not np.any(arr > 0.0):
+        raise ValueError("distribution must have positive mass")
     return arr
 
 

@@ -72,6 +72,8 @@ def write_json(path: str | Path, obj) -> None:
 class ReadStats:
     read: int = 0
     skipped: int = 0
+    #: The line of the record most recently yielded, for error messages.
+    line: int = 0
 
 
 def read_jsonl(path: str | Path, stats: ReadStats | None = None) -> Iterator[dict]:
@@ -91,6 +93,7 @@ def read_jsonl(path: str | Path, stats: ReadStats | None = None) -> Iterator[dic
                 continue
             if stats is not None:
                 stats.read += 1
+                stats.line = lineno
             yield row
 
 

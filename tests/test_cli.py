@@ -516,6 +516,23 @@ class TestRank:
         assert message in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("has_id", [True, False], ids=["id", "line"])
+    def test_empty_pool_named_without_output(self, pipeline, tmp_path, capsys, has_id):
+        rows = read_rows(pipeline.pools)
+        rows[2]["candidates"] = []
+        if not has_id:
+            del rows[2]["meta"]["id"]
+        pools = tmp_path / "pools.jsonl"
+        lines = [json.dumps(row) for row in rows]
+        # A blank line is skipped, so the empty pool is record 3 on line 4.
+        pools.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n", encoding="utf-8")
+        out = tmp_path / "selected.jsonl"
+        assert fails("rank", "--pools", pools, "--out", out)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        name = f"pool {rows[2]['meta']['id']}" if has_id else "pool on line 4"
+        assert line == f"titlegen rank: error: {name}: empty candidate pool"
+        assert not out.exists()
+
 
 #: Selection rows ``evaluate`` cannot score: each is skipped and counted.
 UNSCORABLE = {

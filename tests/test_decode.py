@@ -139,6 +139,10 @@ class TestNucleusFilter:
         with pytest.raises(ValueError, match="finite"):
             tg.nucleus_filter([bad, 0.5], 0.8)
 
+    def test_rejects_zero_mass(self):
+        with pytest.raises(ValueError, match="distribution must have positive mass"):
+            tg.nucleus_filter(np.zeros(4), 0.8)
+
     def _check_properties(self, dist, beta):
         out = tg.nucleus_filter(dist, beta)
         support = np.nonzero(out)[0]
@@ -221,6 +225,10 @@ class TestApplyTemperature:
         with pytest.raises(ValueError, match="finite"):
             tg.apply_temperature([bad, 0.5, 0.5], 0.7)
 
+    def test_rejects_zero_mass(self):
+        with pytest.raises(ValueError, match="distribution must have positive mass"):
+            tg.apply_temperature(np.zeros(4), 0.5)
+
 
 class TestSampleToken:
     def test_degenerate(self):
@@ -241,6 +249,10 @@ class TestSampleToken:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             tg.sample_token([0.5, bad], np.random.default_rng(0))
+
+    def test_rejects_zero_mass(self):
+        with pytest.raises(ValueError, match="distribution must have positive mass"):
+            tg.sample_token(np.zeros(4), np.random.default_rng(0))
 
     def test_empirical_frequencies(self):
         dist = np.array([0.5, 0.2, 0.3])

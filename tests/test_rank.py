@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import titlegen as tg
 from titlegen.rank import MARGIN_EPS
@@ -15,6 +17,83 @@ def random_pool(rng, m=None, alphabet="abcde", max_len=4):
         length = int(rng.integers(0, max_len + 1))
         pool.append([alphabet[int(rng.integers(0, len(alphabet)))] for _ in range(length)])
     return pool
+
+
+#: Pairs of candidates with equal n-gram bags in a different token
+#: order: bigram bags of closed walks, and one-token unigram bags
+#: around reserved markers.
+SAME_BAGS = [
+    (["a", "b", "a"], ["b", "a", "b"]),
+    (["a", "b", "c", "a"], ["b", "c", "a", "b"]),
+    (["a", "<s>"], ["[PAD]", "a"]),
+]
+
+#: Short candidates over a small alphabet with reserved markers: empty
+#: and one-token candidates (the unigram fallback) come up often.
+candidate_st = st.lists(st.sampled_from(["a", "b", "c", "<s>", "[PAD]"]), max_size=6)
+
+
+@st.composite
+def pool_st(draw):
+    pool = draw(st.lists(candidate_st, min_size=1, max_size=8))
+    for pair in draw(st.lists(st.sampled_from(SAME_BAGS), max_size=2)):
+        pool.extend(list(c) for c in pair)
+    for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=3)):
+        pool.append(list(pool[i]))
+    return draw(st.permutations(pool))
+
+
+class TestExactAgainstOracles:
+    """The count arrays against the per-pair loops in ``oracles``, with
+    ``==``: every integer they sum is exact, and the divisions and the
+    pick-order subtractions are the same operations."""
+
+    @given(pool_st())
+    @settings(max_examples=300, deadline=None)
+    @example(pool=[[], []])
+    @example(pool=[["a"], ["<s>"], ["a", "b"]])
+    def test_consistency(self, pool):
+        assert tg.bigram_consistency_scores(pool) == consistency_oracle(pool)
+
+    @given(candidate_st, candidate_st)
+    @settings(max_examples=300, deadline=None)
+    @example(a=[], b=[])
+    @example(a=["<s>"], b=["a"])
+    @example(a=["a", "b", "c", "a"], b=["b", "c", "a", "b"])
+    def test_relevance(self, a, b):
+        assert tg.relevance(a, b) == relevance_oracle(a, b)
+
+    @pytest.mark.parametrize("a, b", SAME_BAGS)
+    def test_equal_bags_in_another_order_are_one(self, a, b):
+        assert tg.relevance(a, b) == 1.0 == relevance_oracle(a, b)
+
+    @given(pool_st())
+    @settings(max_examples=150, deadline=None)
+    def test_pairwise_mean(self, pool):
+        n = len(pool)
+        total = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                total += relevance_oracle(pool[i], pool[j])
+        want = total / (n * (n - 1) / 2) if n > 1 else 0.0
+        assert tg.mean_pairwise_relevance(pool) == want
+
+    @given(pool_st(), st.integers(1, 12), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(pool=[["a", "b"], ["a", "b"], ["b", "a", "b"]], k=5, dedup=True)
+    @example(pool=[[], [], ["<s>"]], k=3, dedup=False)
+    def test_selection(self, pool, k, dedup):
+        sel = tg.maximal_marginal_select(pool, tg.RankingConfig(k=k, dedup=dedup))
+        assert sel.indices == mmns_oracle(pool, k, dedup=dedup)
+        eligible = len({tuple(c) for c in pool}) if dedup else len(pool)
+        assert len(sel.indices) == min(k, eligible)
+        assert sel.initial_consistency == consistency_oracle(pool)[sel.indices[0]]
+        for step in range(1, len(sel.indices)):
+            margin = 0.0
+            for s in sel.indices[:step]:
+                margin -= relevance_oracle(pool[sel.indices[step]], pool[s])
+            assert sel.marginals[step - 1] == margin
+        assert len(sel.marginals) == len(sel.indices) - 1
 
 
 class TestConsistencyScores:
