@@ -48,7 +48,6 @@ from .text import (
     UNK,
     Vocabulary,
     detokenize,
-    extract_ngrams,
     strip_markers,
     tokenize,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "concat_snippets",
     "decode_candidates",
     "detokenize",
-    "extract_ngrams",
     "filter_posts",
     "maximal_marginal_select",
     "mean_pairwise_relevance",

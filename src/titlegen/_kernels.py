@@ -68,32 +68,6 @@ def nucleus_cut(grid: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, 
     return kept, np.take_along_axis(csum, last, axis=1)[:, 0], reached
 
 
-def nucleus_filter_kernel(probs: np.ndarray, beta: float) -> np.ndarray:
-    """The nucleus of ``probs`` rescaled to mass 1, zero elsewhere."""
-    ids, q = nucleus_kernel(probs, beta, 1.0)
-    out = np.zeros(probs.shape[0], dtype=np.float64)
-    out[ids] = q
-    return out
-
-
-def sample_token_kernel(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw over ascending token index; ``probs`` finite and
-    nonnegative, ``u`` in [0, 1).
-
-    Zero entries are never drawn. If rounding leaves the total at or
-    below ``u``, the last positive index; -1 if no entry is positive.
-    """
-    # Adding a zero leaves a running sum bit-identical, so the running
-    # sums of the positive entries are those of the whole vector, and the
-    # first sum above u >= 0 ends on a positive entry. The ndarray
-    # methods skip numpy's Python wrappers, once per decode step.
-    j = int(probs.cumsum().searchsorted(u, side="right"))
-    if j < probs.shape[0]:
-        return j
-    positive = np.flatnonzero(probs > 0.0)
-    return int(positive[-1]) if positive.shape[0] else -1
-
-
 def nucleus_kernel(
     probs: np.ndarray, beta: float, temperature: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +105,7 @@ def sample_step_kernel(cdf, u: float) -> int:
     positive. If rounding leaves the total at or below ``u``, the entry
     that brought the sum to its total: the last positive one, unless a
     later positive entry was too small to change the sum. -1 if the table
-    has no mass. Outside that rounding case it equals
-    ``sample_token_kernel(q, u)``.
+    has no mass.
     """
     j = bisect_right(cdf, u)
     if j < len(cdf):

@@ -96,6 +96,14 @@ def _as_number(name: str, value, cast):
     raise ValueError(f"--{name.replace('_', '-')} must be {kind}, got {value!r}")
 
 
+def _token_limit(res: _Resolver, name: str) -> int:
+    """``--code-limit`` or ``--title-limit``: an integer >= 0."""
+    limit = res.get(name, int)
+    if limit < 0:
+        raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {limit}")
+    return limit
+
+
 def _require_files(*paths: str) -> None:
     for p in paths:
         if not Path(p).is_file():
@@ -133,7 +141,7 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     of which every shorter top list is a prefix. Sampled pools share one
     nucleus memo for the whole run."""
     seed = res.get("seed", int)
-    code_limit = res.get("code_limit", int)
+    code_limit = _token_limit(res, "code_limit")
     beam_size = res.get("beam_size", int)
     # Checked once, before any post, so a bad setting fails the run
     # whatever the strategy and however many posts there are.
@@ -238,8 +246,8 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     _require_files(args.train)
     order = res.get("order", int)
-    code_limit = res.get("code_limit", int)
-    title_limit = res.get("title_limit", int)
+    code_limit = _token_limit(res, "code_limit")
+    title_limit = _token_limit(res, "title_limit")
     vocab = Vocabulary()
     pairs = []
     for post in records.read_posts(args.train):
@@ -272,6 +280,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for raw in records.read_jsonl(args.pools, stats):
         pool = records.pool_from_dict(raw)
         try:
+            # Checked here, not by the selector, so every strategy refuses it.
+            if not pool.candidates:
+                raise ValueError("empty candidate pool")
             indices, diagnostics = select(pool)
         except ValueError as exc:
             name = f"pool {pool.meta['id']}" if "id" in pool.meta else f"pool on line {stats.line}"
@@ -299,7 +310,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     # past it or leave an index behind.
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    code_limit = res.get("code_limit", int)
+    code_limit = _token_limit(res, "code_limit")
     if args.index:
         _require_files(args.index)
         index = retrieve.BM25Index.load(args.index)

@@ -77,11 +77,16 @@ def nucleus_filter(dist, beta: float) -> np.ndarray:
     """Keep the minimal top-probability set with mass >= beta, rescaled.
 
     Ties at the boundary are included by ascending token index. The
-    survivors keep their relative order; everything else becomes 0.
+    survivors keep their relative order; everything else becomes 0. The
+    nucleus is decoding's, ``_kernels.nucleus_kernel``.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
-    return _kernels.nucleus_filter_kernel(_validate_dist(dist), beta)
+    arr = _validate_dist(dist)
+    ids, q = _kernels.nucleus_kernel(arr, beta, 1.0)
+    out = np.zeros_like(arr)
+    out[ids] = q
+    return out
 
 
 def apply_temperature(dist, t: float) -> np.ndarray:
@@ -92,8 +97,14 @@ def apply_temperature(dist, t: float) -> np.ndarray:
 
 
 def sample_token(dist, rng: np.random.Generator) -> int:
-    """Draw one token index with probability dist[i]; advances ``rng``."""
-    return int(_kernels.sample_token_kernel(_validate_dist(dist), rng.random()))
+    """Draw one token index with probability dist[i]; advances ``rng``.
+
+    This is decoding's draw, ``_kernels.sample_step_kernel`` over the
+    running sums, so zero entries are never drawn. Should rounding leave
+    the total at or below the uniform, it is the entry that brought the
+    sum to its total: ``[0.5, 0.25, 1e-30]`` at u = 0.9 gives 1.
+    """
+    return _kernels.sample_step_kernel(_validate_dist(dist).cumsum(), rng.random())
 
 
 def _row_uniforms(seed: int, rows: int, length: int) -> list[list[float]]:

@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary management, and n-gram extraction.
+"""Tokenization and vocabulary management.
 
 Every other module works on token sequences produced here. Two kinds of
 sequence circulate: surface token strings (metrics, ranking, retrieval)
@@ -7,8 +7,6 @@ and integer ids under a :class:`Vocabulary` (the generator side).
 
 from __future__ import annotations
 
-from collections import Counter
-from pathlib import Path
 from typing import Iterable, Sequence
 
 START = "<s>"
@@ -82,17 +80,6 @@ def strip_markers(tokens: Iterable[str]) -> list[str]:
     return [t for t in tokens if t not in _RESERVED_SET]
 
 
-def extract_ngrams(tokens: Sequence[str], n: int) -> Counter:
-    """Multiset of contiguous n-grams after reserved markers are removed.
-
-    A sequence shorter than ``n`` (after stripping) yields an empty bag.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    toks = strip_markers(tokens)
-    return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
-
-
 class Vocabulary:
     """Bijective token/id mapping with the five reserved markers first.
 
@@ -146,23 +133,3 @@ class Vocabulary:
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self._tokens[i] for i in ids]
-
-    def save(self, path: str | Path) -> None:
-        """Write one token per line, UTF-8; the line number is the id."""
-        for t in self._tokens:
-            if "\n" in t or "\r" in t:
-                raise ValueError(f"token not serializable on one line: {t!r}")
-        from .records import write_atomic  # records depends on this module
-
-        text = "\n".join(self._tokens) + "\n"
-        write_atomic(path, lambda fh: fh.write(text))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        # Split on "\n" alone, the one separator ``save`` writes:
-        # ``str.splitlines`` also splits on form feeds, "\x85", "\u2028"
-        # and others a token may hold.
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        return cls(lines)

@@ -63,8 +63,6 @@ def warm_kernels():
     # measure steady-state work.
     d = np.array([0.6, 0.4])
     _kernels.apply_temperature_kernel(d, 0.5)
-    _kernels.nucleus_filter_kernel(d, 0.5)
-    _kernels.sample_token_kernel(d, 0.3)
     _kernels.sample_step_kernel(d.cumsum(), 0.3)
     _kernels.lcs_length_kernel(
         np.array([0, 1], dtype=np.int64), np.array([1, 0], dtype=np.int64)

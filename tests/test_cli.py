@@ -285,6 +285,16 @@ class TestTrainLm:
         )
         assert not (tmp_path / "m.json").exists()
 
+    def test_negative_title_limit_fails_without_output(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "model.bin"
+        assert fails(
+            "train-lm", "--train", pipeline.splits / "train.jsonl", "--out", out,
+            "--title-limit", -2,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "titlegen train-lm: error: --title-limit must be >= 0, got -2"
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_pool_rows(self, pipeline):
@@ -351,6 +361,16 @@ class TestGenerate:
         )
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert "--limit must be >= 0, got -1" in line
+        assert not out.exists()
+
+    def test_negative_code_limit_fails_without_output(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "pools.jsonl"
+        assert fails(
+            "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--out", out, "--limit", 1, "--num-samples", 2, "--code-limit", -3,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "titlegen generate: error: --code-limit must be >= 0, got -3"
         assert not out.exists()
 
     @pytest.mark.parametrize("temperature", ["nan", "0", "-1"])
@@ -516,8 +536,12 @@ class TestRank:
         assert message in line
         assert not out.exists()
 
-    @pytest.mark.parametrize("has_id", [True, False], ids=["id", "line"])
-    def test_empty_pool_named_without_output(self, pipeline, tmp_path, capsys, has_id):
+    @pytest.mark.parametrize(
+        "has_id, strategy",
+        [(True, "mmns"), (False, "mmns"), (True, "rns"), (False, "rns")],
+        ids=["id", "line", "rns-id", "rns-line"],
+    )
+    def test_empty_pool_named_without_output(self, pipeline, tmp_path, capsys, has_id, strategy):
         rows = read_rows(pipeline.pools)
         rows[2]["candidates"] = []
         if not has_id:
@@ -527,7 +551,7 @@ class TestRank:
         # A blank line is skipped, so the empty pool is record 3 on line 4.
         pools.write_text("\n".join(lines[:1] + [""] + lines[1:]) + "\n", encoding="utf-8")
         out = tmp_path / "selected.jsonl"
-        assert fails("rank", "--pools", pools, "--out", out)
+        assert fails("rank", "--pools", pools, "--out", out, "--strategy", strategy)
         (line,) = capsys.readouterr().err.strip().splitlines()
         name = f"pool {rows[2]['meta']['id']}" if has_id else "pool on line 4"
         assert line == f"titlegen rank: error: {name}: empty candidate pool"
@@ -769,6 +793,17 @@ class TestRetrieve:
             "--out", tmp_path / "x.jsonl",
         )
 
+    def test_negative_code_limit_fails_without_output(self, pipeline, tmp_path, capsys):
+        out, index_path = tmp_path / "r.jsonl", tmp_path / "idx.json"
+        assert fails(
+            "retrieve", "--input", pipeline.splits / "test.jsonl",
+            "--train", pipeline.splits / "train.jsonl", "--out", out,
+            "--index-out", index_path, "--code-limit", -1,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "titlegen retrieve: error: --code-limit must be >= 0, got -1"
+        assert not out.exists() and not index_path.exists()
+
 
 class TestCompareStrategies:
     def test_report_shape(self, pipeline, tmp_path):
@@ -833,6 +868,17 @@ class TestCompareStrategies:
         )
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line == "titlegen compare-strategies: error: top_p must be in (0, 1], got 7.0"
+        assert not out.exists()
+
+    def test_negative_code_limit_fails_without_output(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "compare.json"
+        assert fails(
+            "compare-strategies", "--model", pipeline.model,
+            "--input", pipeline.splits / "test.jsonl", "--out", out, "--limit", 1,
+            "--code-limit", -1,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "titlegen compare-strategies: error: --code-limit must be >= 0, got -1"
         assert not out.exists()
 
 

@@ -254,6 +254,15 @@ class TestSampleToken:
         with pytest.raises(ValueError, match="distribution must have positive mass"):
             tg.sample_token(np.zeros(4), np.random.default_rng(0))
 
+    def test_rounding_draws_the_entry_that_brought_the_sum_to_its_total(self):
+        # The last entry is too small to move the running sum, so a draw
+        # past the total falls back to the entry before it.
+        class Uniform:
+            def random(self):
+                return 0.9
+
+        assert tg.sample_token([0.5, 0.25, 1e-30], Uniform()) == 1
+
     def test_empirical_frequencies(self):
         dist = np.array([0.5, 0.2, 0.3])
         rng = np.random.default_rng(123)

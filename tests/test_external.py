@@ -1,0 +1,41 @@
+"""Names used from outside the package: the README's library quick start
+and the benchmark's patch points must keep resolving."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    source = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    corpus = [
+        ("def merge(a, b): return {**a, **b}", "how to merge two dicts"),
+        ("a = [1, 2]; a.sort()", "how to sort a list"),
+        ("open(path).read()", "how to read a file"),
+    ]
+    exec(compile(source, "README.md", "exec"), {"corpus": corpus})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_benchmark_patch_points_exist():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+
+    def current(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    try:
+        tracing.install(tracer)
+        patched = list(tracer._undo)
+        assert patched
+        for owner, attr, original in patched:
+            assert current(owner, attr) is not original, attr
+    finally:
+        tracer.restore()
+    for owner, attr, original in patched:
+        assert current(owner, attr) is original, attr

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titlegen import _kernels
+from titlegen import _kernels, decode
 from titlegen.lm import FLOOR
 
 from .oracles import (
@@ -38,21 +38,25 @@ def step_draw(dist, beta, t, u) -> int:
     return int(ids[j]) if j >= 0 else -1
 
 
+def token_draw(probs, u) -> int:
+    return _kernels.sample_step_kernel(probs.cumsum(), u)
+
+
 class TestFusedStep:
     def test_equals_composed_ops(self):
-        # Bit-identical decisions: the step shares the nucleus with the
-        # public ops; it only skips building the filtered vector.
+        # Bit-identical decisions: the step shares the nucleus and the
+        # draw with the public ops; it only skips building the filtered
+        # vector.
         rng = stable_rng("fused")
-        for _ in range(300):
+        for i in range(300):
             size = int(rng.integers(2, 30))
             dist = random_dist(rng, size)
             beta = float(rng.uniform(0.05, 1.0))
             t = float(rng.choice([0.5, 1.0, 1.7]))
-            u = float(rng.random())
-            scaled = _kernels.apply_temperature_kernel(dist, t)
-            kept = _kernels.nucleus_filter_kernel(scaled, beta)
-            composed = _kernels.sample_token_kernel(kept, u)
-            assert step_draw(dist, beta, t, u) == int(composed)
+            kept = decode.nucleus_filter(decode.apply_temperature(dist, t), beta)
+            composed = decode.sample_token(kept, np.random.default_rng(i))
+            u = np.random.default_rng(i).random()
+            assert step_draw(dist, beta, t, u) == composed
 
 
 def same_arrays(got, want) -> bool:
@@ -135,9 +139,7 @@ class TestNucleusCut:
         ids, q = _kernels.nucleus_kernel(p, 0.8, 1.0)
         np.testing.assert_array_equal(ids, np.arange(8000))
         np.testing.assert_array_equal(q, p / np.cumsum(p)[-1])
-        np.testing.assert_array_equal(
-            _kernels.nucleus_filter_kernel(p, 0.8), loop_nucleus_filter(p, 0.8)
-        )
+        np.testing.assert_array_equal(decode.nucleus_filter(p, 0.8), loop_nucleus_filter(p, 0.8))
 
     def test_ties_at_the_tail_bound_are_searched_first(self):
         # Four entries sit exactly on (1 - beta) / n = 1/16 and the nucleus
@@ -197,9 +199,8 @@ class TestBackendEquivalence:
         scaled = loop_apply_temperature(dist, t)
         np.testing.assert_array_equal(_kernels.apply_temperature_kernel(dist, t), scaled)
         np.testing.assert_array_equal(
-            _kernels.nucleus_filter_kernel(scaled, beta), loop_nucleus_filter(scaled, beta)
+            decode.nucleus_filter(scaled, beta), loop_nucleus_filter(scaled, beta)
         )
-        assert _kernels.sample_token_kernel(scaled, u) == loop_sample_token(scaled, u)
         assert _kernels.sample_step_kernel(scaled.cumsum(), u) == loop_sample_token(scaled, u)
         step = step_draw(dist, beta, t, u)
         assert step == loop_sample_step(dist, beta, t, u)
@@ -211,7 +212,7 @@ class TestBackendEquivalence:
         dense = np.zeros_like(dist)
         dense[ids] = q
         np.testing.assert_array_equal(dense, loop_nucleus_filter(scaled, beta))
-        j = _kernels.sample_token_kernel(q, u)
+        j = loop_sample_token(q, u)
         assert (int(ids[j]) if j >= 0 else -1) == step
 
     def test_impls_match_active_backend(self):
@@ -249,7 +250,7 @@ class TestBackendEquivalence:
                     for u in (0.0, float(rng.random()), np.nextafter(1.0, 0.0)):
                         self.assert_matches_loops(dist, beta, t, float(u))
             if name in ("flat", "uniform"):
-                assert (_kernels.nucleus_filter_kernel(dist, 0.8) > 0).sum() > 1000
+                assert (decode.nucleus_filter(dist, 0.8) > 0).sum() > 1000
 
     def test_mass_short_of_one_matches_loops(self):
         # Kernel inputs need not be normalized. Mass sitting in many small
@@ -269,9 +270,7 @@ class TestBackendEquivalence:
         # the nucleus, with nothing after it.
         dist = np.array([0.25, 0.5, 0.125, 0.125])
         beta = 0.75 + 1e-12
-        np.testing.assert_array_equal(
-            _kernels.nucleus_filter_kernel(dist, beta), [1 / 3, 2 / 3, 0.0, 0.0]
-        )
+        np.testing.assert_array_equal(decode.nucleus_filter(dist, beta), [1 / 3, 2 / 3, 0.0, 0.0])
         self.assert_matches_loops(dist, beta, 1.0, 0.9)
 
     def test_draw_falls_back_to_last_positive(self):
@@ -285,23 +284,26 @@ class TestBackendEquivalence:
 
 
 class TestSampleTokenKernel:
+    """The draw ``decode.sample_token`` makes: ``sample_step_kernel``
+    over the running sums of a probability vector."""
+
     def test_inverse_cdf_walk(self):
         dist = np.array([0.2, 0.0, 0.5, 0.3])
-        assert _kernels.sample_token_kernel(dist, 0.0) == 0
-        assert _kernels.sample_token_kernel(dist, 0.19) == 0
-        assert _kernels.sample_token_kernel(dist, 0.21) == 2
-        assert _kernels.sample_token_kernel(dist, 0.69) == 2
-        assert _kernels.sample_token_kernel(dist, 0.71) == 3
-        assert _kernels.sample_token_kernel(dist, 0.999999) == 3
+        assert token_draw(dist, 0.0) == 0
+        assert token_draw(dist, 0.19) == 0
+        assert token_draw(dist, 0.21) == 2
+        assert token_draw(dist, 0.69) == 2
+        assert token_draw(dist, 0.71) == 3
+        assert token_draw(dist, 0.999999) == 3
 
     def test_rounding_fallback_returns_last_positive(self):
         # Cumulative mass slightly below 1 must still return a token.
         dist = np.array([0.5, 0.5 - 1e-12, 0.0])
-        assert _kernels.sample_token_kernel(dist, 1.0 - 1e-15) == 1
+        assert token_draw(dist, 1.0 - 1e-15) == 1
 
     def test_matches_loop_with_zero_and_negative_zero_entries(self):
-        # The kernel sums the whole vector, zeros included; a +0.0 or
-        # -0.0 term leaves each running sum bit-identical.
+        # The running sums cover the whole vector, zeros included; a +0.0
+        # or -0.0 term leaves each running sum bit-identical.
         rng = stable_rng("draw-zeros")
         for _ in range(300):
             size = int(rng.integers(1, 30))
@@ -310,31 +312,31 @@ class TestSampleTokenKernel:
             dist[rng.random(size) < 0.3] = -0.0
             total = float(np.cumsum(dist)[-1])
             for u in (0.0, float(rng.random()) * total, total, float(np.nextafter(total, 2.0))):
-                assert _kernels.sample_token_kernel(dist, u) == loop_sample_token(dist, u)
+                assert token_draw(dist, u) == loop_sample_token(dist, u)
         for dist in ([-0.0, 0.25, 0.0, 0.5], [0.0, -0.0, 0.75], [0.5, -0.0, 0.0]):
             dist = np.array(dist)
             for u in (0.0, 0.25, 0.5, 0.74, 0.75, 0.99):
-                assert _kernels.sample_token_kernel(dist, u) == loop_sample_token(dist, u)
+                assert token_draw(dist, u) == loop_sample_token(dist, u)
 
     def test_all_zero_vector_draws_nothing(self):
         for dist in ([0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
             for u in (0.0, 0.5):
-                assert _kernels.sample_token_kernel(np.array(dist), u) == -1
+                assert token_draw(np.array(dist), u) == -1
                 assert loop_sample_token(np.array(dist), u) == -1
 
     def test_u_at_or_above_total_returns_last_positive(self):
         dist = np.array([0.125, 0.0, 0.25, 0.0, -0.0])
         for u in (0.375, 0.5, float(np.nextafter(1.0, 0.0))):
-            assert _kernels.sample_token_kernel(dist, u) == 2 == loop_sample_token(dist, u)
+            assert token_draw(dist, u) == 2 == loop_sample_token(dist, u)
 
 
 class TestSampleStepKernel:
-    """The bisect draw over a table of running sums against
-    ``sample_token_kernel`` over the probabilities."""
+    """The bisect draw over a table of running sums against the loop
+    draw over the probabilities."""
 
     @staticmethod
     def assert_matches_token_draw(q, u):
-        want = _kernels.sample_token_kernel(q, u)
+        want = loop_sample_token(q, u)
         cdf = q.cumsum()
         for table in (cdf, cdf.tolist(), array("d", cdf.tobytes())):
             assert _kernels.sample_step_kernel(table, u) == want

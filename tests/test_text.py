@@ -1,10 +1,9 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from titlegen import text
+from titlegen.lm import NGramLM, train_ngram_lm
 
 from .oracles import loop_tokenize
 
@@ -84,35 +83,6 @@ class TestTokenize:
         assert text.tokenize(normalized) == text.detokenize(text.tokenize(normalized)).split()
 
 
-class TestNgrams:
-    def test_bigram_enumeration(self):
-        assert text.extract_ngrams(["a", "b", "c"], 2) == Counter({("a", "b"): 1, ("b", "c"): 1})
-
-    def test_repeated_ngram(self):
-        assert text.extract_ngrams(["a", "a", "a"], 2) == Counter({("a", "a"): 2})
-
-    def test_too_short(self):
-        assert text.extract_ngrams(["a"], 2) == Counter()
-
-    def test_markers_stripped_before_extraction(self):
-        toks = ["<s>", "a", "b", "</s>", "[PAD]"]
-        assert text.extract_ngrams(toks, 2) == Counter({("a", "b"): 1})
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            text.extract_ngrams(["a"], 0)
-
-    @given(words, st.integers(min_value=1, max_value=4))
-    def test_total_count_property(self, toks, n):
-        stripped = text.strip_markers(toks)
-        total = sum(text.extract_ngrams(toks, n).values())
-        assert total == max(0, len(stripped) - n + 1)
-
-    @given(words)
-    def test_unigram_total_equals_stripped_length(self, toks):
-        assert sum(text.extract_ngrams(toks, 1).values()) == len(text.strip_markers(toks))
-
-
 class TestVocabulary:
     def test_reserved_first(self):
         v = text.Vocabulary()
@@ -150,31 +120,28 @@ class TestVocabulary:
     def test_save_load_roundtrip(self, tmp_path):
         v = text.Vocabulary()
         v.encode(["how", "to", "?", "x1"], grow=True)
-        path = tmp_path / "vocab.txt"
-        v.save(path)
-        assert text.Vocabulary.load(path) == v
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[:5] == list(text.RESERVED)
-        assert lines[v.id("how")] == "how"
+        loaded = model_file_vocabulary(v, tmp_path / "model.bin")
+        assert loaded == v
+        assert loaded.tokens[:5] == text.RESERVED
+        assert loaded.id("how") == v.id("how")
 
     @pytest.mark.parametrize(
-        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+        "sep",
+        ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
     )
     def test_roundtrip_keeps_ids_of_tokens_splitlines_would_split(self, tmp_path, sep):
         v = text.Vocabulary()
         v.encode(["a", f"c{sep}d", sep, "z", ""], grow=True)
-        path = tmp_path / "vocab.txt"
-        v.save(path)
-        loaded = text.Vocabulary.load(path)
+        loaded = model_file_vocabulary(v, tmp_path / "model.bin")
         assert loaded == v
         assert loaded.id("z") == v.id("z")
 
-    @pytest.mark.parametrize("token", ["a\nb", "a\rb", "\r\n"])
-    def test_save_refuses_line_breaks(self, tmp_path, token):
-        v = text.Vocabulary()
-        v.add(token)
-        with pytest.raises(ValueError, match="not serializable on one line"):
-            v.save(tmp_path / "vocab.txt")
+
+def model_file_vocabulary(vocab, path):
+    """``vocab`` written and read back in the model file's header, its one
+    on-disk form."""
+    train_ngram_lm([([], [len(vocab) - 1])], order=2, vocab=vocab).save(path)
+    return NGramLM.load(path).vocabulary
 
 
 class TestStripMarkers:
