@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import os
@@ -136,15 +137,17 @@ def _decode_inputs(args: argparse.Namespace) -> tuple[NGramLM, list[data.Post]]:
 
 
 def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
-    """Yield one candidate pool per post, seeded with ``seed + position``:
+    """One candidate pool per post, lazily, seeded with ``seed + position``:
     sampled, or for "beam" the exact top ``beam_size`` beam search list,
     of which every shorter top list is a prefix. Sampled pools share one
     nucleus memo for the whole run."""
     seed = res.get("seed", int)
     code_limit = _token_limit(res, "code_limit")
     beam_size = res.get("beam_size", int)
-    # Checked once, before any post, so a bad setting fails the run
-    # whatever the strategy and however many posts there are.
+    # Checked by this call, before any pool is drawn, so a bad setting
+    # fails the run whatever the strategy and however many posts there are.
+    if beam_size < 1:
+        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     sampling = decode.SamplingConfig(
         top_p=res.get("top_p", float),
         temperature=res.get("temperature", float),
@@ -155,7 +158,8 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     max_length = sampling.max_length
     memo = decode.NucleusMemo(model, sampling.top_p, sampling.temperature)
     vocab = model.vocabulary
-    for pos, post in enumerate(posts):
+
+    def make_pool(pos: int, post: data.Post) -> decode.CandidatePool:
         code = vocab.encode(_code_tokens(post, code_limit))
         row_seed = (seed + pos) % 2**64
         if strategy == "beam":
@@ -170,7 +174,9 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
             config = dataclasses.replace(sampling, seed=row_seed)
             pool = decode.decode_candidates(model, code, config, memo)
         pool.meta = _post_meta(post)
-        yield pool
+        return pool
+
+    return itertools.starmap(make_pool, enumerate(posts))
 
 
 def _selector(strategy: str, k: int, dedup: bool = True):
@@ -224,18 +230,20 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     }
     # The manifest is written last: one that exists marks complete splits.
     (out_dir / "manifest.json").unlink(missing_ok=True)
-    for name, split in splits.items():
-        records.write_jsonl(out_dir / f"{name}.jsonl", map(records.post_to_dict, split))
     for lang in languages:
-        lang_dir = out_dir / lang
-        lang_dir.mkdir(exist_ok=True)
-        counts = {}
-        for name, split in splits.items():
-            rows = [p for p in split if p.language == lang]
-            records.write_jsonl(lang_dir / f"{name}.jsonl", map(records.post_to_dict, rows))
-            counts[name] = len(rows)
+        (out_dir / lang).mkdir(exist_ok=True)
+        manifest["languages"][lang] = {}
+    # Each post is serialized once; its line goes to its split's file and
+    # to its language's file of that split.
+    for name, split in splits.items():
+        lines = [records.dump_json(records.post_to_dict(post)) for post in split]
+        records.write_lines(out_dir / f"{name}.jsonl", lines)
+        for lang in languages:
+            rows = [line for post, line in zip(split, lines) if post.language == lang]
+            records.write_lines(out_dir / lang / f"{name}.jsonl", rows)
+            manifest["languages"][lang][name] = len(rows)
+    for counts in manifest["languages"].values():
         counts["filtered"] = sum(counts.values())
-        manifest["languages"][lang] = counts
     manifest["totals"] = {name: len(split) for name, split in splits.items()}
     records.write_json(out_dir / "manifest.json", manifest)
     log.info("prepare: %d train / %d validation / %d test", len(train), len(validation), len(test))
@@ -413,6 +421,7 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
     (rns, mmns), evaluate. Only the selections are kept, not the pools."""
     res = _Resolver(args)
     model, posts = _decode_inputs(args)
+    sampled, beams = _pools(res, model, posts, "sample"), _pools(res, model, posts, "beam")
     if not posts:
         raise ValueError("no input posts")
     sweep = _parse_sweep(res.get("k_sweep"))
@@ -421,7 +430,7 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
 
     selections: dict[str, list[list[list[str]]]] = {"bs": [], "rns": [], "mmns": []}
     refs = [tokenize(post.title) for post in posts]
-    for sample, beam in zip(_pools(res, model, posts, "sample"), _pools(res, model, posts, "beam")):
+    for sample, beam in zip(sampled, beams):
         for arm, pool, select in (("bs", beam, rns), ("rns", sample, rns), ("mmns", sample, mmns)):
             indices, _ = select(pool)
             selections[arm].append([pool.candidates[i] for i in indices])

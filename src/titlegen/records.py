@@ -52,15 +52,21 @@ def write_atomic(path: str | Path, write: Callable[[IO], object], binary: bool =
     return result
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each string as one line; returns the number of lines."""
+
     def write(fh: TextIO) -> int:
         count = 0
-        for row in rows:
-            fh.write(dump_json(row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
             count += 1
         return count
 
     return write_atomic(path, write)
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
+    return write_lines(path, map(dump_json, rows))
 
 
 def write_json(path: str | Path, obj) -> None:

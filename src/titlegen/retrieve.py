@@ -13,7 +13,8 @@ import math
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,9 +32,12 @@ class BM25Index:
     with IDF(q) = ln(1 + (N - n_q + 0.5) / (n_q + 0.5)).
 
     ``postings`` maps each term to its ``(doc position, term frequency)``
-    pairs, positions strictly ascending. The constructor checks that and
-    precomputes every posting's score contribution, so a query is one
-    array addition per query token.
+    pairs, positions strictly ascending. The constructor checks that,
+    flattens the pairs into position and frequency arrays, one slice per
+    term, and precomputes every posting's score contribution, so a query
+    is one weighted ``bincount``. The index keeps only the arrays; its
+    ``postings`` attribute is a read-only view of them, built on first
+    use.
     """
 
     def __init__(
@@ -45,6 +49,23 @@ class BM25Index:
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ):
+        terms = list(postings)
+        lengths = np.fromiter(map(len, map(postings.__getitem__, terms)), np.int64, len(terms))
+
+        def column(i: int) -> np.ndarray:
+            pairs = chain.from_iterable(map(postings.__getitem__, terms))
+            try:
+                return np.fromiter(map(itemgetter(i), pairs), np.int64, int(lengths.sum()))
+            except OverflowError:
+                raise ValueError("posting value out of range") from None
+
+        self._init(doc_ids, titles, doc_lens, terms, lengths, column(0), column(1), k1, b)
+
+    def _init(self, doc_ids, titles, doc_lens, terms, lengths, pos, f, k1, b) -> None:
+        """Check and index flat postings: ``lengths[i]`` (position,
+        frequency) pairs of ``terms[i]``, end to end in ``pos`` and ``f``.
+        ``_spans[term]`` is the term's slice of the position, frequency
+        and weight arrays."""
         if not doc_ids:
             raise ValueError("empty corpus")
         if not (len(doc_ids) == len(titles) == len(doc_lens)):
@@ -54,29 +75,10 @@ class BM25Index:
         self.doc_ids = doc_ids
         self.titles = titles
         self.doc_lens = doc_lens
-        self.postings = postings
         self.k1 = k1
         self.b = b
-        self.num_docs = len(doc_ids)
+        self.num_docs = n = len(doc_ids)
         self.avgdl = sum(doc_lens) / len(doc_lens)
-        self._build_arrays()
-
-    def _build_arrays(self) -> None:
-        """Flatten the postings into one position and one weight array;
-        ``_spans[term]`` is the term's slice of both."""
-        n = self.num_docs
-        terms = list(self.postings)
-        lengths = np.fromiter(map(len, map(self.postings.__getitem__, terms)), np.int64, len(terms))
-        offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
-
-        def column(i: int) -> np.ndarray:
-            pairs = chain.from_iterable(map(self.postings.__getitem__, terms))
-            try:
-                return np.fromiter(map(itemgetter(i), pairs), np.int64, offsets[-1])
-            except OverflowError:
-                raise ValueError("posting value out of range") from None
-
-        pos, f = column(0), column(1)
         if pos.size and (pos.min() < 0 or pos.max() >= n):
             raise ValueError(f"posting position outside 0..{n - 1}")
         if pos.size and f.min() < 1:
@@ -89,37 +91,51 @@ class BM25Index:
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("posting positions must be strictly ascending within a term")
         del keys
-        if not np.array_equal(np.bincount(pos, weights=f, minlength=n), self.doc_lens):
+        if not np.array_equal(np.bincount(pos, weights=f, minlength=n), doc_lens):
             raise ValueError("doc_lens must equal each document's summed term frequencies")
         # The scalar formula's operations in its order (in place, and
         # + and * commute exactly), so every weight, and every score
         # summed from them in query order, is bit-identical to it.
-        k1, b = self.k1, self.b
-        norm = np.asarray(self.doc_lens, dtype=np.float64)[pos]
+        norm = np.asarray(doc_lens, dtype=np.float64)[pos]
         norm *= b
         norm /= self.avgdl
         norm += 1.0 - b
         norm *= k1
         norm += f
-        weights = np.repeat(np.fromiter(map(self.idf, terms), np.float64, len(terms)), lengths)
+        idf = [_idf(n, n_q) for n_q in lengths.tolist()]
+        weights = np.repeat(np.array(idf, dtype=np.float64), lengths)
         weights *= f
         weights *= k1 + 1.0
         weights /= norm
-        self._positions, self._weights = pos, weights
+        self._positions, self._freqs, self._weights = pos, f, weights
+        offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
         self._spans = dict(zip(terms, zip(offsets[:-1], offsets[1:])))
+        self._postings = None
         # Rank of each document in (doc id, position) order: the tie-break.
-        order = sorted(range(n), key=self.doc_ids.__getitem__)
+        order = sorted(range(n), key=doc_ids.__getitem__)
         self._id_rank = np.empty(n, dtype=np.int64)
         self._id_rank[order] = np.arange(n)
 
+    @property
+    def postings(self) -> Mapping[str, list[tuple[int, int]]]:
+        """Each term's (doc position, term frequency) pairs, ascending."""
+        if self._postings is None:
+            pairs = list(zip(self._positions.tolist(), self._freqs.tolist()))
+            self._postings = MappingProxyType(
+                {term: pairs[lo:hi] for term, (lo, hi) in self._spans.items()}
+            )
+        return self._postings
+
     def doc_frequency(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        lo, hi = self._spans.get(term, (0, 0))
+        return hi - lo
 
     def idf(self, term: str) -> float:
-        n_q = self.doc_frequency(term)
-        return math.log(1.0 + (self.num_docs - n_q + 0.5) / (n_q + 0.5))
+        return _idf(self.num_docs, self.doc_frequency(term))
 
     def save(self, path: str | Path) -> None:
+        # From the arrays, not the ``postings`` view: no tuple per posting.
+        pos, f = self._positions.tolist(), self._freqs.tolist()
         payload = {
             "format": "titlegen-bm25-index",
             "k1": self.k1,
@@ -128,8 +144,8 @@ class BM25Index:
             "titles": self.titles,
             "doc_lens": self.doc_lens,
             "postings": {
-                term: [[d, f] for d, f in plist]
-                for term, plist in sorted(self.postings.items())
+                term: list(map(list, zip(pos[lo:hi], f[lo:hi])))
+                for term, (lo, hi) in self._spans.items()
             },
         }
         text = json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
@@ -169,12 +185,16 @@ class BM25Index:
                 doc_ids=doc_ids,
                 titles=titles,
                 doc_lens=doc_lens,
-                postings={term: [(d, f) for d, f in plist] for term, plist in postings.items()},
+                postings=postings,
                 k1=payload["k1"],
                 b=payload["b"],
             )
         except ValueError as exc:
             raise ValueError(f"index {path}: {exc}") from None
+
+
+def _idf(num_docs: int, n_q: int) -> float:
+    return math.log(1.0 + (num_docs - n_q + 0.5) / (n_q + 0.5))
 
 
 def _is_int(value) -> bool:
@@ -208,17 +228,28 @@ def build_index(
     doc_ids: list[int] = []
     titles: list[str] = []
     doc_lens: list[int] = []
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for pos, (doc_id, tokens, title) in enumerate(docs):
+    tokens: list[str] = []
+    for doc_id, doc_tokens, title in docs:
         doc_ids.append(doc_id)
         titles.append(title)
-        doc_lens.append(len(tokens))
-        tf: dict[str, int] = {}
-        for t in tokens:
-            tf[t] = tf.get(t, 0) + 1
-        for term, f in tf.items():
-            postings.setdefault(term, []).append((pos, f))
-    return BM25Index(doc_ids, titles, doc_lens, postings, k1=k1, b=b)
+        doc_lens.append(len(doc_tokens))
+        tokens += doc_tokens
+    # Term ids in order of first appearance, the order a dict of
+    # postings filled document by document has. One sort of the
+    # (term, document) keys of every token groups the postings by term,
+    # positions ascending, and counts each term frequency.
+    terms = {term: i for i, term in enumerate(dict.fromkeys(tokens))}
+    n = len(doc_ids)
+    keys = np.fromiter(map(terms.__getitem__, tokens), np.int64, len(tokens))
+    del tokens
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), doc_lens)
+    keys, f = np.unique(keys, return_counts=True)
+    term_ids, pos = np.divmod(keys, n)
+    lengths = np.bincount(term_ids, minlength=len(terms))
+    index = BM25Index.__new__(BM25Index)
+    index._init(doc_ids, titles, doc_lens, list(terms), lengths, pos, f, k1, b)
+    return index
 
 
 def query(index: BM25Index, code: Sequence[str], k: int) -> list[tuple[str, float]]:
@@ -231,13 +262,18 @@ def query(index: BM25Index, code: Sequence[str], k: int) -> list[tuple[str, floa
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.zeros(index.num_docs)
-    for term in code:
-        span = index._spans.get(term)
-        if span is not None:
-            lo, hi = span
-            # Positions are distinct within a term, so no addition is lost.
-            scores[index._positions[lo:hi]] += index._weights[lo:hi]
+    spans = [slice(*span) for span in map(index._spans.get, code) if span is not None]
+    if spans:
+        # One weighted ``bincount`` adds the postings in the order given,
+        # so each document's additions come in query-token order, the
+        # scalar loop's order.
+        scores = np.bincount(
+            np.concatenate([index._positions[s] for s in spans]),
+            np.concatenate([index._weights[s] for s in spans]),
+            index.num_docs,
+        )
+    else:
+        scores = np.zeros(index.num_docs)
     hits = np.flatnonzero(scores > 0.0)
     if hits.size > k:
         # Only hits at or above the k-th largest score can make the top

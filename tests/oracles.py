@@ -349,6 +349,20 @@ def bm25_oracle(docs, query_tokens, k1=1.2, b=0.75):
     return results
 
 
+def loop_postings(docs):
+    """The postings of (id, tokens, title) documents as ``build_index``
+    once collected them: one term-frequency dict per document, appended
+    term by term to a dict of ``(position, frequency)`` lists."""
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for pos, (_, tokens, _) in enumerate(docs):
+        tf: dict[str, int] = {}
+        for t in tokens:
+            tf[t] = tf.get(t, 0) + 1
+        for term, f in tf.items():
+            postings.setdefault(term, []).append((pos, f))
+    return postings
+
+
 def loop_query(index, code, k):
     """The scalar BM25 query the array query replaced: walks each query
     token's postings in query order, summing per-document scores in a
@@ -366,7 +380,7 @@ def loop_query(index, code, k):
             norm = f + index.k1 * (1.0 - index.b + index.b * index.doc_lens[pos] / index.avgdl)
             scores[pos] = scores.get(pos, 0.0) + idf * f * (index.k1 + 1.0) / norm
     hits = [(pos, s) for pos, s in scores.items() if s > 0.0]
-    hits.sort(key=lambda h: (-h[1], index.doc_ids[h[0]]))
+    hits.sort(key=lambda h: (-h[1], index.doc_ids[h[0]], h[0]))
     return [(index.titles[pos], s) for pos, s in hits[:k]]
 
 

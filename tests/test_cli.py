@@ -105,6 +105,14 @@ class TestPrepare:
         for rel in ("train.jsonl", "validation.jsonl", "test.jsonl", "manifest.json"):
             assert (out / rel).read_bytes() == (pipeline.splits / rel).read_bytes()
 
+    def test_language_files_are_the_split_lines_of_that_language(self, pipeline):
+        manifest = json.loads((pipeline.splits / "manifest.json").read_text())
+        for name in ("train", "validation", "test"):
+            lines = (pipeline.splits / f"{name}.jsonl").read_bytes().splitlines(keepends=True)
+            for lang in manifest["languages"]:
+                want = [line for line in lines if json.loads(line)["language"] == lang]
+                assert (pipeline.splits / lang / f"{name}.jsonl").read_bytes() == b"".join(want)
+
     def test_missing_input_fails_without_output(self, tmp_path):
         out = tmp_path / "nope"
         assert fails("prepare", "--input", tmp_path / "absent.jsonl", "--out-dir", out)
@@ -118,16 +126,16 @@ class TestPrepare:
                 "--val-count", 15, "--test-count", 15]
         run(*argv)
         assert (out / "manifest.json").is_file()
-        real_write = records.write_jsonl
+        real_write = records.write_lines
         calls = []
 
-        def write_jsonl(path, rows):
+        def write_lines(path, lines):
             calls.append(path)
             if len(calls) == 2:
                 raise OSError("disk full")
-            return real_write(path, rows)
+            return real_write(path, lines)
 
-        monkeypatch.setattr(records, "write_jsonl", write_jsonl)
+        monkeypatch.setattr(records, "write_lines", write_lines)
         assert fails(*argv)
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line == "titlegen prepare: error: disk full"
@@ -396,8 +404,12 @@ class TestGenerate:
                 ["--limit", 1, "--strategy", "beam", "--beam-size", 2, "--top-p", 7],
                 "top_p must be in (0, 1], got 7.0",
             ),
+            (
+                ["--limit", 0, "--strategy", "beam", "--beam-size", 0],
+                "beam_size must be >= 1, got 0",
+            ),
         ],
-        ids=["no_posts", "beam_nan_temperature", "beam_top_p"],
+        ids=["no_posts", "beam_nan_temperature", "beam_top_p", "no_posts_beam_size_zero"],
     )
     def test_bad_setting_fails_with_no_sampled_post(
         self, pipeline, tmp_path, capsys, flags, message
@@ -868,6 +880,17 @@ class TestCompareStrategies:
         )
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line == "titlegen compare-strategies: error: top_p must be in (0, 1], got 7.0"
+        assert not out.exists()
+
+    def test_zero_beam_size_fails_with_no_posts(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "compare.json"
+        assert fails(
+            "compare-strategies", "--model", pipeline.model,
+            "--input", pipeline.splits / "test.jsonl", "--out", out, "--limit", 0,
+            "--beam-size", 0,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "titlegen compare-strategies: error: beam_size must be >= 1, got 0"
         assert not out.exists()
 
     def test_negative_code_limit_fails_without_output(self, pipeline, tmp_path, capsys):

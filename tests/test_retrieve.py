@@ -1,12 +1,19 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import titlegen as tg
+from titlegen import records
+from titlegen.cli import main as cli_main
 
-from .oracles import bm25_oracle, loop_query, stable_rng
+from .conftest import raw_post
+from .oracles import bm25_oracle, loop_postings, loop_query, stable_rng
 
 
 def make_docs(rng, n, alphabet="abcdefgh", max_len=6):
@@ -82,6 +89,90 @@ class TestBuildIndex:
             assert getattr(got, attr) == getattr(want, attr)
         for tokens in (docs[0][1], ["t1", "t2", "t2"], ["none"]):
             assert tg.query(got, tokens, 5) == tg.query(want, tokens, 5)
+
+
+#: Corpora of 1-8 documents over a five-term alphabet: empty documents,
+#: repeated terms and equal ids all occur.
+CORPORA = st.lists(
+    st.tuples(st.integers(0, 5), st.lists(st.sampled_from("abcde"), max_size=8)),
+    min_size=1,
+    max_size=8,
+).map(lambda docs: [(i, toks, f"title {n}") for n, (i, toks) in enumerate(docs)])
+QUERIES = st.lists(st.lists(st.sampled_from("abcdez"), min_size=1, max_size=6), max_size=4)
+#: One document; empty documents beside others; repeated terms.
+CORPUS_EXAMPLES = [
+    [(7, ["a", "b", "a", "a"], "only")],
+    [(1, [], "empty"), (2, ["c", "c"], "cc"), (3, [], "also empty")],
+    [(4, ["b", "a", "b"], "bab"), (4, ["a", "a"], "aa"), (9, ["e"], "e")],
+]
+
+
+def postings_index(docs):
+    """``BM25Index`` from the postings a per-document loop collects."""
+    return tg.BM25Index(
+        [d[0] for d in docs], [d[2] for d in docs], [len(d[1]) for d in docs], loop_postings(docs)
+    )
+
+
+def with_examples(test):
+    for docs in CORPUS_EXAMPLES:
+        test = example(docs=docs, queries=[["a"], ["c", "z", "c"], ["a", "b", "e", "a"]])(test)
+    return test
+
+
+class TestArrayBuild:
+    """``build_index`` groups flat arrays; ``BM25Index`` flattens a dict
+    of postings. Both must give the same index, compared with ``==``."""
+
+    @with_examples
+    @settings(max_examples=200, deadline=None)
+    @given(docs=CORPORA, queries=QUERIES)
+    def test_equals_postings_built_index(self, docs, queries):
+        got, want = tg.build_index(docs), postings_index(docs)
+        assert got._positions.tolist() == want._positions.tolist()
+        assert got._weights.tolist() == want._weights.tolist()
+        assert list(got._spans.items()) == list(want._spans.items())
+        assert got.postings == want.postings == loop_postings(docs)
+        for term in "abcdez":
+            assert got.doc_frequency(term) == want.doc_frequency(term)
+            assert got.idf(term) == want.idf(term)
+        for q in queries:
+            for k in (1, 3, len(docs) + 1):
+                assert tg.query(got, q, k) == tg.query(want, q, k) == loop_query(want, q, k)
+
+    def test_postings_is_read_only(self):
+        index = tg.build_index([(1, ["a", "b", "a"], "t1")])
+        with pytest.raises(TypeError):
+            index.postings["c"] = [(0, 1)]
+        with pytest.raises(AttributeError):
+            index.postings = {}
+
+    @with_examples
+    @settings(max_examples=25, deadline=None)
+    @given(docs=CORPORA, queries=QUERIES)
+    def test_cli_index_roundtrip(self, docs, queries):
+        # retrieve --train --index-out I, then retrieve --index I: the
+        # same retrieved bytes, and I is a postings-built index's bytes.
+        # Each post's code is its document's tokens, so the CLI indexes
+        # ``docs`` itself.
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            train, posts = tmp / "train.jsonl", tmp / "posts.jsonl"
+            records.write_jsonl(
+                train,
+                (raw_post(i, title=t, code_snippets=[" ".join(toks)]) for i, toks, t in docs),
+            )
+            records.write_jsonl(
+                posts, (raw_post(n, code_snippets=[" ".join(q)]) for n, q in enumerate(queries))
+            )
+            index_path, built, loaded = tmp / "I.json", tmp / "a.jsonl", tmp / "b.jsonl"
+            common = ["retrieve", "--input", str(posts), "--k", "3"]
+            assert cli_main(common + ["--train", str(train), "--index-out", str(index_path),
+                                      "--out", str(built)]) == 0
+            assert cli_main(common + ["--index", str(index_path), "--out", str(loaded)]) == 0
+            assert loaded.read_bytes() == built.read_bytes()
+            postings_index(docs).save(tmp / "J.json")
+            assert index_path.read_bytes() == (tmp / "J.json").read_bytes()
 
 
 class TestQuery:
