@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import logging
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import data, decode, metrics, rank, records, retrieve
 from .lm import NGramLM, train_ngram_lm
@@ -107,8 +108,30 @@ def _token_limit(res: _Resolver, name: str) -> int:
 
 def _require_files(*paths: str) -> None:
     for p in paths:
-        if not Path(p).is_file():
+        if not os.path.exists(p):
             raise FileNotFoundError(f"input file not found: {p}")
+        if not os.path.isfile(p):
+            raise ValueError(f"input path is not a file: {p}")
+
+
+def _require_writable(flag: str, path: str | None) -> None:
+    """Refuse an output path that cannot be written, before any work: a
+    directory, or a path whose directory is missing, is no directory or
+    is not writable. A path that exists as no regular file
+    (``/dev/stdout``, a pipe) is written in place, so it passes."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path} is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):
+        return
+    parent = Path(os.path.realpath(path)).parent
+    if not parent.exists():
+        raise ValueError(f"{flag} {path}: directory {parent} does not exist")
+    if not parent.is_dir():
+        raise ValueError(f"{flag} {path}: {parent} is not a directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ValueError(f"{flag} {path}: directory {parent} is not writable")
 
 
 def _parse_sweep(raw) -> list[int]:
@@ -136,11 +159,26 @@ def _decode_inputs(args: argparse.Namespace) -> tuple[NGramLM, list[data.Post]]:
     return NGramLM.load(args.model), posts
 
 
+def _pool_seed(seed: int, post_id: int) -> int:
+    """The seed of a post's pool: the first 64-bit word of
+    ``SeedSequence(seed % 2**64, spawn_key=(key,))``, where ``key`` maps
+    the id one-to-one onto the integers >= 0 (0, -1, 1, -2, ... to 0, 1,
+    2, 3, ...), so a negative id or one past 2**64 is a valid key. It
+    depends on the run seed and the id alone. Equal ids give equal seeds:
+    two posts with one id and one code get the same pool."""
+    key = 2 * post_id if post_id >= 0 else -2 * post_id - 1
+    entropy = np.random.SeedSequence(seed % 2**64, spawn_key=(key,))
+    return int(entropy.generate_state(1, np.uint64)[0])
+
+
 def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
-    """One candidate pool per post, lazily, seeded with ``seed + position``:
-    sampled, or for "beam" the exact top ``beam_size`` beam search list,
-    of which every shorter top list is a prefix. Sampled pools share one
-    nucleus memo for the whole run."""
+    """One candidate pool per post, lazily: sampled, or for "beam" the
+    exact top ``beam_size`` beam search list, of which every shorter top
+    list is a prefix. Each pool's ``config.seed`` is ``_pool_seed(run
+    seed, post id)``, so a pool does not depend on the post's position,
+    ``--limit`` or the other posts, and ``decode.decode_candidates`` with
+    a sampled pool's config and the post's code rebuilds it. Sampled
+    pools share one nucleus memo for the whole run."""
     seed = res.get("seed", int)
     code_limit = _token_limit(res, "code_limit")
     beam_size = res.get("beam_size", int)
@@ -159,24 +197,24 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     memo = decode.NucleusMemo(model, sampling.top_p, sampling.temperature)
     vocab = model.vocabulary
 
-    def make_pool(pos: int, post: data.Post) -> decode.CandidatePool:
+    def make_pool(post: data.Post) -> decode.CandidatePool:
         code = vocab.encode(_code_tokens(post, code_limit))
-        row_seed = (seed + pos) % 2**64
+        pool_seed = _pool_seed(seed, post.id)
         if strategy == "beam":
             seqs = decode.beam_search(
                 model, code, beam_size=beam_size, k=beam_size, max_length=max_length
             )
             config = decode.SamplingConfig(
-                top_p=1.0, num_samples=max(1, len(seqs)), max_length=max_length, seed=row_seed
+                top_p=1.0, num_samples=max(1, len(seqs)), max_length=max_length, seed=pool_seed
             )
             pool = decode.CandidatePool(vocab.decode(code), [vocab.decode(s) for s in seqs], config)
         else:
-            config = dataclasses.replace(sampling, seed=row_seed)
+            config = dataclasses.replace(sampling, seed=pool_seed)
             pool = decode.decode_candidates(model, code, config, memo)
         pool.meta = _post_meta(post)
         return pool
 
-    return itertools.starmap(make_pool, enumerate(posts))
+    return map(make_pool, posts)
 
 
 def _selector(strategy: str, k: int, dedup: bool = True):
@@ -200,6 +238,8 @@ def _selector(strategy: str, k: int, dedup: bool = True):
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     res = _Resolver(args)
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise ValueError(f"--out-dir {args.out_dir} is not a directory")
     _require_files(args.input)
     seed = res.get("seed", int)
     spec = data.SplitSpec(
@@ -562,6 +602,9 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
+        # Every output path is checked before the stage does any work.
+        for name in ("out", "index_out"):
+            _require_writable(f"--{name.replace('_', '-')}", getattr(args, name, None))
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"titlegen {args.command}: error: {exc}", file=sys.stderr)

@@ -108,19 +108,12 @@ def sample_token(dist, rng: np.random.Generator) -> int:
 
 
 def _row_uniforms(seed: int, rows: int, length: int) -> list[list[float]]:
-    """Row r's first ``length`` values of
-    ``default_rng(SeedSequence(seed, spawn_key=(r,))).random()``, for r
-    in ``range(rows)``.
-
-    The splittable per-row streams are reproducible however many rows run
-    or in which order. The raw PCG64 words are converted in one block,
-    the way numpy draws a float64: the top 53 bits times 2**-53.
-    """
-    raw = np.empty((rows, length), dtype=np.uint64)
-    for row in range(rows):
-        stream = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(row,)))
-        raw[row] = stream.random_raw(length)
-    return ((raw >> 11) * 2.0**-53).tolist()
+    """``rows`` rows of ``length`` values of one stream,
+    ``default_rng(seed).random()``: row r holds values r·length …
+    r·length + length − 1. So the first M rows do not depend on how many
+    rows follow. The block is drawn in one call, which gives the values
+    successive scalar draws give."""
+    return np.random.default_rng(seed).random((rows, length)).tolist()
 
 
 #: The most nucleus ids one run's memo holds, as a multiple of the
@@ -224,9 +217,12 @@ def decode_candidates(
     """Sample ``num_samples`` candidate rows independently.
 
     Each row applies temperature, then the nucleus filter, then one
-    inverse-CDF draw per step, stopping at END or ``max_length``. Row
-    rng streams depend only on (seed, row index), so the first M rows
-    of a larger batch are identical to a batch of exactly M.
+    inverse-CDF draw per step, stopping at END or ``max_length``. The
+    pool draws from one stream, ``default_rng(config.seed)``; row r's
+    step j reads its value r·L + j, where L is ``max_length``, whether or
+    not the row ran that far. So a row depends only on (seed, row index,
+    ``max_length``), and the first M rows of a larger batch are identical
+    to a batch of exactly M at the same ``max_length``.
 
     The rows advance together, one step at a time, and each state's draw
     table comes from ``memo`` (see :class:`NucleusMemo`): at each step the

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
+import os
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from pathlib import Path
@@ -450,10 +452,17 @@ class NGramLM(GeneratorModel):
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramLM":
-        """Read a file written by :meth:`save`. The arrays are views of
-        the file's bytes, checked with array operations; any malformed
-        content is a ``ValueError`` naming the file."""
-        raw = Path(path).read_bytes()
+        """Read a file written by :meth:`save`. The file is mapped
+        read-only, not copied, and the level arrays are read-only views of
+        the mapping, checked with array operations; any malformed content
+        is a ``ValueError`` naming the file. A file replaced by rename, as
+        ``save`` replaces one, leaves a loaded model as it was; truncating
+        the file in place while a model of it is loaded is unsupported."""
+        with open(path, "rb") as fh:
+            # mmap refuses an empty file with an error of its own.
+            if os.fstat(fh.fileno()).st_size == 0:
+                raise ValueError(f"not a model file: {path}")
+            raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         end = raw.find(b"\n")
         try:
             header = json.loads(raw[:end]) if end >= 0 else None

@@ -35,12 +35,14 @@ def write_atomic(path: str | Path, write: Callable[[IO], object], binary: bool =
 
     A symlink's target is replaced, not the link. A path that exists
     but is no regular file (``/dev/stdout``, a pipe) cannot be renamed
-    over, so it is written in place."""
+    over, so it is written in place. That is asked of the path itself,
+    through its links: ``/dev/stdout`` on a pipe resolves to no path
+    that could be opened."""
     mode, encoding = ("b", None) if binary else ("", "utf-8")
-    path = Path(os.path.realpath(path))
-    if path.exists() and not path.is_file():
+    if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w" + mode, encoding=encoding) as fh:
             return write(fh)
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x" + mode, encoding=encoding) as fh:

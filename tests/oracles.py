@@ -514,13 +514,16 @@ def loop_decode_candidates(model, code, config):
 
     vocab = model.vocabulary
     candidates = []
+    # One stream per pool; each row takes the next max_length values of
+    # it, one scalar draw at a time, however many steps the row runs.
+    rng = np.random.default_rng(config.seed)
     for row in range(config.num_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(row,)))
+        draws = [rng.random() for _ in range(config.max_length)]
         prefix = [START_ID]
         out = []
         while len(out) < config.max_length:
             dist = model.next_distribution(code, prefix)
-            tok = loop_sample_step(dist, config.top_p, config.temperature, rng.random())
+            tok = loop_sample_step(dist, config.top_p, config.temperature, draws[len(out)])
             if tok == END_ID:
                 break
             out.append(tok)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import titlegen as tg
-from titlegen import records
+from titlegen import cli, records
 from titlegen.cli import main as cli_main
 from titlegen.text import START_ID, tokenize
 
@@ -287,6 +287,32 @@ class TestTrainLm:
         pool = decode_candidates(model, code, SamplingConfig(num_samples=3, seed=1))
         assert len(pool.candidates) == 3
 
+    def test_loaded_model_survives_retraining_over_its_file(self, pipeline, tmp_path):
+        # The model maps its file; train-lm --out renames a new file over
+        # it, which leaves the mapped one as it was.
+        from titlegen import NGramLM
+
+        path = tmp_path / "model.bin"
+        path.write_bytes(pipeline.model.read_bytes())
+        loaded = NGramLM.load(path)
+        for level in loaded.levels:
+            assert all(not a.flags.writeable and not a.flags.owndata for a in level)
+        vocab = loaded.vocabulary
+        states = [
+            (vocab.encode(["fn", "call", f"k{t}"]), [START_ID, *vocab.encode(title)])
+            for t in range(3)
+            for title in ([], [f"t{t}a0"], [f"t{t}b0", f"t{t}b1"])
+        ]
+        before = [loaded.next_distribution(code, prefix) for code, prefix in states]
+        run("train-lm", "--train", pipeline.splits / "test.jsonl", "--out", path, "--order", 2)
+        assert path.read_bytes() != pipeline.model.read_bytes()
+        for (code, prefix), want in zip(states, before):
+            got = loaded.next_distribution(code, prefix)
+            assert got.tobytes() == want.tobytes()
+        assert [a.tobytes() for lv in loaded.levels for a in lv] == [
+            a.tobytes() for lv in NGramLM.load(pipeline.model).levels for a in lv
+        ]
+
     def test_missing_train_fails(self, tmp_path):
         assert fails(
             "train-lm", "--train", tmp_path / "absent.jsonl", "--out", tmp_path / "m.json"
@@ -308,10 +334,11 @@ class TestGenerate:
     def test_pool_rows(self, pipeline):
         rows = read_rows(pipeline.pools)
         assert len(rows) == 8
-        for pos, row in enumerate(rows):
+        for row in rows:
             assert row["config"]["top_p"] == 0.8  # builtin default
             assert row["config"]["num_samples"] == 30
-            assert row["config"]["seed"] == pos  # run seed + input position
+            # Derived from (run seed, post id), not from the input position.
+            assert row["config"]["seed"] == cli._pool_seed(0, row["meta"]["id"])
             assert len(row["candidates"]) == 30
             assert all(len(c) <= 12 for c in row["candidates"])
             assert {"id", "reference", "language"} <= row["meta"].keys()
@@ -1060,3 +1087,216 @@ class TestPrecedence:
             "rank", "--pools", pipeline.pools, "--out", tmp_path / "x.jsonl",
             "--config", tmp_path / "absent.json",
         )
+
+
+def output_stage_argv(pipeline, stage, flag, out, spare):
+    """``stage``'s command line writing ``flag`` to ``out``; ``--out`` goes
+    to ``spare`` when ``out`` is the index's."""
+    splits = pipeline.splits
+    decoding = [
+        "--model", pipeline.model, "--input", splits / "test.jsonl",
+        "--limit", 2, "--num-samples", 4, "--max-length", 6, "--beam-size", 2,
+    ]
+    argv = {
+        "train-lm": ["train-lm", "--train", splits / "train.jsonl"],
+        "generate": ["generate", *decoding],
+        "rank": ["rank", "--pools", pipeline.pools],
+        "retrieve": [
+            "retrieve", "--input", splits / "test.jsonl", "--train", splits / "train.jsonl",
+        ],
+        "evaluate": ["evaluate", "--selections", pipeline.selections],
+        "compare-strategies": ["compare-strategies", *decoding],
+    }[stage]
+    if flag == "--index-out":
+        argv += ["--out", spare]
+    return [*argv, flag, out]
+
+
+OUTPUT_FLAGS = [
+    ("train-lm", "--out"),
+    ("generate", "--out"),
+    ("rank", "--out"),
+    ("retrieve", "--out"),
+    ("retrieve", "--index-out"),
+    ("evaluate", "--out"),
+    ("compare-strategies", "--out"),
+]
+
+
+class TestOutputPaths:
+    """An output path that cannot be written fails the stage with one line
+    naming the flag and the path, before any input is read, and leaves no
+    file behind."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read before the output path was checked")
+
+        monkeypatch.setattr(records, "read_jsonl", refuse)
+        monkeypatch.setattr(tg.NGramLM, "load", refuse)
+        monkeypatch.setattr(tg.decode, "decode_candidates", refuse)
+
+    @pytest.mark.parametrize(
+        "stage, flag", OUTPUT_FLAGS, ids=[f"{s}{f}" for s, f in OUTPUT_FLAGS]
+    )
+    @pytest.mark.parametrize(
+        "case", ["directory", "missing_parent", "parent_is_file", "not_writable"]
+    )
+    def test_unwritable_output_fails_before_any_work(
+        self, pipeline, tmp_path, capsys, monkeypatch, no_work, stage, flag, case
+    ):
+        root = Path(os.path.realpath(tmp_path))
+        if case == "directory":
+            out = root / "adir"
+            out.mkdir()
+            message = f"{flag} {out} is a directory"
+        elif case == "missing_parent":
+            out = root / "absent" / "out.x"
+            message = f"{flag} {out}: directory {root / 'absent'} does not exist"
+        elif case == "parent_is_file":
+            (root / "afile").write_text("x")
+            out = root / "afile" / "out.x"
+            message = f"{flag} {out}: {root / 'afile'} is not a directory"
+        else:
+            # Patched, since a process run as root may write anywhere.
+            monkeypatch.setattr(os, "access", lambda path, mode: Path(path) != root)
+            out = root / "out.x"
+            message = f"{flag} {out}: directory {root} is not writable"
+        (root / "spare").mkdir()
+        before = sorted(root.rglob("*"))
+        assert fails(*output_stage_argv(pipeline, stage, flag, out, root / "spare" / "out.jsonl"))
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"titlegen {stage}: error: {message}"
+        assert sorted(root.rglob("*")) == before
+
+    def test_prepare_out_dir_that_is_a_file_fails(self, pipeline, tmp_path, capsys, no_work):
+        out = tmp_path / "splits"
+        out.write_text("x")
+        assert fails("prepare", "--input", pipeline.raw, "--out-dir", out)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"titlegen prepare: error: --out-dir {out} is not a directory"
+        assert out.read_text() == "x"
+
+    def test_stdout_on_a_pipe_is_written_in_place(self, pipeline):
+        # /dev/stdout on a pipe resolves to no openable path; it is
+        # written through the link, not renamed over.
+        env = {**os.environ, "PYTHONPATH": str(Path(tg.__file__).parents[1])}
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "titlegen", "evaluate",
+                "--selections", str(pipeline.selections), "--out", "/dev/stdout",
+            ],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == pipeline.report.read_text(encoding="utf-8")
+
+
+class TestInputPaths:
+    @pytest.mark.parametrize("stage", ["generate", "rank", "evaluate"])
+    def test_directory_input_is_not_a_file(self, pipeline, tmp_path, capsys, stage):
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        out = tmp_path / "out.jsonl"
+        argv = {
+            "generate": ["generate", "--model", pipeline.model, "--input", adir],
+            "rank": ["rank", "--pools", adir],
+            "evaluate": ["evaluate", "--selections", adir],
+        }[stage]
+        assert fails(*argv, "--out", out)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"titlegen {stage}: error: input path is not a file: {adir}"
+        assert not out.exists()
+
+
+class TestPoolSeeds:
+    """A pool depends on the run seed and the post's id, not on where the
+    post stands in the input or how many posts are read."""
+
+    @staticmethod
+    def generate(pipeline, posts, out, *flags):
+        run(
+            "generate", "--model", pipeline.model, "--input", posts, "--out", out,
+            "--num-samples", 12, "--max-length", 8, "--beam-size", 3, "--seed", 5, *flags,
+        )
+        return {row["meta"]["id"]: records.dump_json(row) for row in read_rows(out)}
+
+    @pytest.mark.parametrize("strategy", ["sample", "beam"])
+    def test_pool_ignores_position_and_limit(self, pipeline, tmp_path, strategy):
+        lines = (pipeline.splits / "test.jsonl").read_text(encoding="utf-8").splitlines()[:6]
+        first = tmp_path / "first.jsonl"
+        first.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # The first post moves to position 3.
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("\n".join([*lines[1:4], lines[0], *lines[4:]]) + "\n", encoding="utf-8")
+        strategy_flag = ("--strategy", strategy)
+        a = self.generate(pipeline, first, tmp_path / "a.jsonl", *strategy_flag)
+        b = self.generate(pipeline, moved, tmp_path / "b.jsonl", *strategy_flag)
+        c = self.generate(pipeline, first, tmp_path / "c.jsonl", "--limit", 1, *strategy_flag)
+        assert len(a) == 6 and a == b
+        (pid,) = c
+        assert c[pid] == a[pid] and pid == json.loads(lines[0])["id"]
+
+    def test_sampled_pool_is_rebuilt_from_its_config(self, pipeline):
+        model = tg.NGramLM.load(pipeline.model)
+        posts = {p.id: p for p in records.read_posts(pipeline.splits / "test.jsonl")}
+        for row in read_rows(pipeline.pools):
+            pool = records.pool_from_dict(row)
+            code = model.vocabulary.encode(cli._code_tokens(posts[row["meta"]["id"]], 512))
+            assert tg.decode_candidates(model, code, pool.config).candidates == pool.candidates
+
+    def test_seed_of_any_int_id(self):
+        ids = [0, -1, 1, -2, 2, 2**63, 2**64 - 1, 2**64, -(2**64), 2**80, -(2**80)]
+        seeds = [cli._pool_seed(7, pid) for pid in ids]
+        assert all(0 <= s < 2**64 for s in seeds)
+        assert len(set(seeds)) == len(ids)
+        # Equal ids give equal seeds; the run seed counts modulo 2**64.
+        assert seeds == [cli._pool_seed(7, pid) for pid in ids]
+        assert [cli._pool_seed(7 - 2**64, pid) for pid in ids] == seeds
+        assert cli._pool_seed(8, 0) != seeds[0]
+        for seed in seeds:
+            tg.SamplingConfig(seed=seed)
+
+
+#: Runs the file pipeline in one process: argv is the raw corpus and the
+#: output directory.
+HASH_SEED_SCRIPT = """
+import sys
+from titlegen.cli import main
+raw, out = sys.argv[1:]
+s = out + "/splits"
+for argv in (
+    ["prepare", "--input", raw, "--out-dir", s, "--val-count", "15", "--test-count", "15"],
+    ["train-lm", "--train", s + "/train.jsonl", "--out", out + "/model.bin"],
+    ["generate", "--model", out + "/model.bin", "--input", s + "/test.jsonl",
+     "--out", out + "/pools.jsonl", "--limit", "6", "--num-samples", "20", "--max-length", "10"],
+    ["rank", "--pools", out + "/pools.jsonl", "--out", out + "/mmns.jsonl"],
+    ["evaluate", "--selections", out + "/mmns.jsonl", "--out", out + "/report.json",
+     "--group-by-language"],
+    ["retrieve", "--input", s + "/test.jsonl", "--train", s + "/train.jsonl",
+     "--out", out + "/bm25.jsonl", "--index-out", out + "/index.json"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_artifacts_do_not_depend_on_hash_seed(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    write_raw_corpus(raw)
+    env = {**os.environ, "PYTHONPATH": str(Path(tg.__file__).parents[1])}
+    env.pop("TITLEGEN_SEED", None)
+    roots = []
+    for hash_seed in ("0", "1"):
+        root = tmp_path / f"hash{hash_seed}"
+        root.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, str(raw), str(root)],
+            capture_output=True, text=True, env={**env, "PYTHONHASHSEED": hash_seed}, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        roots.append(root)
+    files = [sorted(p.relative_to(r) for p in r.rglob("*") if p.is_file()) for r in roots]
+    assert files[0] == files[1] and len(files[0]) >= 10
+    for rel in files[0]:
+        assert (roots[0] / rel).read_bytes() == (roots[1] / rel).read_bytes(), rel

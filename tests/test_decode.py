@@ -464,14 +464,15 @@ class TestNucleusMemo:
             )
 
     def test_batched_uniforms_equal_successive_draws(self):
-        # Each row of the block against its own generator's draws.
+        # The block against one generator's successive scalar draws, row
+        # after row.
         cases = ((0, 1, 48), (9, 4, 7), (4100, 200, 48), (2**64 - 1, 3, 48), (3, 2, 0))
         for seed, rows, length in cases:
             block = decode._row_uniforms(seed, rows, length)
-            assert len(block) == rows
-            for row, got in enumerate(block):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(row,)))
-                assert got == [rng.random() for _ in range(length)]
+            rng = np.random.default_rng(seed)
+            assert block == [[rng.random() for _ in range(length)] for _ in range(rows)]
+            # The first rows do not depend on how many follow.
+            assert decode._row_uniforms(seed, 1, length) == block[:1]
 
 
 def lockstep_model(name, toy_model):
@@ -633,11 +634,13 @@ class TestRunMemo:
     def test_pools_match_fresh_calls_and_loop_oracle(self, toy_model):
         posts = self.posts([3, 7, 3, 0, 9, 7])
         vocab = toy_model.vocabulary
-        for pos, (post, pool) in enumerate(zip(posts, self.run_pools(toy_model, posts))):
+        for post, pool in zip(posts, self.run_pools(toy_model, posts)):
             code = vocab.encode(cli._code_tokens(post, 512))
             cfg = tg.SamplingConfig(
-                top_p=0.8, temperature=1.2, num_samples=60, max_length=8, seed=11 + pos
+                top_p=0.8, temperature=1.2, num_samples=60, max_length=8,
+                seed=cli._pool_seed(11, post.id),
             )
+            assert pool.config == cfg
             fresh = tg.decode_candidates(toy_model, code, cfg)
             assert pool.candidates == fresh.candidates
             assert pool.candidates == loop_decode_candidates(toy_model, code, cfg).candidates
