@@ -59,9 +59,14 @@ class _Resolver:
         self.config = {}
         if getattr(args, "config", None):
             path = Path(args.config)
-            if not path.is_file():
+            if not path.exists():
                 raise FileNotFoundError(f"config file not found: {path}")
-            loaded = json.loads(path.read_text(encoding="utf-8"))
+            if not path.is_file():
+                raise ValueError(f"config path is not a file: {path}")
+            try:
+                loaded = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError:  # not UTF-8, or not JSON
+                raise ValueError(f"not a JSON config file: {path}") from None
             if not isinstance(loaded, dict):
                 raise ValueError(f"config file must hold a JSON object: {path}")
             # Keys any stage reads are accepted, so one file serves every stage.

@@ -266,14 +266,23 @@ def _best_expansions(scores: np.ndarray, parents: Sequence[tuple[int, ...]], cou
     Order is (-score, parent ids + (token,)); entries that are -inf or NaN
     (zero or invalid probability) are never chosen. All parents have the
     same length, so the id order is (lexicographic parent rank, token).
-    Only the band at or above the ``count``-th score is sorted.
+
+    Only the band at or above the ``count``-th score is sorted. One
+    ``np.partition`` of all the scores finds that threshold; it puts NaN
+    last, so any NaN among the top ``count`` slots is in the slice it
+    returns. When the threshold is finite and that slice holds no NaN, the
+    entries ``>=`` it are the band, and neither -inf nor NaN is in it.
+    Otherwise (fewer than ``count`` finite entries, or a NaN near the top)
+    the band is every entry above -inf.
     """
     flat = scores.ravel()
-    cand = np.flatnonzero(flat > -np.inf)
-    if cand.size > count:
-        vals = flat[cand]
-        cut = cand.size - count
-        cand = cand[vals >= np.partition(vals, cut)[cut]]
+    cand = None
+    if flat.size > count:
+        top = np.partition(flat, flat.size - count)[flat.size - count :]
+        if top[0] > -np.inf and not np.isnan(top).any():
+            cand = np.flatnonzero(flat >= top[0])
+    if cand is None:
+        cand = np.flatnonzero(flat > -np.inf)
     rank = np.empty(len(parents), dtype=np.int64)
     rank[sorted(range(len(parents)), key=parents.__getitem__)] = np.arange(len(parents))
     rows, toks = np.divmod(cand, scores.shape[1])

@@ -15,6 +15,7 @@ import math
 import mmap
 import os
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_left
 from pathlib import Path
 from typing import Hashable, NamedTuple, Sequence
@@ -200,7 +201,13 @@ class NGramLM(GeneratorModel):
         the counts were stored. The entries lie end to end, level after
         level, and ``_offsets[l]`` holds level ``l``'s row offsets into
         them. A context's row is found by bisecting its level's sorted
-        keys (see ``_context_keys``)."""
+        keys (see ``_context_keys``).
+
+        Offsets and keys are ``array('q')`` copies of the int64 arrays'
+        bytes, so a load builds no Python object per row; an index into
+        one gives a Python int, as a list would. Keys of a level where
+        int64 could overflow (``V ** l >= 2 ** 63``) are Python ints and
+        stay a list."""
         if isinstance(order, bool) or not isinstance(order, int) or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if len(levels) != order:
@@ -219,23 +226,31 @@ class NGramLM(GeneratorModel):
         checked = [_checked_level(l, level, len(vocab)) for l, level in enumerate(levels)]
         levels = tuple(level for level, _ in checked)
 
-        base = np.full(len(vocab), FLOOR, dtype=np.float64)
-        vals, offsets, start = [], [], 0
+        next_ids = np.concatenate([level.next_ids for level in levels])
+        # Each level fills its slice of one array: no per-level copies to join.
+        vals, offsets, start = np.empty(len(next_ids)), [], 0
         for l, level in enumerate(levels):
+            part = vals[start : start + len(level.next_ids)]
             totals = np.add.reduceat(level.counts, level.offsets[:-1])
-            vals.append(weights[l] * level.counts / np.repeat(totals, np.diff(level.offsets)))
-            offsets.append((level.offsets + start).tolist())
+            np.multiply(weights[l], level.counts, out=part)
+            part /= np.repeat(totals, np.diff(level.offsets))
+            offsets.append(array("q", (level.offsets + start).tobytes()))
             start += len(level.next_ids)
-        base[levels[0].next_ids] += vals[0]
+        base = np.full(len(vocab), FLOOR, dtype=np.float64)
+        base[levels[0].next_ids] += vals[: len(levels[0].next_ids)]
         self.order = order
         self._vocab = vocab
         self.levels = levels
         self.weights = weights
         self._base = base
-        self._next_ids = np.concatenate([level.next_ids for level in levels])
-        self._vals = np.concatenate(vals)
+        self._next_ids = next_ids
+        self._vals = vals
         self._offsets = offsets
-        self._keys = [keys.tolist() for _, keys in checked]  # ascending, row order
+        # Ascending, in row order; Python ints only where int64 could overflow.
+        self._keys = [
+            keys.tolist() if keys.dtype == object else array("q", keys.tobytes())
+            for _, keys in checked
+        ]
         self._walks: dict[tuple, tuple[tuple, list[int]]] = {}  # see _walk
         self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
 
@@ -390,7 +405,9 @@ class NGramLM(GeneratorModel):
         Both depend only on the tail, the last ``order - 1`` ids, so recent
         tails' walks are kept: a sampler's ``state`` lookups and the
         ``nuclei`` call on the memo misses that follow them walk the levels
-        once per tail.
+        once per tail. A level is searched with ``bisect_left`` on its keys,
+        an ``array('q')`` or, past int64, a list of Python ints (see
+        ``_setup``); both compare as ints.
         """
         if not prefix or prefix[0] != START_ID:
             raise ValueError("prefix must begin with START")
@@ -479,7 +496,7 @@ class NGramLM(GeneratorModel):
         if missing:
             raise ValueError(f"model {path} lacks {sorted(missing)}")
         tokens, sizes = header["vocabulary"], header["levels"]
-        if not isinstance(tokens, list) or set(map(type, tokens)) != {str}:
+        if not (isinstance(tokens, list) and tokens and _all_str(tokens)):
             raise ValueError(f"model {path}: vocabulary must be a list of strings")
         if not isinstance(sizes, list) or not all(
             isinstance(s, list) and len(s) == 2 and all(_is_count(n) for n in s) for s in sizes
@@ -507,6 +524,16 @@ class NGramLM(GeneratorModel):
             )
         except ValueError as exc:
             raise ValueError(f"model {path}: {exc}") from None
+
+
+def _all_str(items: list) -> bool:
+    """Whether every item is a str. ``str.join`` checks them in C, several
+    times faster than a test per item."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
 
 
 def _is_count(value) -> bool:
@@ -563,7 +590,7 @@ def _context_keys(contexts: np.ndarray, vocab_size: int) -> np.ndarray:
     order as the contexts do, id by id. They are Python ints where int64
     could overflow."""
     l = contexts.shape[1]
-    digits = contexts.astype(np.int64 if vocab_size**l < 2**63 else object)
+    digits = contexts.astype(np.int64 if vocab_size**l < 2**63 else object, copy=False)
     keys = digits[:, 0] if l else np.zeros(len(contexts), dtype=np.int64)
     for j in range(1, l):
         keys = keys * vocab_size + digits[:, j]

@@ -85,12 +85,17 @@ class ReadStats:
 
 
 def read_jsonl(path: str | Path, stats: ReadStats | None = None) -> Iterator[dict]:
-    """Yield one dict per well-formed line; count and skip the rest."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield one dict per well-formed line; count and skip the rest. A
+    line that is not UTF-8 text is malformed too: its bad bytes are read
+    as lone surrogates, which no UTF-8 text holds, so only a line that is
+    not plain ASCII is checked for them."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii() and not _is_utf8(line):
+                    raise ValueError("line is not UTF-8 text")
                 row = json.loads(line)
                 if not isinstance(row, dict):
                     raise ValueError("record is not an object")
@@ -103,6 +108,14 @@ def read_jsonl(path: str | Path, stats: ReadStats | None = None) -> Iterator[dic
                 stats.read += 1
                 stats.line = lineno
             yield row
+
+
+def _is_utf8(line: str) -> bool:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 # -- posts ----------------------------------------------------------------

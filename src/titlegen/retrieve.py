@@ -154,7 +154,10 @@ class BM25Index:
     @classmethod
     def load(cls, path: str | Path) -> "BM25Index":
         """Read a saved index; any malformed content is a ``ValueError``."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            raise ValueError(f"not an index file: {path}") from None
         if not isinstance(payload, dict) or payload.get("format") != "titlegen-bm25-index":
             raise ValueError(f"not an index file: {path}")
         missing = {"k1", "b", "doc_ids", "titles", "doc_lens", "postings"} - payload.keys()

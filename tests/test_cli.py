@@ -1089,6 +1089,86 @@ class TestPrecedence:
         )
 
 
+#: Files that are no file, not UTF-8 or not JSON, as (case id, bytes or
+#: None for a directory).
+UNREADABLE_FILES = [
+    ("directory", None),
+    ("not_json", b"{k: 1}"),
+    ("truncated_json", b'{"k": '),
+    ("not_utf8", b'{"k": "\xdc"}'),
+]
+
+
+@pytest.mark.parametrize(
+    "content", [c for _, c in UNREADABLE_FILES], ids=[i for i, _ in UNREADABLE_FILES]
+)
+class TestUnreadableFiles:
+    """A ``--config`` or ``retrieve --index`` path that is no file or holds
+    no JSON fails with one line naming it, and nothing is written."""
+
+    @staticmethod
+    def make(tmp_path, content):
+        path = tmp_path / "file.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        return path
+
+    def test_config(self, pipeline, tmp_path, capsys, content):
+        cfg = self.make(tmp_path, content)
+        out = tmp_path / "x.jsonl"
+        assert fails("rank", "--pools", pipeline.pools, "--out", out, "--config", cfg)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        problem = "config path is not a file" if content is None else "not a JSON config file"
+        assert line == f"titlegen rank: error: {problem}: {cfg}"
+        assert not out.exists()
+
+    def test_index(self, pipeline, tmp_path, capsys, content):
+        index = self.make(tmp_path, content)
+        out = tmp_path / "x.jsonl"
+        assert fails(
+            "retrieve", "--input", pipeline.splits / "test.jsonl", "--index", index, "--out", out
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        problem = "input path is not a file" if content is None else "not an index file"
+        assert line == f"titlegen retrieve: error: {problem}: {index}"
+        assert not out.exists()
+
+
+class TestInputNotUtf8:
+    """A JSONL line that is not UTF-8 text is skipped and counted like any
+    malformed record: one warning naming the file and line, and the output
+    of the other lines, byte for byte."""
+
+    @pytest.mark.parametrize("stage", ["generate", "rank", "evaluate"])
+    def test_line_skipped(self, pipeline, tmp_path, caplog, stage):
+        source, flag = {
+            "generate": (pipeline.splits / "test.jsonl", "--input"),
+            "rank": (pipeline.pools, "--pools"),
+            "evaluate": (pipeline.selections, "--selections"),
+        }[stage]
+        lines = source.read_bytes().splitlines(keepends=True)[:3]
+        clean, mixed = tmp_path / "clean.jsonl", tmp_path / "mixed.jsonl"
+        clean.write_bytes(b"".join(lines))
+        mixed.write_bytes(b"".join([lines[0], b'{"id": "\xdc"}\n', *lines[1:]]))
+        argv = {
+            "generate": ["--model", pipeline.model, "--num-samples", 4, "--max-length", 6],
+            "rank": [],
+            "evaluate": [],
+        }[stage]
+        outs = {}
+        for name, path in (("clean", clean), ("mixed", mixed)):
+            outs[name] = tmp_path / f"{name}.out"
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="titlegen"):
+                run(stage, flag, path, "--out", outs[name], *argv)
+        assert outs["mixed"].read_bytes() == outs["clean"].read_bytes()
+        skipped = f"{mixed}:2: skipping malformed record (line is not UTF-8 text)"
+        summary = ["evaluate: skipped 1 selection records"] if stage == "evaluate" else []
+        assert [r.getMessage() for r in caplog.records] == [skipped, *summary]
+
+
 def output_stage_argv(pipeline, stage, flag, out, spare):
     """``stage``'s command line writing ``flag`` to ``out``; ``--out`` goes
     to ``spare`` when ``out`` is the index's."""

@@ -1,3 +1,4 @@
+import logging
 import os
 import stat
 from datetime import datetime
@@ -228,6 +229,24 @@ class TestRecords:
         rows = list(records.read_jsonl(path, stats))
         assert rows == [{"ok": 1}, {"ok": 2}]
         assert (stats.read, stats.skipped) == (2, 2)
+
+    def test_lines_not_utf8_skipped_and_counted(self, tmp_path, caplog):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(
+            b'{"ok": "caf\xc3\xa9"}\n'  # valid UTF-8
+            b'{"bad": "\xdc"}\n'  # a lone continuation byte inside a string
+            b"\xff\xfe{}\n"
+            b'{"ok": "\xf0\x9f\x99\x82"}\r\n'
+            b'{"bad": "\xed\xa0\x80"}\n'  # an encoded surrogate
+        )
+        stats = records.ReadStats()
+        with caplog.at_level(logging.WARNING, logger="titlegen"):
+            rows = list(records.read_jsonl(path, stats))
+        assert rows == [{"ok": "caf\u00e9"}, {"ok": "\U0001f642"}]
+        assert (stats.read, stats.skipped) == (2, 3)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:{n}: skipping malformed record (line is not UTF-8 text)" for n in (2, 3, 5)
+        ]
 
     def test_post_roundtrip(self):
         post = make_post(42, created_at="2021-05-06T07:08:09")

@@ -809,6 +809,32 @@ class TestModelContractChecks:
                 tg.decode_candidates(VectorModel(value), [5], cfg)
 
 
+#: Few distinct scores, so ties are heavy, with the -inf and NaN that are
+#: never chosen.
+EXPANSION_SCORES = st.sampled_from([-np.inf, np.nan, -3.0, -2.0, -1.0, -0.5, 0.0])
+
+
+class TestBestExpansions:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), width=st.integers(1, 6))
+    def test_matches_sorted_oracle(self, data, rows, width):
+        scores = np.array(
+            data.draw(st.lists(EXPANSION_SCORES, min_size=rows * width, max_size=rows * width))
+        ).reshape(rows, width)
+        ids = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        parents = data.draw(st.lists(ids, min_size=rows, max_size=rows, unique=True))
+        count = data.draw(st.integers(1, rows * width + 1))
+        rank = {p: i for i, p in enumerate(sorted(parents))}
+        finite = sorted(
+            (-scores[r, t], rank[parents[r]], t, r)
+            for r in range(rows)
+            for t in range(width)
+            if scores[r, t] > -np.inf
+        )
+        want = [(r, t, float(scores[r, t])) for _, _, t, r in finite[:count]]
+        assert decode._best_expansions(scores, parents, count) == want
+
+
 class TestBeamSearch:
     def test_k_must_not_exceed_beam(self, dummy_model):
         with pytest.raises(ValueError):

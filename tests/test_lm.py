@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -141,11 +142,19 @@ class TestNextDistribution:
             model.save(tmp_path / "model.bin")
             assert_matches_oracle(tg.NGramLM.load(tmp_path / "model.bin"), oracle, probes)
 
-    def test_long_contexts_match_dict_oracle(self):
+    def test_long_contexts_match_dict_oracle(self, tmp_path):
         model, pairs = make_long_model()
         oracle = DictNGramLM.train(pairs, 20, len(model.vocabulary))
         probes = [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(6)]
         assert_matches_oracle(model, oracle, probes)
+        # A loaded model keys level 19 with Python ints and the levels below
+        # with int64 arrays, as a trained one does.
+        model.save(tmp_path / "model.bin")
+        loaded = tg.NGramLM.load(tmp_path / "model.bin")
+        assert isinstance(loaded._keys[19], list)
+        assert all(type(k) is int for k in loaded._keys[19])
+        assert all(isinstance(keys, array) and keys.typecode == "q" for keys in loaded._keys[:19])
+        assert_matches_oracle(loaded, oracle, probes)
 
     def test_distribution_contract(self, toy_model):
         v = toy_model.vocabulary
