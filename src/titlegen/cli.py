@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import os
@@ -176,6 +177,13 @@ def _pool_seed(seed: int, post_id: int) -> int:
     return int(entropy.generate_state(1, np.uint64)[0])
 
 
+#: Sampled rows one ``decode.decode_pools`` call steps together: ``_pools``
+#: groups consecutive posts while their rows fit (20 posts at M = 200); a
+#: pool of more rows is sampled alone. Larger groups share more of each
+#: step's work.
+_GROUP_ROWS = 4096
+
+
 def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     """One candidate pool per post, lazily: sampled, or for "beam" the
     exact top ``beam_size`` beam search list, of which every shorter top
@@ -183,7 +191,9 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     seed, post id)``, so a pool does not depend on the post's position,
     ``--limit`` or the other posts, and ``decode.decode_candidates`` with
     a sampled pool's config and the post's code rebuilds it. Sampled
-    pools share one nucleus memo for the whole run."""
+    pools come from ``decode.decode_pools``, a group of consecutive posts
+    (``_GROUP_ROWS``) per call, and share one nucleus memo for the whole
+    run."""
     seed = res.get("seed", int)
     code_limit = _token_limit(res, "code_limit")
     beam_size = res.get("beam_size", int)
@@ -199,27 +209,38 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
         seed=seed % 2**64,
     )
     max_length = sampling.max_length
-    memo = decode.NucleusMemo(model, sampling.top_p, sampling.temperature)
     vocab = model.vocabulary
 
-    def make_pool(post: data.Post) -> decode.CandidatePool:
-        code = vocab.encode(_code_tokens(post, code_limit))
+    def code_of(post: data.Post) -> list[int]:
+        return vocab.encode(_code_tokens(post, code_limit))
+
+    def beam_pool(post: data.Post) -> decode.CandidatePool:
+        code = code_of(post)
         pool_seed = _pool_seed(seed, post.id)
-        if strategy == "beam":
-            seqs = decode.beam_search(
-                model, code, beam_size=beam_size, k=beam_size, max_length=max_length
-            )
-            config = decode.SamplingConfig(
-                top_p=1.0, num_samples=max(1, len(seqs)), max_length=max_length, seed=pool_seed
-            )
-            pool = decode.CandidatePool(vocab.decode(code), [vocab.decode(s) for s in seqs], config)
-        else:
-            config = dataclasses.replace(sampling, seed=pool_seed)
-            pool = decode.decode_candidates(model, code, config, memo)
+        seqs = decode.beam_search(
+            model, code, beam_size=beam_size, k=beam_size, max_length=max_length
+        )
+        config = decode.SamplingConfig(
+            top_p=1.0, num_samples=max(1, len(seqs)), max_length=max_length, seed=pool_seed
+        )
+        pool = decode.CandidatePool(vocab.decode(code), [vocab.decode(s) for s in seqs], config)
         pool.meta = _post_meta(post)
         return pool
 
-    return map(make_pool, posts)
+    def sampled_pools():
+        memo = decode.NucleusMemo(model, sampling.top_p, sampling.temperature)
+        posts_left = iter(posts)
+        per_group = max(1, _GROUP_ROWS // sampling.num_samples)
+        while group := list(itertools.islice(posts_left, per_group)):
+            jobs = [
+                (code_of(post), dataclasses.replace(sampling, seed=_pool_seed(seed, post.id)))
+                for post in group
+            ]
+            for post, pool in zip(group, decode.decode_pools(model, jobs, memo)):
+                pool.meta = _post_meta(post)
+                yield pool
+
+    return map(beam_pool, posts) if strategy == "beam" else sampled_pools()
 
 
 def _selector(strategy: str, k: int, dedup: bool = True):
@@ -611,7 +632,9 @@ def main(argv=None) -> int:
         for name in ("out", "index_out"):
             _require_writable(f"--{name.replace('_', '-')}", getattr(args, name, None))
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    # A MemoryError is numpy refusing an array no host could hold, such as
+    # the uniforms of --max-length 10**12: a bad value like any other.
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"titlegen {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

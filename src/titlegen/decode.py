@@ -107,13 +107,13 @@ def sample_token(dist, rng: np.random.Generator) -> int:
     return _kernels.sample_step_kernel(_validate_dist(dist).cumsum(), rng.random())
 
 
-def _row_uniforms(seed: int, rows: int, length: int) -> list[list[float]]:
+def _row_uniforms(seed: int, rows: int, length: int) -> np.ndarray:
     """``rows`` rows of ``length`` values of one stream,
     ``default_rng(seed).random()``: row r holds values r·length …
     r·length + length − 1. So the first M rows do not depend on how many
     rows follow. The block is drawn in one call, which gives the values
     successive scalar draws give."""
-    return np.random.default_rng(seed).random((rows, length)).tolist()
+    return np.random.default_rng(seed).random((rows, length))
 
 
 #: The most nucleus ids one run's memo holds, as a multiple of the
@@ -129,15 +129,17 @@ _MEMO_IDS_PER_VOCAB = 64
 class NucleusMemo:
     """Each model state's draw table under one (model, top_p, temperature).
 
-    A table is the state's nucleus as ``model.nuclei`` gives it: the kept
-    ids in ascending order (``array('q')``) and the running sums of their
-    probabilities after temperature, divided by the nucleus mass
+    A table is the state's nucleus as ``model.step_nuclei`` gives it: the
+    kept ids in ascending order (``array('q')``) and the running sums of
+    their probabilities after temperature, divided by the nucleus mass
     (``array('d')``, ``q.cumsum()``), which ``_kernels.sample_step_kernel``
-    bisects. Entries are keyed by ``model.state(code, prefix)``. Equal keys
-    give bit-identical distributions under any code, and the nucleus does
-    not depend on the seed, so one memo serves every pool of a run. The
-    memo holds at most ``capacity`` ids; past that, new states are
-    computed and not stored.
+    bisects. Entries are keyed by ``model.step_states``: for ``NGramLM``
+    a state's hit rows, found for all of a step's rows by array search;
+    for any other model, by default, ``model.state``. Equal keys give
+    bit-identical distributions under any code, and the nucleus does not
+    depend on the seed, so one memo serves every pool of a run. The memo
+    holds at most ``capacity`` ids; past that, new states are computed
+    and not stored.
     """
 
     def __init__(self, model: GeneratorModel, top_p: float, temperature: float):
@@ -158,23 +160,28 @@ class NucleusMemo:
                 f" not top_p={config.top_p} temperature={config.temperature}"
             )
 
-    def tables(self, code: Sequence[int], prefixes: list[list[int]]) -> list[tuple[array, array]]:
-        """The draw table of each prefix under ``code``. The states no entry
-        holds are computed in one ``model.nuclei`` call, whose tables are
-        checked against its contract in O(1) each (see ``_checked_table``)."""
-        keys = [self.model.state(code, prefix) for prefix in prefixes]
+    def tables(
+        self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray
+    ) -> list[tuple[array, array]]:
+        """The draw table of each row of a step: row ``i`` is ``prefixes[i]``
+        under ``codes[pools[i]]`` (see ``GeneratorModel.step_states``). The
+        states no entry holds are computed in one ``model.step_nuclei``
+        call, in the order they first appear, and its tables are checked
+        against its contract in O(1) each (see ``_checked_table``)."""
+        keys = self.model.step_states(codes, pools, prefixes)
         got = list(map(self._entries.get, keys))
         if None in got:
+            absent = [i for i, table in enumerate(got) if table is None]
             misses = {}
-            for i, table in enumerate(got):
-                if table is None:
-                    misses.setdefault(keys[i], i)
-            computed = self.model.nuclei(
-                code, [prefixes[i] for i in misses.values()], self.top_p, self.temperature
+            for i in absent:
+                misses.setdefault(keys[i], i)
+            at = np.fromiter(misses.values(), dtype=np.int64, count=len(misses))
+            computed = self.model.step_nuclei(
+                list(misses), codes, pools[at], prefixes[at], self.top_p, self.temperature
             )
             if len(computed) != len(misses):
                 raise ValueError(
-                    f"nuclei must return one (ids, probabilities) pair per prefix:"
+                    f"step_nuclei must return one (ids, probabilities) pair per state:"
                     f" asked for {len(misses)}, got {len(computed)}"
                 )
             fresh, size = {}, len(self.model.vocabulary)
@@ -188,7 +195,8 @@ class NucleusMemo:
                 if self.cached_ids + len(ids) <= self.capacity:
                     self._entries[key] = table
                     self.cached_ids += len(ids)
-            got = [fresh[key] if table is None else table for table, key in zip(got, keys)]
+            for i in absent:
+                got[i] = fresh[keys[i]]
         return got
 
 
@@ -208,56 +216,88 @@ def _checked_table(ids: array, cdf: array, size: int) -> tuple[array, array]:
     return ids, cdf
 
 
+def decode_pools(
+    model: GeneratorModel,
+    pools: Sequence[tuple[Sequence[int], SamplingConfig]],
+    memo: NucleusMemo | None = None,
+) -> list[CandidatePool]:
+    """One candidate pool per (code, config) of ``pools``, their rows
+    sampled together.
+
+    A pool of ``num_samples`` rows applies temperature, then the nucleus
+    filter, then one inverse-CDF draw per step, stopping each row at END
+    or ``max_length``. It draws from one stream,
+    ``default_rng(config.seed)``; row r's step j reads its value r·L + j,
+    where L is ``max_length``, whether or not the row ran that far. So a
+    row depends only on (code, seed, row index, ``max_length``): a pool
+    is the same alone or beside others, and its first M rows are
+    identical to a pool of exactly M at the same ``max_length``.
+
+    Every row of every pool advances in lockstep, one step at a time,
+    its tokens held in one int64 array. At each step the live rows' draw
+    tables come from ``memo`` (see :class:`NucleusMemo`), which computes
+    the states no entry holds in one ``model.step_nuclei`` call, and every
+    live row draws by bisecting its table with its own next uniform, one
+    ``_kernels.sample_step_kernel`` call each. The state contract makes
+    every drawn token the same as computing the nucleus afresh at each
+    step of each row in turn. The configs must share top_p and
+    temperature. Pass one memo to every call of a run to share states
+    across calls; it must have been made for ``model`` and those
+    settings, or this raises ``ValueError``. Without one, the call uses a
+    fresh memo.
+    """
+    if not pools:
+        return []
+    codes = [code for code, _ in pools]
+    configs = [config for _, config in pools]
+    if memo is None:
+        memo = NucleusMemo(model, configs[0].top_p, configs[0].temperature)
+    for config in configs:
+        memo.check(model, config)
+    sizes = [config.num_samples for config in configs]
+    ends = np.cumsum(sizes).tolist()
+    width = max(config.max_length for config in configs)
+    # Row r of the group: its pool, its length cap, its uniforms.
+    owner = np.repeat(np.arange(len(pools)), sizes)
+    caps = np.repeat([config.max_length for config in configs], sizes)
+    uniforms = np.empty((len(owner), width))
+    for config, end in zip(configs, ends):
+        block = _row_uniforms(config.seed, config.num_samples, config.max_length)
+        uniforms[end - config.num_samples : end, : config.max_length] = block
+    tokens = np.empty((len(owner), width + 1), dtype=np.int64)
+    tokens[:, 0] = START_ID
+    lengths = np.empty(len(owner), dtype=np.int64)
+    live = np.arange(len(owner))
+    for step in range(width):
+        tables = memo.tables(codes, owner[live], tokens[live, : step + 1])
+        drawn = [
+            ids[_kernels.sample_step_kernel(cdf, u)]
+            for (ids, cdf), u in zip(tables, uniforms[live, step].tolist())
+        ]
+        drawn = np.array(drawn, dtype=np.int64)
+        tokens[live, step + 1] = drawn
+        going = drawn != END_ID
+        lengths[live] = step + going
+        live = live[going & (caps[live] > step + 1)]
+        if not live.size:
+            break
+    vocab = model.vocabulary
+    rows = [vocab.decode(row[:n]) for row, n in zip(tokens[:, 1:].tolist(), lengths.tolist())]
+    return [
+        CandidatePool(vocab.decode(list(code)), rows[end - config.num_samples : end], config)
+        for (code, config), end in zip(pools, ends)
+    ]
+
+
 def decode_candidates(
     model: GeneratorModel,
     code: Sequence[int],
     config: SamplingConfig,
     memo: NucleusMemo | None = None,
 ) -> CandidatePool:
-    """Sample ``num_samples`` candidate rows independently.
-
-    Each row applies temperature, then the nucleus filter, then one
-    inverse-CDF draw per step, stopping at END or ``max_length``. The
-    pool draws from one stream, ``default_rng(config.seed)``; row r's
-    step j reads its value r·L + j, where L is ``max_length``, whether or
-    not the row ran that far. So a row depends only on (seed, row index,
-    ``max_length``), and the first M rows of a larger batch are identical
-    to a batch of exactly M at the same ``max_length``.
-
-    The rows advance together, one step at a time, and each state's draw
-    table comes from ``memo`` (see :class:`NucleusMemo`): at each step the
-    states no entry holds yet are computed in one ``model.nuclei`` call,
-    and every live row draws by bisecting its table with its own next
-    uniform. The state contract makes every drawn token the same as
-    computing the nucleus afresh at each step of each row in turn. Pass
-    one memo to every call of a run to share states across pools; it must
-    have been made for ``model`` and this config's top_p and temperature,
-    or this raises ``ValueError``. Without one, the call uses a fresh memo.
-    """
-    if memo is None:
-        memo = NucleusMemo(model, config.top_p, config.temperature)
-    else:
-        memo.check(model, config)
-    uniforms = _row_uniforms(config.seed, config.num_samples, config.max_length)
-    prefixes = [[START_ID] for _ in uniforms]
-    live = list(range(len(prefixes)))
-    for step in range(config.max_length):
-        tables = memo.tables(code, [prefixes[r] for r in live])
-        still = []
-        for r, (ids, cdf) in zip(live, tables):
-            tok = ids[_kernels.sample_step_kernel(cdf, uniforms[r][step])]
-            if tok != END_ID:
-                prefixes[r].append(tok)
-                still.append(r)
-        live = still
-        if not live:
-            break
-    vocab = model.vocabulary
-    return CandidatePool(
-        input=vocab.decode(list(code)),
-        candidates=[vocab.decode(prefix[1:]) for prefix in prefixes],
-        config=config,
-    )
+    """Sample ``num_samples`` candidate rows independently: the one-pool
+    call of :func:`decode_pools`, which describes the draws and ``memo``."""
+    return decode_pools(model, [(code, config)], memo)[0]
 
 
 def _best_expansions(scores: np.ndarray, parents: Sequence[tuple[int, ...]], count: int):

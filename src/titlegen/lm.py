@@ -38,13 +38,6 @@ _BORDER_FIRST = 64
 #: larger batches run in chunks of as many states as fit.
 _BLOCK_BYTES = 2 << 20
 
-#: Tails whose level walks ``NGramLM._walk`` keeps; it starts afresh
-#: when full. Sampling looks up every row's state at every step, so the
-#: walks must hold a run's working set of tails or the levels are walked
-#: again: 24,379 distinct tails in a 100-post run on the benchmark's
-#: model, ~420 bytes each.
-_WALKS_KEPT = 1 << 15
-
 #: Model file identity; a file of another version must be rebuilt.
 FORMAT = "titlegen-ngram-lm"
 VERSION = 2
@@ -61,9 +54,11 @@ class GeneratorModel(ABC):
 
     ``state`` names the model state a prefix reaches under a code. Equal
     keys must give bit-identical distributions, whatever the codes and
-    prefixes they came from; sampling computes each state's nucleus once
-    per run under that key (see ``decode.NucleusMemo``), through
-    ``nuclei``, which a model may override with a faster exact path.
+    prefixes they came from. Sampling steps many rows at once and keys
+    them with ``step_states``, computing each state's nucleus once per
+    run under that key (see ``decode.NucleusMemo``) with ``step_nuclei``.
+    Their defaults call ``state`` and ``nuclei``; a model may override
+    any of the three with a faster exact path.
     """
 
     @property
@@ -117,6 +112,51 @@ class GeneratorModel(ABC):
             )
             for prefix in prefixes
         ]
+
+    def step_states(
+        self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray
+    ) -> list[Hashable]:
+        """The state key of each row of a decoding step. Row ``i`` is the
+        prefix ``prefixes[i]`` (a 2-D int64 array: every row of a step is
+        START and as many ids) under the code ``codes[pools[i]]``.
+
+        The default is ``state`` of each row. An override's keys need not
+        be ``state``'s, but keep its contract: equal keys give
+        bit-identical distributions.
+        """
+        return [
+            self.state(codes[p], prefix)
+            for p, prefix in zip(pools.tolist(), prefixes.tolist())
+        ]
+
+    def step_nuclei(
+        self,
+        states: Sequence[Hashable],
+        codes: Sequence[Sequence[int]],
+        pools: np.ndarray,
+        prefixes: np.ndarray,
+        top_p: float,
+        temperature: float,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``nuclei`` of rows of a step, as ``step_states`` reads them,
+        whose keys are ``states``. The default makes one ``nuclei`` call
+        per code, in the order the codes first appear; an override may
+        compute them from the keys alone."""
+        found: list = [None] * len(states)
+        members: dict[int, list[int]] = {}
+        for i, p in enumerate(pools.tolist()):
+            members.setdefault(p, []).append(i)
+        rows = prefixes.tolist()
+        for p, at in members.items():
+            pairs = self.nuclei(codes[p], [rows[i] for i in at], top_p, temperature)
+            if len(pairs) != len(at):
+                raise ValueError(
+                    f"nuclei must return one (ids, probabilities) pair per prefix:"
+                    f" asked for {len(at)}, got {len(pairs)}"
+                )
+            for i, pair in zip(at, pairs):
+                found[i] = pair
+        return found
 
 
 def _checked_distribution(dist, size: int) -> np.ndarray:
@@ -205,9 +245,11 @@ class NGramLM(GeneratorModel):
 
         Offsets and keys are ``array('q')`` copies of the int64 arrays'
         bytes, so a load builds no Python object per row; an index into
-        one gives a Python int, as a list would. Keys of a level where
-        int64 could overflow (``V ** l >= 2 ** 63``) are Python ints and
-        stay a list."""
+        one gives a Python int, as a list would, and ``_offset_arrays``
+        and ``_key_arrays`` are int64 views of the same bytes for the
+        batched paths. Keys of a level where int64 could overflow
+        (``V ** l >= 2 ** 63``) are Python ints and stay a list, with no
+        view."""
         if isinstance(order, bool) or not isinstance(order, int) or order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if len(levels) != order:
@@ -251,7 +293,11 @@ class NGramLM(GeneratorModel):
             keys.tolist() if keys.dtype == object else array("q", keys.tobytes())
             for _, keys in checked
         ]
-        self._walks: dict[tuple, tuple[tuple, list[int]]] = {}  # see _walk
+        self._offset_arrays = [np.frombuffer(o, dtype=np.int64) for o in offsets]
+        self._key_arrays = [
+            np.frombuffer(k, dtype=np.int64) if isinstance(k, array) else None
+            for k in self._keys
+        ]
         self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
 
     # -- GeneratorModel --------------------------------------------------
@@ -261,13 +307,19 @@ class NGramLM(GeneratorModel):
         return self._vocab
 
     def next_distribution(self, code: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
-        # The rows the state hits, in ``_walk`` order; ``nuclei`` adds
-        # them in the same order per entry.
+        return self._distribution(self._walk(self._tail(code, prefix)))
+
+    def _distribution(self, rows: Sequence[int]) -> np.ndarray:
+        """The distribution of the state whose hit row at level ``l`` is
+        ``rows[l - 1]`` (-1: none): the floor + unigram row plus each hit
+        row's values, shortest context first; ``_block_nuclei`` adds them
+        in the same order per entry."""
         out = self._base.copy()
-        for ctx, row in zip(*self._walk(code, prefix)):
-            offsets = self._offsets[len(ctx)]
-            start, end = offsets[row], offsets[row + 1]
-            out[self._next_ids[start:end]] += self._vals[start:end]
+        for l, row in enumerate(rows, 1):
+            if row >= 0:
+                offsets = self._offsets[l]
+                start, end = offsets[row], offsets[row + 1]
+                out[self._next_ids[start:end]] += self._vals[start:end]
         out[PAD_ID] = 0.0
         out[START_ID] = 0.0
         out /= out.sum()
@@ -280,10 +332,60 @@ class NGramLM(GeneratorModel):
         top_p: float,
         temperature: float,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The default's arrays, bit for bit. At temperature 1 and top_p
-        below 1 they come from each state's hit ids and the floor + unigram
-        order, with no divide, tail scan or partition over the vocabulary,
-        and the states run together, a block of them at a time.
+        """The default's arrays, bit for bit, from each prefix's hit rows
+        (see ``_hit_nuclei``)."""
+        hits = [self._walk(self._tail(code, prefix)) for prefix in prefixes]
+        rows = np.array(hits, dtype=np.int64).reshape(len(prefixes), self.order - 1)
+        return self._hit_nuclei(rows, top_p, temperature)
+
+    def step_states(
+        self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray
+    ) -> list[bytes]:
+        """Each row's hit rows (see ``_row_hits``), as the bytes of its
+        int64 row. Equal hit rows are equal contexts, so equal keys give
+        bit-identical distributions. A step's rows share their length, so
+        the tails are one slice of ``prefixes``, joined to the codes' last
+        ids while the prefixes are shorter than the tail."""
+        span = self.order - 1
+        if not span:
+            return [b""] * len(prefixes)
+        have = prefixes.shape[1]
+        if have >= span:
+            tails = prefixes[:, have - span :]
+        else:
+            # Each code's last ids and NEXT, ids outside the vocabulary as
+            # -1, padded on the left with -1: no context holds -1.
+            width, size = span - have, len(self._vocab)
+            heads = np.full((len(codes), width), -1, dtype=np.int64)
+            for p, code in enumerate(codes):
+                ids = [t if 0 <= t < size else -1 for t in (*code[-width:], NEXT_ID)[-width:]]
+                heads[p, width - len(ids) :] = ids
+            tails = np.concatenate((heads[pools], prefixes), axis=1)
+        hits = self._row_hits(tails)
+        return hits.view(np.dtype((np.void, 8 * span))).ravel().tolist()
+
+    def step_nuclei(
+        self,
+        states: Sequence[bytes],
+        codes: Sequence[Sequence[int]],
+        pools: np.ndarray,
+        prefixes: np.ndarray,
+        top_p: float,
+        temperature: float,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``nuclei`` from the hit rows ``step_states`` keyed: no walk."""
+        rows = np.frombuffer(b"".join(states), dtype=np.int64)
+        return self._hit_nuclei(rows.reshape(len(states), self.order - 1), top_p, temperature)
+
+    def _hit_nuclei(
+        self, hits: np.ndarray, top_p: float, temperature: float
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``GeneratorModel.nuclei``'s arrays, bit for bit, of the states
+        whose hit rows are the rows of ``hits`` (see ``_row_hits``). At
+        temperature 1 and top_p below 1 they come from each state's hit
+        ids and the floor + unigram order, with no divide, tail scan or
+        partition over the vocabulary, and the states run together, a
+        block of them at a time.
 
         Each total is ``next_distribution``'s: the same vector, the same
         sum. An id no hit row holds keeps its floor + unigram value, so
@@ -295,39 +397,44 @@ class NGramLM(GeneratorModel):
         at the vocabulary size the dense kernel runs.
         """
         if temperature != 1.0 or top_p >= 1.0:
-            return GeneratorModel.nuclei(self, code, prefixes, top_p, temperature)
+            return [
+                _kernels.nucleus_kernel(self._distribution(rows), top_p, temperature)
+                for rows in hits.tolist()
+            ]
         rows = max(1, _BLOCK_BYTES // (8 * len(self._vocab)))
         found = []
-        for at in range(0, len(prefixes), rows):
-            found += self._block_nuclei(code, prefixes[at : at + rows], top_p)
+        for at in range(0, len(hits), rows):
+            found += self._block_nuclei(hits[at : at + rows], top_p)
         return found
 
-    def _block_nuclei(self, code, prefixes, top_p) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``nuclei`` at temperature 1 for one block's worth of prefixes."""
+    def _block_nuclei(self, hits, top_p) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``_hit_nuclei`` at temperature 1 for one block's worth of states."""
+        states, span = hits.shape
         size = len(self._vocab)
-        block = np.empty((len(prefixes), size))
+        block = np.empty((states, size))
         block[:] = self._base
         flat = block.reshape(-1)
-        # Every hit row's entries, state by state, each state's rows in
-        # ``_walk`` order: ``add.at`` adds in array order, so each entry
-        # gets its values in ``next_distribution``'s order.
-        who, starts, lens = [], [], []
-        for s, prefix in enumerate(prefixes):
-            for ctx, row in zip(*self._walk(code, prefix)):
-                offsets = self._offsets[len(ctx)]
-                who.append(s * size)
-                starts.append(offsets[row])
-                lens.append(offsets[row + 1] - offsets[row])
-        lens = np.array(lens, dtype=np.int64)
-        starts = np.array(starts, dtype=np.int64) - lens.cumsum() + lens
+        # Every hit row's entries, state by state, each state's rows
+        # shortest context first: ``add.at`` adds in array order, so each
+        # entry gets its values in ``next_distribution``'s order.
+        starts = np.zeros((states, span), dtype=np.int64)
+        lens = np.zeros((states, span), dtype=np.int64)
+        for c in range(span):
+            at = np.flatnonzero(hits[:, c] >= 0)
+            offsets, rows = self._offset_arrays[c + 1], hits[at, c]
+            starts[at, c] = offsets[rows]
+            lens[at, c] = offsets[rows + 1] - starts[at, c]
+        who = np.repeat(np.arange(states, dtype=np.int64) * size, span)
+        lens, starts = lens.ravel(), starts.ravel()
+        starts = starts - lens.cumsum() + lens
         entries = np.repeat(starts, lens) + np.arange(lens.sum())
-        hit_keys = np.repeat(np.array(who, dtype=np.int64), lens) + self._next_ids[entries]
+        hit_keys = np.repeat(who, lens) + self._next_ids[entries]
         np.add.at(flat, hit_keys, self._vals[entries])
         block[:, PAD_ID] = 0.0
         block[:, START_ID] = 0.0
         totals = block.sum(axis=1)
-        found = [None] * len(prefixes)
-        pending = np.arange(len(prefixes))
+        found = [None] * states
+        pending = np.arange(states)
         m = _BORDER_FIRST
         while pending.size and m < size:
             pending = self._cut_block(block, totals, pending, hit_keys, m, top_p, found)
@@ -392,35 +499,32 @@ class NGramLM(GeneratorModel):
         for, shortest first: exactly the rows the distribution adds.
 
         Every hit is listed, not only the longest: a hand-built model can
-        hold a context without its shorter suffixes.
+        hold a context without its shorter suffixes. One row's walk, by
+        bisection and with no cache; sampling keys a step's rows at once
+        with ``step_states``.
         """
-        return self._walk(code, prefix)[0]
+        tail = self._tail(code, prefix)
+        rows = self._walk(tail)
+        return tuple(tail[-l:] for l, row in enumerate(rows, 1) if row >= 0)
 
-    def _walk(
-        self, code: Sequence[int], prefix: Sequence[int]
-    ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-        """The ``state`` key, and the row of each of its contexts at the
-        level of the context's length.
-
-        Both depend only on the tail, the last ``order - 1`` ids, so recent
-        tails' walks are kept: a sampler's ``state`` lookups and the
-        ``nuclei`` call on the memo misses that follow them walk the levels
-        once per tail. A level is searched with ``bisect_left`` on its keys,
-        an ``array('q')`` or, past int64, a list of Python ints (see
-        ``_setup``); both compare as ints.
-        """
+    def _tail(self, code: Sequence[int], prefix: Sequence[int]) -> tuple:
+        """The last ``order - 1`` ids of ``code + [NEXT] + prefix``, or all
+        of them if there are fewer: the ids the distribution depends on."""
         if not prefix or prefix[0] != START_ID:
             raise ValueError("prefix must begin with START")
         span = self.order - 1
         if len(prefix) >= span:
-            tail = tuple(prefix[len(prefix) - span :])
-        else:
-            tail = (*code[-span:], NEXT_ID, *prefix)[-span:]
-        walk = self._walks.get(tail)
-        if walk is not None:
-            return walk
+            return tuple(prefix[len(prefix) - span :])
+        return (*code[-span:], NEXT_ID, *prefix)[-span:]
+
+    def _walk(self, tail: Sequence[int]) -> list[int]:
+        """The hit row of each level, -1 where none: entry ``l - 1`` is the
+        row of level ``l`` whose context is the last ``l`` ids of ``tail``.
+        A level is searched with ``bisect_left`` on its keys, an
+        ``array('q')`` or, past int64, a list of Python ints (see
+        ``_setup``); both compare as ints."""
         size = len(self._vocab)
-        contexts, rows = [], []
+        rows = [-1] * (self.order - 1)
         key, scale = 0, 1
         for l in range(1, len(tail) + 1):
             tok = tail[-l]
@@ -431,12 +535,38 @@ class NGramLM(GeneratorModel):
             keys = self._keys[l]
             row = bisect_left(keys, key)
             if row < len(keys) and keys[row] == key:
-                contexts.append(tail[-l:])
-                rows.append(row)
-        if len(self._walks) >= _WALKS_KEPT:
-            self._walks.clear()
-        walk = self._walks[tail] = (tuple(contexts), rows)
-        return walk
+                rows[l - 1] = row
+        return rows
+
+    def _row_hits(self, tails: np.ndarray) -> np.ndarray:
+        """``_walk`` of every row of ``tails``, an (n, order - 1) int64
+        array, as an array of the same shape, with one ``searchsorted`` per
+        level for all rows. A row's key grows by one digit per level, and
+        an id outside the vocabulary ends its search, as in ``_walk``.
+        From the first level whose keys pass int64 on, the rows still
+        searching are walked one by one."""
+        n, span = tails.shape
+        size = len(self._vocab)
+        hits = np.full((n, span), -1, dtype=np.int64)
+        key = np.zeros(n, dtype=np.int64)
+        live = np.ones(n, dtype=bool)
+        scale = 1
+        for l in range(1, span + 1):
+            keys = self._key_arrays[l]
+            if keys is None:
+                for i in np.flatnonzero(live).tolist():
+                    hits[i] = self._walk(tails[i].tolist())
+                break
+            tok = tails[:, span - l]
+            live &= (tok >= 0) & (tok < size)
+            key += np.where(live, tok, 0) * scale
+            scale *= size
+            if not len(keys):
+                continue
+            row = np.minimum(keys.searchsorted(key), len(keys) - 1)
+            found = live & (keys[row] == key)
+            hits[found, l - 1] = row[found]
+        return hits
 
     # -- serialization ---------------------------------------------------
 

@@ -408,6 +408,38 @@ class TestGenerate:
         assert line == "titlegen generate: error: --code-limit must be >= 0, got -3"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--max-length", 10**12), ("--num-samples", 10**15)])
+    def test_unallocatable_pool_fails_without_output(
+        self, pipeline, tmp_path, capsys, flag, value
+    ):
+        # Each block is past any address space, so numpy refuses it at
+        # once and nothing is allocated.
+        out = tmp_path / "pools.jsonl"
+        assert fails(
+            "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--out", out, "--limit", 2, flag, value,
+        )
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("titlegen generate: error: Unable to allocate")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", [1, 60, 90])
+    def test_groups_and_limit_keep_pool_bytes(self, pipeline, tmp_path, monkeypatch, budget):
+        # Posts one by one, in groups of two (the limit cuts the last
+        # group short) and of three: the bytes of the fixture's run, which
+        # samples its 8 posts as one group.
+        monkeypatch.setattr(cli, "_GROUP_ROWS", budget)
+        lines = pipeline.pools.read_bytes().splitlines(keepends=True)
+        for limit in (8, 5):
+            out = tmp_path / f"pools{limit}.jsonl"
+            run(
+                "generate", "--model", pipeline.model,
+                "--input", pipeline.splits / "test.jsonl", "--out", out,
+                "--limit", limit, "--num-samples", 30,
+                "--max-length", 12, "--temperature", "0.5",
+            )
+            assert out.read_bytes() == b"".join(lines[:limit])
+
     @pytest.mark.parametrize("temperature", ["nan", "0", "-1"])
     def test_bad_temperature_fails_without_output(self, pipeline, tmp_path, capsys, temperature):
         out = tmp_path / "pools.jsonl"
@@ -887,6 +919,20 @@ class TestCompareStrategies:
             for name in ("bleus4", "rouge1", "rouge2", "rougeL"):
                 for k in ("1", "3"):
                     assert report["metrics"][name][arm][k] == aggregate[k][name], (arm, name, k)
+
+    def test_groups_keep_report_bytes(self, pipeline, tmp_path, monkeypatch):
+        decoding = (
+            "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--limit", 5, "--num-samples", 20, "--max-length", 12,
+            "--temperature", "0.5", "--beam-size", 2, "--k-sweep", "1,3",
+        )
+        reports = []
+        for budget in (cli._GROUP_ROWS, 40, 1):
+            monkeypatch.setattr(cli, "_GROUP_ROWS", budget)
+            out = tmp_path / f"compare{budget}.json"
+            run("compare-strategies", *decoding, "--out", out)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_negative_limit_fails_without_output(self, pipeline, tmp_path, capsys):
         out = tmp_path / "compare.json"

@@ -1,4 +1,4 @@
-from bisect import bisect_left
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +9,9 @@ from scipy import stats
 
 import titlegen as tg
 from titlegen import cli, decode, lm, records
-from titlegen.text import END_ID, NEXT_ID, PAD, PAD_ID, START, START_ID
+from titlegen.text import END_ID, PAD, PAD_ID, START, START_ID
 
-from .conftest import DummyModel, raw_post, topic_code
+from .conftest import DummyModel, build_toy_model, raw_post, topic_code
 from .test_lm import make_gapped_model
 from .oracles import (
     enumerate_paths,
@@ -412,9 +412,9 @@ class TestNucleusMemo:
         peak = 0
         tables = memo.tables
 
-        def recording(code, prefixes):
+        def recording(*step):
             nonlocal peak
-            entries = tables(code, prefixes)
+            entries = tables(*step)
             peak = max(peak, memo.cached_ids)
             return entries
 
@@ -468,11 +468,11 @@ class TestNucleusMemo:
         # after row.
         cases = ((0, 1, 48), (9, 4, 7), (4100, 200, 48), (2**64 - 1, 3, 48), (3, 2, 0))
         for seed, rows, length in cases:
-            block = decode._row_uniforms(seed, rows, length)
+            block = decode._row_uniforms(seed, rows, length).tolist()
             rng = np.random.default_rng(seed)
             assert block == [[rng.random() for _ in range(length)] for _ in range(rows)]
             # The first rows do not depend on how many follow.
-            assert decode._row_uniforms(seed, 1, length) == block[:1]
+            assert decode._row_uniforms(seed, 1, length).tolist() == block[:1]
 
 
 def lockstep_model(name, toy_model):
@@ -558,51 +558,67 @@ class TestLockstep:
         held = sum(len(ids) for ids, _ in memo._entries.values())
         assert memo.cached_ids == held <= memo.capacity
 
-    def test_levels_walked_once_per_tail(self, toy_model, monkeypatch):
-        # NGramLM keeps each tail's walk, so over a run of three pools the
-        # levels are walked once per distinct tail of ``order - 1`` ids,
-        # by ``state`` and ``nuclei`` together.
+    def test_one_search_per_level_per_step(self, toy_model, monkeypatch):
+        # Over one grouped call of three pools, NGramLM finds each step's
+        # states with one ``searchsorted`` per level over all its live
+        # rows: no one-row walk, no ``state`` call and no second lookup for
+        # the misses. The memo is keyed by hit rows, one entry per state.
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
-        monkeypatch.setattr(lm, "_WALKS_KEPT", 10**6)
-        walked, lookups = [], []
+        searches, step_rows = [], []
 
-        class Walks(dict):
-            def __setitem__(self, tail, walk):
-                walked.append(tail)
-                super().__setitem__(tail, walk)
+        class Counted(np.ndarray):
+            def searchsorted(self, v, *args, **kwargs):
+                searches.append(len(v))
+                return np.asarray(self).searchsorted(v, *args, **kwargs)
 
-        def counted_bisect(keys, key):
-            lookups.append(key)
-            return bisect_left(keys, key)
+        def refused(*args):
+            raise AssertionError("a one-row lookup ran while sampling")
 
-        monkeypatch.setattr(toy_model, "_walks", Walks())
-        monkeypatch.setattr(lm, "bisect_left", counted_bisect)
-        span = toy_model.order - 1
         memo = decode.NucleusMemo(toy_model, 0.8, 1.0)
-        tails, visited = set(), []
-        for topic in (3, 7, 3):
-            code = toy_model.vocabulary.encode(topic_code(topic))
-            cfg = tg.SamplingConfig(num_samples=60, max_length=8, seed=topic)
-            pool = tg.decode_candidates(toy_model, code, cfg, memo)
+        tables = memo.tables
+
+        def recording(codes, pools, prefixes):
+            step_rows.append(len(prefixes))
+            return tables(codes, pools, prefixes)
+
+        keys = [k if k is None else k.view(Counted) for k in toy_model._key_arrays]
+        vocab, span = toy_model.vocabulary, toy_model.order - 1
+        jobs = [
+            (vocab.encode(topic_code(topic)), tg.SamplingConfig(num_samples=60, max_length=8, seed=s))
+            for s, topic in enumerate((3, 7, 3))
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(toy_model, "_key_arrays", keys)
+            m.setattr(lm, "bisect_left", refused)
+            m.setattr(tg.NGramLM, "state", refused)
+            m.setattr(tg.NGramLM, "nuclei", refused)
+            m.setattr(memo, "tables", recording)
+            pools = decode.decode_pools(toy_model, jobs, memo)
+        assert searches == [rows for rows in step_rows for _ in range(span)]
+        assert step_rows[0] == 180 and len(step_rows) > 1
+        states = {}
+        for (code, cfg), pool in zip(jobs, pools):
             assert pool == loop_decode_candidates(toy_model, code, cfg)
             for cand in pool.candidates:
-                ids = toy_model.vocabulary.encode(cand)
+                ids = vocab.encode(cand)
                 for n in range(len(ids) + (len(ids) < cfg.max_length)):
                     prefix = [START_ID, *ids[:n]]
-                    tails.add((*code, NEXT_ID, *prefix)[-span:])
-                    visited.append((code, prefix))
-        assert len(walked) == len(set(walked)) == len(tails)
-        assert set(walked) == tails
-        # One lookup per level a tail reaches: no walk outside the kept ones.
-        assert len(lookups) == sum(map(len, walked))
-        # ``state`` is the tuple of the kept walk's hit contexts, and each
-        # context's row at its level holds that context.
-        for code, prefix in visited:
-            contexts, rows = toy_model._walk(code, prefix)
-            assert toy_model.state(code, prefix) == contexts
-            for ctx, row in zip(contexts, rows):
-                assert tuple(toy_model.levels[len(ctx)].contexts[row].tolist()) == ctx
-        assert len(walked) == len(tails)
+                    (key,) = toy_model.step_states(
+                        [code], np.zeros(1, dtype=np.int64), np.array([prefix])
+                    )
+                    states.setdefault(key, set()).add(toy_model.state(code, prefix))
+                    # The key's hit rows hold the state's contexts.
+                    rows = np.frombuffer(key, dtype=np.int64).tolist()
+                    contexts = tuple(
+                        tuple(toy_model.levels[l].contexts[row].tolist())
+                        for l, row in enumerate(rows, 1)
+                        if row >= 0
+                    )
+                    assert contexts == toy_model.state(code, prefix)
+        # Equal keys are equal states and the other way round.
+        assert all(len(s) == 1 for s in states.values())
+        assert len({s for (s,) in states.values()}) == len(states)
+        assert set(memo._entries) == set(states)
 
 
 def pool_states(model, code, pool):
@@ -633,17 +649,7 @@ class TestRunMemo:
 
     def test_pools_match_fresh_calls_and_loop_oracle(self, toy_model):
         posts = self.posts([3, 7, 3, 0, 9, 7])
-        vocab = toy_model.vocabulary
-        for post, pool in zip(posts, self.run_pools(toy_model, posts)):
-            code = vocab.encode(cli._code_tokens(post, 512))
-            cfg = tg.SamplingConfig(
-                top_p=0.8, temperature=1.2, num_samples=60, max_length=8,
-                seed=cli._pool_seed(11, post.id),
-            )
-            assert pool.config == cfg
-            fresh = tg.decode_candidates(toy_model, code, cfg)
-            assert pool.candidates == fresh.candidates
-            assert pool.candidates == loop_decode_candidates(toy_model, code, cfg).candidates
+        assert_pools_alone(toy_model, posts, self.run_pools(toy_model, posts), self.CONFIG)
 
     def test_one_model_call_per_distinct_state_of_the_run(self, toy_model, monkeypatch):
         # The toy vocabulary is small, so its nuclei are a large share of
@@ -671,13 +677,14 @@ class TestRunMemo:
         # default and the loop oracle.
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
         calls = []
-        sparse = tg.NGramLM.nuclei
+        sparse, step_nuclei = tg.NGramLM.nuclei, tg.NGramLM.step_nuclei
 
-        def counted(model, code, prefixes, top_p, temperature):
-            calls.extend(model.state(code, prefix) for prefix in prefixes)
-            return sparse(model, code, prefixes, top_p, temperature)
+        def counted(model, states, codes, pools, prefixes, top_p, temperature):
+            rows = zip(pools.tolist(), prefixes.tolist())
+            calls.extend(model.state(codes[p], prefix) for p, prefix in rows)
+            return step_nuclei(model, states, codes, pools, prefixes, top_p, temperature)
 
-        monkeypatch.setattr(tg.NGramLM, "nuclei", counted)
+        monkeypatch.setattr(tg.NGramLM, "step_nuclei", counted)
         config = {**self.CONFIG, "temperature": 1.0}
         res = cli._Resolver(SimpleNamespace(**config))
         posts = self.posts([3, 7, 3, 0, 9, 7])
@@ -701,6 +708,126 @@ class TestRunMemo:
             dense[ids] = q
             oracle = loop_nucleus_filter(toy_model.next_distribution(code, prefix), 0.8)
             np.testing.assert_array_equal(dense, oracle)
+
+
+class RecordingModel(tg.GeneratorModel):
+    """A model that keeps the default ``step_states`` and ``step_nuclei``,
+    recording its ``state`` calls and each ``nuclei`` call's code."""
+
+    def __init__(self, model):
+        self._model = model
+        self.states = 0
+        self.nuclei_codes = []
+
+    @property
+    def vocabulary(self):
+        return self._model.vocabulary
+
+    def next_distribution(self, code, prefix):
+        return self._model.next_distribution(code, prefix)
+
+    def state(self, code, prefix):
+        self.states += 1
+        return self._model.state(code, prefix)
+
+    def nuclei(self, code, prefixes, top_p, temperature):
+        self.nuclei_codes.append(list(code))
+        return super().nuclei(code, prefixes, top_p, temperature)
+
+
+class TestGroups:
+    """``decode_pools`` steps several pools together; each pool must equal
+    the pool decoded alone and the row-by-row reference exactly."""
+
+    @staticmethod
+    def jobs(model, code):
+        # Two codes, and pools of unequal size and length cap.
+        other = code[:-1] if code else [5]
+        return [
+            (code, tg.SamplingConfig(top_p=0.9, num_samples=30, max_length=6, seed=1)),
+            (other, tg.SamplingConfig(top_p=0.9, num_samples=1, max_length=9, seed=2)),
+            (code, tg.SamplingConfig(top_p=0.9, num_samples=45, max_length=1, seed=3)),
+            (code, tg.SamplingConfig(top_p=0.9, num_samples=30, max_length=6, seed=1)),
+        ]
+
+    @pytest.mark.parametrize("name", LOCKSTEP_MODELS)
+    @pytest.mark.parametrize("temperature", [1.0, 0.7])
+    def test_group_equals_pools_alone(self, toy_model, name, temperature):
+        model, code = lockstep_model(name, toy_model)
+        jobs = [
+            (c, dataclasses.replace(cfg, temperature=temperature))
+            for c, cfg in self.jobs(model, code)
+        ]
+        pools = decode.decode_pools(model, jobs)
+        assert len(pools) == len(jobs)
+        for (c, cfg), pool in zip(jobs, pools):
+            assert pool == tg.decode_candidates(model, c, cfg)
+            assert pool == loop_decode_candidates(model, c, cfg)
+        assert pools[0] == pools[3]
+        assert decode.decode_pools(model, []) == []
+
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_other_orders(self, order):
+        # Order 1 keys every row alike; order 5 reaches past the code.
+        model, vocab = build_toy_model(order)
+        jobs = self.jobs(model, vocab.encode(topic_code(3)))
+        for (code, cfg), pool in zip(jobs, decode.decode_pools(model, jobs)):
+            assert pool == loop_decode_candidates(model, code, cfg)
+
+    def test_other_model_goes_through_state_and_nuclei(self):
+        model = RecordingModel(DummyModel(vocab_size=9, seed=5))
+        jobs = self.jobs(model, [5, 8])
+        pools = decode.decode_pools(model, jobs)
+        for (code, cfg), pool in zip(jobs, pools):
+            assert pool == loop_decode_candidates(model._model, code, cfg)
+        # One ``state`` per row and step; ``nuclei`` takes one code a call.
+        assert model.states == sum(map(decode_steps, pools))
+        assert {tuple(c) for c in model.nuclei_codes} == {(5, 8), (5,)}
+
+    def test_group_refuses_mixed_settings(self, toy_model):
+        code = toy_model.vocabulary.encode(topic_code(2))
+        jobs = [(code, tg.SamplingConfig(top_p=0.8)), (code, tg.SamplingConfig(top_p=0.9))]
+        with pytest.raises(ValueError, match="nucleus memo holds top_p=0.8"):
+            decode.decode_pools(toy_model, jobs)
+
+    @pytest.mark.parametrize(
+        "budget, groups",
+        [(130, [2, 2, 2, 1]), (59, [1] * 7)],
+        ids=["split_at_budget", "pool_past_budget"],
+    )
+    def test_cli_groups(self, toy_model, monkeypatch, budget, groups):
+        monkeypatch.setattr(cli, "_GROUP_ROWS", budget)
+        sizes = []
+        decode_pools = decode.decode_pools
+
+        def recording(model, jobs, memo=None):
+            sizes.append(len(jobs))
+            return decode_pools(model, jobs, memo)
+
+        monkeypatch.setattr(decode, "decode_pools", recording)
+        posts = TestRunMemo.posts([3, 7, 3, 0, 9, 7, 1])
+        pools = TestRunMemo().run_pools(toy_model, posts)
+        assert sizes == groups
+        assert_pools_alone(toy_model, posts, pools, TestRunMemo.CONFIG)
+
+
+def assert_pools_alone(model, posts, pools, config):
+    """Each post's pool equals its pool decoded alone and the row-by-row
+    reference, and carries its post's meta."""
+    assert len(pools) == len(posts)
+    vocab = model.vocabulary
+    for post, pool in zip(posts, pools):
+        code = vocab.encode(cli._code_tokens(post, 512))
+        cfg = tg.SamplingConfig(
+            top_p=config["top_p"], temperature=config["temperature"],
+            num_samples=config["num_samples"], max_length=config["max_length"],
+            seed=cli._pool_seed(config["seed"], post.id),
+        )
+        assert pool.config == cfg
+        assert pool.meta == cli._post_meta(post)
+        alone = tg.decode_candidates(model, code, cfg)
+        assert (pool.input, pool.candidates) == (alone.input, alone.candidates)
+        assert pool.candidates == loop_decode_candidates(model, code, cfg).candidates
 
 
 class VectorModel(tg.GeneratorModel):

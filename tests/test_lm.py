@@ -338,7 +338,8 @@ class TestGappedNGramLMContract(GeneratorContract):
 
 
 class TestRowLookup:
-    """``_walk`` finds each context's row by bisecting its level's keys."""
+    """``_walk`` finds each context's row by bisecting its level's keys, and
+    ``_row_hits`` finds the same rows for many tails at once."""
 
     def test_gapped_levels(self):
         v = make_vocab(list("abcde"))
@@ -354,6 +355,7 @@ class TestRowLookup:
     def test_python_int_keys(self):
         model, _ = make_long_model()
         assert model._keys[19] and all(type(k) is int for k in model._keys[19])
+        assert model._key_arrays[19] is None and model._key_arrays[18] is not None
         high = len(model.vocabulary) - 1
         probes = {}
         for l in range(1, model.order):
@@ -366,30 +368,147 @@ class TestRowLookup:
 
 
 def assert_rows_found(model, probes):
-    """Every stored context is walked to its row. ``probes[l]`` are
+    """Every stored context is found at its row. ``probes[l]`` are
     length-``l`` contexts: those the level lacks must be found nowhere,
     and among them, over all levels, must be one below a level's first
-    context, one between two of its contexts and one above its last."""
+    context, one between two of its contexts and one above its last.
+    Every tail is walked alone, and all of them are searched in one
+    ``_row_hits`` call, which must agree."""
     span = model.order - 1
     below = between = above = 0
+    tails, walks = [], []
 
-    def walked(ctx):
-        contexts, rows = model._walk([], [START_ID, *[PAD_ID] * span, *ctx])
-        for c, row in zip(contexts, rows):
-            assert tuple(model.levels[len(c)].contexts[row].tolist()) == c
-        return dict(zip(contexts, rows))
+    def found(ctx):
+        tail = (*[PAD_ID] * (span - len(ctx)), *ctx)
+        rows = model._walk(tail)
+        tails.append(tail)
+        walks.append(rows)
+        for l, row in enumerate(rows, 1):
+            if row >= 0:
+                assert tuple(model.levels[l].contexts[row].tolist()) == tail[-l:]
+        return {tail[-l:]: row for l, row in enumerate(rows, 1) if row >= 0}
 
     for l in range(1, model.order):
         stored = [tuple(c) for c in model.levels[l].contexts.tolist()]
         for row, ctx in enumerate(stored):
-            assert walked(ctx)[ctx] == row
+            assert found(ctx)[ctx] == row
         absent = set(probes[l]) - set(stored)
         for ctx in absent:
-            assert ctx not in walked(ctx)
+            assert ctx not in found(ctx)
         below += sum(ctx < stored[0] for ctx in absent)
         between += sum(stored[0] < ctx < stored[-1] for ctx in absent)
         above += sum(ctx > stored[-1] for ctx in absent)
     assert below and between and above
+    assert model._row_hits(np.array(tails, dtype=np.int64)).tolist() == walks
+
+
+def step_state_contexts(model, probes):
+    """The contexts of the hit rows ``step_states`` keys each (code,
+    prefix) probe by, with the keys. The probes are grouped by prefix
+    length, one group per call, as a decoding step groups its rows; a
+    group's codes are listed once each."""
+    groups: dict = {}
+    for i, (code, prefix) in enumerate(probes):
+        groups.setdefault(len(prefix), []).append(i)
+    out = [None] * len(probes)
+    for at in groups.values():
+        codes, pools = [], []
+        for i in at:
+            code = list(probes[i][0])
+            if code not in codes:
+                codes.append(code)
+            pools.append(codes.index(code))
+        prefixes = np.array([probes[i][1] for i in at], dtype=np.int64)
+        keys = model.step_states(codes, np.array(pools), prefixes)
+        assert len(keys) == len(at)
+        for i, key in zip(at, keys):
+            rows = np.frombuffer(key, dtype=np.int64).tolist()
+            assert len(rows) == model.order - 1
+            contexts = tuple(
+                tuple(model.levels[l].contexts[row].tolist())
+                for l, row in enumerate(rows, 1)
+                if row >= 0
+            )
+            out[i] = (contexts, key)
+    return out
+
+
+def assert_step_states_match(model, oracle, probes):
+    """``step_states`` agrees with ``state`` and the oracle's ``state`` on
+    every probe, and its keys are equal exactly where the states are."""
+    states = {}
+    for (code, prefix), (contexts, key) in zip(probes, step_state_contexts(model, probes)):
+        assert contexts == model.state(code, prefix) == oracle.state(code, prefix)
+        states.setdefault(key, set()).add(contexts)
+    assert all(len(s) == 1 for s in states.values())
+    assert len({s for (s,) in states.values()}) == len(states)
+
+
+class TestStepStates:
+    """``NGramLM.step_states``, the array search sampling keys its memo by,
+    against ``state`` and the dict oracle."""
+
+    def test_codes_shorter_than_the_context(self, toy_model):
+        oracle = DictNGramLM(4, len(toy_model.vocabulary), level_dicts(toy_model))
+        v = toy_model.vocabulary
+        words = [v.id(t) for t in ("fn", "call", "k3", "t3a0", "t3a1", "t3b0")]
+        probes = []
+        for code in ([], words[2:3], words[1:3], words[:3], words[3:5]):
+            for n in range(5):
+                for rest in itertools.product(words[2:], repeat=min(n, 2)):
+                    probes.append((code, [START_ID, *rest, *words[3 : 3 + n - len(rest)]]))
+        assert {len(code) for code, _ in probes} == {0, 1, 2, 3}
+        assert_step_states_match(toy_model, oracle, probes)
+
+    def test_ids_outside_the_vocabulary(self, toy_model):
+        oracle = DictNGramLM(4, len(toy_model.vocabulary), level_dicts(toy_model))
+        v = toy_model.vocabulary
+        size = len(v)
+        k3, a0, a1 = v.id("k3"), v.id("t3a0"), v.id("t3a1")
+        codes = ([-1, k3], [k3, size], [size + 5, k3, a0], [2**70, k3], [k3, -(2**70)], [k3])
+        prefixes = (
+            [START_ID],
+            [START_ID, a0],
+            [START_ID, a0, a1],
+            [START_ID, -2],
+            [START_ID, a0, size + 3],
+            [START_ID, size, a0, a1],
+            [START_ID, -5, a0, a1],
+        )
+        probes = [(code, prefix) for code in codes for prefix in prefixes]
+        assert_step_states_match(toy_model, oracle, probes)
+        # An id outside the vocabulary ends the search: only shorter
+        # suffixes can hit.
+        ((contexts, _),) = step_state_contexts(toy_model, [([k3], [START_ID, size, a0])])
+        assert contexts == ((a0,),)
+        # Read as a digit, (b, V + 5) would be the key of the stored (c, a).
+        model = make_gapped_model()
+        b, c, a = (model.vocabulary.id(t) for t in "bca")
+        assert b * 8 + 8 + 5 == c * 8 + a
+        probes = [([], [START_ID, b, 8 + 5]), ([c], [START_ID, a, -3]), ([], [START_ID, c, a])]
+        oracle = DictNGramLM(3, len(model.vocabulary), GAPPED_LEVELS)
+        assert_step_states_match(model, oracle, probes)
+        assert [contexts for contexts, _ in step_state_contexts(model, probes)] == [(), (), ((a,), (c, a))]
+
+    def test_context_without_its_shorter_suffix(self):
+        model = make_gapped_model()
+        oracle = DictNGramLM(3, len(model.vocabulary), GAPPED_LEVELS)
+        probes = list(TestGappedNGramLMContract().contexts(model))
+        assert_step_states_match(model, oracle, probes)
+        a, b = model.vocabulary.id("a"), model.vocabulary.id("b")
+        ((ab, _), (bb, _)) = step_state_contexts(model, [([], [START_ID, a, b]), ([], [START_ID, b, b])])
+        assert (ab, bb) == (((a, b),), ())
+
+    def test_levels_past_int64(self):
+        model, pairs = make_long_model()
+        assert model._key_arrays[19] is None
+        oracle = DictNGramLM.train(pairs, 20, len(model.vocabulary))
+        probes = [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(5)]
+        probes += [(code[:6], [START_ID]) for code, _ in pairs]
+        assert_step_states_match(model, oracle, probes)
+        # Some probes hit the Python-int level.
+        hits = step_state_contexts(model, probes)
+        assert any(len(contexts[-1]) == 19 for contexts, _ in hits if contexts)
 
 
 def assert_nucleus_matches_default(model, code, prefix, top_p):
@@ -526,7 +645,7 @@ def zipf_model(size=600, posts=900):
 
 
 class TestBatchedNuclei:
-    """``NGramLM.nuclei`` on every state a sampling run computes: the
+    """``NGramLM.step_nuclei`` on every state a sampling run computes: the
     default's arrays bit for bit, through widening, the dense kernel and
     batches split into blocks."""
 
@@ -539,12 +658,16 @@ class TestBatchedNuclei:
         # stored, so each is computed once.
         monkeypatch.setattr(lm, "_BLOCK_BYTES", 3 * 8 * size)
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
-        batches, widths, dense = [], [], []
-        nuclei, cut_block, kernel = tg.NGramLM.nuclei, tg.NGramLM._cut_block, lm._kernels.nucleus_kernel
+        computed, batches, widths, dense = [], [], [], []
+        step_nuclei, cut_block = tg.NGramLM.step_nuclei, tg.NGramLM._cut_block
+        kernel = lm._kernels.nucleus_kernel
 
-        def recording_nuclei(self, code, prefixes, p, t):
-            batches.append((list(code), [list(prefix) for prefix in prefixes]))
-            return nuclei(self, code, prefixes, p, t)
+        def recording_nuclei(self, states, codes, pools, prefixes, p, t):
+            found = step_nuclei(self, states, codes, pools, prefixes, p, t)
+            rows = zip(pools.tolist(), prefixes.tolist(), found)
+            computed.extend((list(codes[pool]), prefix, arrays) for pool, prefix, arrays in rows)
+            batches.append(len(states))
+            return found
 
         def recording_cut(self, block, totals, pending, hit_keys, m, *rest):
             widths.append(m)
@@ -554,7 +677,7 @@ class TestBatchedNuclei:
             dense.append(beta)
             return kernel(probs, beta, temperature)
 
-        monkeypatch.setattr(tg.NGramLM, "nuclei", recording_nuclei)
+        monkeypatch.setattr(tg.NGramLM, "step_nuclei", recording_nuclei)
         monkeypatch.setattr(tg.NGramLM, "_cut_block", recording_cut)
         monkeypatch.setattr(lm._kernels, "nucleus_kernel", recording_kernel)
         memo = decode.NucleusMemo(model, top_p, 1.0)
@@ -562,21 +685,20 @@ class TestBatchedNuclei:
             code = model.vocabulary.encode([f"w{topic}", f"w{topic + 7}", f"w{topic + 20}"])
             cfg = tg.SamplingConfig(top_p=top_p, num_samples=60, max_length=10, seed=topic)
             tg.decode_candidates(model, code, cfg, memo)
-        assert max(len(prefixes) for _, prefixes in batches) > 3
+        assert max(batches) > 3
         # Near top_p 1 the first window falls short, then the widest.
         assert (max(widths) > lm._BORDER_FIRST) == (top_p > 0.9)
         assert bool(dense) == (top_p > 0.99)
         monkeypatch.setattr(lm._kernels, "nucleus_kernel", kernel)
-        checked = 0
-        for code, prefixes in batches:
-            got = nuclei(model, code, prefixes, top_p, 1.0)
-            assert len(got) == len(prefixes)
-            for prefix, arrays in zip(prefixes, got):
-                (want,) = tg.GeneratorModel.nuclei(model, code, [prefix], top_p, 1.0)
-                for a, b in zip(arrays, want):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                checked += 1
-        assert checked == len(memo._entries) > 100
+        for code, prefix, arrays in computed:
+            (want,) = tg.GeneratorModel.nuclei(model, code, [prefix], top_p, 1.0)
+            for a, b in zip(arrays, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            # The one-row path gives the same arrays.
+            (got,) = model.nuclei(code, [prefix], top_p, 1.0)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len(computed) == len(memo._entries) > 100
 
 
 def split_model(data):
