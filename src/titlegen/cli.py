@@ -352,14 +352,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
     rows = []
     stats = records.ReadStats()
     for raw in records.read_jsonl(args.pools, stats):
-        pool = records.pool_from_dict(raw)
         try:
+            pool = records.pool_from_dict(raw)
             # Checked here, not by the selector, so every strategy refuses it.
             if not pool.candidates:
                 raise ValueError("empty candidate pool")
             indices, diagnostics = select(pool)
         except ValueError as exc:
-            name = f"pool {pool.meta['id']}" if "id" in pool.meta else f"pool on line {stats.line}"
+            meta = raw.get("meta")
+            has_id = isinstance(meta, dict) and "id" in meta
+            name = f"pool {meta['id']}" if has_id else f"pool on line {stats.line}"
             raise ValueError(f"{name}: {exc}") from None
         if len(indices) < k:
             short += 1

@@ -86,9 +86,10 @@ def concat_snippets(snippets: Sequence[str]) -> str:
 
 
 def _language_rng(seed: int, language: str) -> np.random.Generator:
-    # One stream per language so languages can be processed in any order.
+    # One stream per language so languages can be processed in any order;
+    # the seed counts modulo 2**64, as the sampling stages take it.
     key = zlib.crc32(language.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+    return np.random.default_rng(np.random.SeedSequence(seed % 2**64, spawn_key=(key,)))
 
 
 def chronological_split(
@@ -98,10 +99,11 @@ def chronological_split(
 
     Within each language, posts are ordered by (created_at, id), the
     newest val+test posts are shuffled with a per-language stream of
-    ``seed`` and dealt to validation then test, and everything earlier
-    goes to train. Languages are emitted in sorted name order. A
-    language whose ``created_at`` values mix naive and UTC-offset times
-    cannot be ordered, and raises ``ValueError``.
+    ``seed`` (any integer, taken modulo 2**64) and dealt to validation
+    then test, and everything earlier goes to train. Languages are
+    emitted in sorted name order. A language whose ``created_at`` values
+    mix naive and UTC-offset times cannot be ordered, and raises
+    ``ValueError``.
     """
     by_language: dict[str, list[Post]] = {}
     for post in posts:

@@ -135,11 +135,11 @@ class NucleusMemo:
     (``array('d')``, ``q.cumsum()``), which ``_kernels.sample_step_kernel``
     bisects. Entries are keyed by ``model.step_states``: for ``NGramLM``
     a state's hit rows, found for all of a step's rows by array search;
-    for any other model, by default, ``model.state``. Equal keys give
-    bit-identical distributions under any code, and the nucleus does not
-    depend on the seed, so one memo serves every pool of a run. The memo
-    holds at most ``capacity`` ids; past that, new states are computed
-    and not stored.
+    for any other model, by default, the code and the prefix. Equal keys
+    give bit-identical distributions under any code, and the nucleus does
+    not depend on the seed, so one memo serves every pool of a run. The
+    memo holds at most ``capacity`` ids; past that, new states are
+    computed and not stored.
     """
 
     def __init__(self, model: GeneratorModel, top_p: float, temperature: float):
@@ -167,7 +167,8 @@ class NucleusMemo:
         under ``codes[pools[i]]`` (see ``GeneratorModel.step_states``). The
         states no entry holds are computed in one ``model.step_nuclei``
         call, in the order they first appear, and its tables are checked
-        against its contract in O(1) each (see ``_checked_table``)."""
+        against its contract: each in O(1) (see ``_checked_table``), and
+        all their ids at once, with one ``min`` and ``max``."""
         keys = self.model.step_states(codes, pools, prefixes)
         got = list(map(self._entries.get, keys))
         if None in got:
@@ -184,35 +185,35 @@ class NucleusMemo:
                     f"step_nuclei must return one (ids, probabilities) pair per state:"
                     f" asked for {len(misses)}, got {len(computed)}"
                 )
-            fresh, size = {}, len(self.model.vocabulary)
-            for key, (ids, q) in zip(misses, computed):
-                table = _checked_table(
-                    array("q", ids.astype(np.int64, copy=False).tobytes()),
-                    array("d", q.cumsum().tobytes()),
-                    size,
-                )
-                fresh[key] = table
-                if self.cached_ids + len(ids) <= self.capacity:
+            id_arrays = [ids.astype(np.int64, copy=False) for ids, _ in computed]
+            tables = [
+                _checked_table(array("q", ids.tobytes()), array("d", q.cumsum().tobytes()))
+                for ids, (_, q) in zip(id_arrays, computed)
+            ]
+            every, size = np.concatenate(id_arrays), len(self.model.vocabulary)
+            if every.min() < 0 or every.max() >= size:
+                raise ValueError(f"step_nuclei ids must lie in the vocabulary of {size} tokens")
+            fresh = dict(zip(misses, tables))
+            for key, table in fresh.items():
+                if self.cached_ids + len(table[0]) <= self.capacity:
                     self._entries[key] = table
-                    self.cached_ids += len(ids)
+                    self.cached_ids += len(table[0])
             for i in absent:
                 got[i] = fresh[keys[i]]
         return got
 
 
-def _checked_table(ids: array, cdf: array, size: int) -> tuple[array, array]:
+def _checked_table(ids: array, cdf: array) -> tuple[array, array]:
     """``(ids, cdf)``, or a ``ValueError`` naming the rule of
-    ``GeneratorModel.nuclei`` it breaks. Every check is O(1): the ids are
-    ascending by contract, so the first and last bound them all."""
+    ``GeneratorModel.step_nuclei`` it breaks. Every check is O(1);
+    ``NucleusMemo.tables`` bounds the ids of a step's tables together."""
     if not len(ids) == len(cdf) > 0:
         raise ValueError(
-            f"nuclei must return as many probabilities as ids, at least one;"
+            f"step_nuclei must return as many probabilities as ids, at least one;"
             f" got {len(ids)} ids and {len(cdf)} probabilities"
         )
     if not cdf[-1] > 0.0:
-        raise ValueError(f"nuclei probabilities must have positive mass, got {cdf[-1]!r}")
-    if not (ids[0] >= 0 and ids[-1] < size):
-        raise ValueError(f"nuclei ids must lie in the vocabulary of {size} tokens")
+        raise ValueError(f"step_nuclei probabilities must have positive mass, got {cdf[-1]!r}")
     return ids, cdf
 
 

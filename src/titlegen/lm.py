@@ -29,12 +29,12 @@ from .text import END_ID, NEXT_ID, PAD_ID, START_ID, Vocabulary
 #: renormalization. Keeps END reachable from any state.
 FLOOR = 1e-6
 
-#: Top floor + unigram ids ``NGramLM.nuclei`` first adds to a state's
-#: hit ids; a miss widens it fourfold. On the benchmark's model at
+#: Top floor + unigram ids ``NGramLM.step_nuclei`` first adds to a
+#: state's hit ids; a miss widens it fourfold. On the benchmark's model at
 #: top_p 0.8 a nucleus holds 19 ids on average and 174 at most.
 _BORDER_FIRST = 64
 
-#: Bytes of the (states x V) block ``NGramLM.nuclei`` fills at once;
+#: Bytes of the (states x V) block ``NGramLM.step_nuclei`` fills at once;
 #: larger batches run in chunks of as many states as fit.
 _BLOCK_BYTES = 2 << 20
 
@@ -52,13 +52,13 @@ class GeneratorModel(ABC):
     for PAD and START (neither may ever be generated). Beam search's
     early stop relies on no entry exceeding 1.
 
-    ``state`` names the model state a prefix reaches under a code. Equal
-    keys must give bit-identical distributions, whatever the codes and
-    prefixes they came from. Sampling steps many rows at once and keys
-    them with ``step_states``, computing each state's nucleus once per
-    run under that key (see ``decode.NucleusMemo``) with ``step_nuclei``.
-    Their defaults call ``state`` and ``nuclei``; a model may override
-    any of the three with a faster exact path.
+    Sampling steps many rows at once and calls two hooks. ``step_states``
+    keys each row's state: equal keys must give bit-identical
+    distributions, whatever the codes and prefixes they came from.
+    ``step_nuclei`` computes the nuclei of the keys no entry of
+    ``decode.NucleusMemo`` holds, each once per run. Their defaults are
+    exact for any model, one row at a time; a model may override either
+    with a faster exact path.
     """
 
     @property
@@ -74,45 +74,6 @@ class GeneratorModel(ABC):
         """
         raise NotImplementedError
 
-    def state(self, code: Sequence[int], prefix: Sequence[int]) -> Hashable:
-        """Hashable key of the state ``prefix`` reaches under ``code``.
-
-        The default, the code and the prefix themselves, suits any model
-        whose output is a function of (code, prefix). A model that reads
-        only part of them should return a coarser key, so more (code,
-        prefix) pairs share one.
-        """
-        return (tuple(code), tuple(prefix))
-
-    def nuclei(
-        self,
-        code: Sequence[int],
-        prefixes: Sequence[Sequence[int]],
-        top_p: float,
-        temperature: float,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The nucleus sampling draws from at each prefix under ``code``, in
-        order: the kept ids in ascending order and their probabilities
-        after temperature, divided by the nucleus mass
-        (``_kernels.nucleus_kernel``).
-
-        The default checks each ``next_distribution`` vector against the
-        contract and raises ``ValueError`` naming the rule it breaks. An
-        override may compute the states together, and must return arrays
-        equal to the default's bit for bit; sampling refuses one whose
-        result lacks a pair per prefix, or a pair of as many probabilities
-        as ids, at least one, with positive mass and ids in the vocabulary.
-        """
-        size = len(self.vocabulary)
-        return [
-            _kernels.nucleus_kernel(
-                _checked_distribution(self.next_distribution(code, prefix), size),
-                top_p,
-                temperature,
-            )
-            for prefix in prefixes
-        ]
-
     def step_states(
         self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray
     ) -> list[Hashable]:
@@ -120,12 +81,13 @@ class GeneratorModel(ABC):
         prefix ``prefixes[i]`` (a 2-D int64 array: every row of a step is
         START and as many ids) under the code ``codes[pools[i]]``.
 
-        The default is ``state`` of each row. An override's keys need not
-        be ``state``'s, but keep its contract: equal keys give
-        bit-identical distributions.
+        The default key, the code and the prefix themselves, suits any
+        model whose output is a function of (code, prefix). A model that
+        reads only part of them should return a coarser key, so more rows
+        share one.
         """
         return [
-            self.state(codes[p], prefix)
+            (tuple(codes[p]), tuple(prefix))
             for p, prefix in zip(pools.tolist(), prefixes.tolist())
         ]
 
@@ -138,25 +100,29 @@ class GeneratorModel(ABC):
         top_p: float,
         temperature: float,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``nuclei`` of rows of a step, as ``step_states`` reads them,
-        whose keys are ``states``. The default makes one ``nuclei`` call
-        per code, in the order the codes first appear; an override may
-        compute them from the keys alone."""
-        found: list = [None] * len(states)
-        members: dict[int, list[int]] = {}
-        for i, p in enumerate(pools.tolist()):
-            members.setdefault(p, []).append(i)
-        rows = prefixes.tolist()
-        for p, at in members.items():
-            pairs = self.nuclei(codes[p], [rows[i] for i in at], top_p, temperature)
-            if len(pairs) != len(at):
-                raise ValueError(
-                    f"nuclei must return one (ids, probabilities) pair per prefix:"
-                    f" asked for {len(at)}, got {len(pairs)}"
-                )
-            for i, pair in zip(at, pairs):
-                found[i] = pair
-        return found
+        """The nucleus sampling draws from at each row of a step, as
+        ``step_states`` reads the rows, whose keys are ``states``: the
+        kept ids in ascending order and their probabilities after
+        temperature, divided by the nucleus mass
+        (``_kernels.nucleus_kernel``).
+
+        The default checks each row's ``next_distribution`` vector against
+        the contract and raises ``ValueError`` naming the rule it breaks.
+        An override may compute the rows together, or from the keys alone,
+        and must return arrays equal to the default's bit for bit;
+        sampling refuses one whose result lacks a pair per state, or a
+        pair of as many probabilities as ids, at least one, with positive
+        mass and ids in the vocabulary.
+        """
+        size = len(self.vocabulary)
+        return [
+            _kernels.nucleus_kernel(
+                _checked_distribution(self.next_distribution(codes[p], prefix), size),
+                top_p,
+                temperature,
+            )
+            for p, prefix in zip(pools.tolist(), prefixes.tolist())
+        ]
 
 
 def _checked_distribution(dist, size: int) -> np.ndarray:
@@ -325,27 +291,16 @@ class NGramLM(GeneratorModel):
         out /= out.sum()
         return out
 
-    def nuclei(
-        self,
-        code: Sequence[int],
-        prefixes: Sequence[Sequence[int]],
-        top_p: float,
-        temperature: float,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The default's arrays, bit for bit, from each prefix's hit rows
-        (see ``_hit_nuclei``)."""
-        hits = [self._walk(self._tail(code, prefix)) for prefix in prefixes]
-        rows = np.array(hits, dtype=np.int64).reshape(len(prefixes), self.order - 1)
-        return self._hit_nuclei(rows, top_p, temperature)
-
     def step_states(
         self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray
     ) -> list[bytes]:
         """Each row's hit rows (see ``_row_hits``), as the bytes of its
         int64 row. Equal hit rows are equal contexts, so equal keys give
-        bit-identical distributions. A step's rows share their length, so
-        the tails are one slice of ``prefixes``, joined to the codes' last
-        ids while the prefixes are shorter than the tail."""
+        bit-identical distributions. Every level's hit counts, not only the
+        longest: a hand-built model can hold a context without its shorter
+        suffixes. A step's rows share their length, so the tails are one
+        slice of ``prefixes``, joined to the codes' last ids while the
+        prefixes are shorter than the tail."""
         span = self.order - 1
         if not span:
             return [b""] * len(prefixes)
@@ -373,19 +328,11 @@ class NGramLM(GeneratorModel):
         top_p: float,
         temperature: float,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``nuclei`` from the hit rows ``step_states`` keyed: no walk."""
-        rows = np.frombuffer(b"".join(states), dtype=np.int64)
-        return self._hit_nuclei(rows.reshape(len(states), self.order - 1), top_p, temperature)
-
-    def _hit_nuclei(
-        self, hits: np.ndarray, top_p: float, temperature: float
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``GeneratorModel.nuclei``'s arrays, bit for bit, of the states
-        whose hit rows are the rows of ``hits`` (see ``_row_hits``). At
-        temperature 1 and top_p below 1 they come from each state's hit
-        ids and the floor + unigram order, with no divide, tail scan or
-        partition over the vocabulary, and the states run together, a
-        block of them at a time.
+        """The default's arrays, bit for bit, from the hit rows
+        ``step_states`` keyed: no walk. At temperature 1 and top_p below 1
+        they come from each state's hit ids and the floor + unigram order,
+        with no divide, tail scan or partition over the vocabulary, and
+        the states run together, a block of them at a time.
 
         Each total is ``next_distribution``'s: the same vector, the same
         sum. An id no hit row holds keeps its floor + unigram value, so
@@ -396,6 +343,8 @@ class NGramLM(GeneratorModel):
         reach top_p, the nucleus is theirs; otherwise ``m`` widens, and
         at the vocabulary size the dense kernel runs.
         """
+        hits = np.frombuffer(b"".join(states), dtype=np.int64)
+        hits = hits.reshape(len(states), self.order - 1)
         if temperature != 1.0 or top_p >= 1.0:
             return [
                 _kernels.nucleus_kernel(self._distribution(rows), top_p, temperature)
@@ -408,7 +357,7 @@ class NGramLM(GeneratorModel):
         return found
 
     def _block_nuclei(self, hits, top_p) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``_hit_nuclei`` at temperature 1 for one block's worth of states."""
+        """``step_nuclei`` at temperature 1 for one block's worth of states."""
         states, span = hits.shape
         size = len(self._vocab)
         block = np.empty((states, size))
@@ -493,19 +442,6 @@ class NGramLM(GeneratorModel):
             ids = np.argsort(-base, kind="stable")
             self._border = (ids, base[ids])
         return self._border
-
-    def state(self, code: Sequence[int], prefix: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        """The suffixes of ``code + [NEXT] + prefix`` the model has a level
-        for, shortest first: exactly the rows the distribution adds.
-
-        Every hit is listed, not only the longest: a hand-built model can
-        hold a context without its shorter suffixes. One row's walk, by
-        bisection and with no cache; sampling keys a step's rows at once
-        with ``step_states``.
-        """
-        tail = self._tail(code, prefix)
-        rows = self._walk(tail)
-        return tuple(tail[-l:] for l, row in enumerate(rows, 1) if row >= 0)
 
     def _tail(self, code: Sequence[int], prefix: Sequence[int]) -> tuple:
         """The last ``order - 1`` ids of ``code + [NEXT] + prefix``, or all

@@ -232,10 +232,20 @@ def _number(cfg: dict, name: str, integer: bool = False):
     return value
 
 
+_POOL_FIELDS = {"input", "candidates", "config"}
+_CONFIG_FIELDS = {"top_p", "temperature", "num_samples", "max_length", "seed"}
+
+
 def pool_from_dict(row: dict) -> CandidatePool:
+    missing = _POOL_FIELDS - row.keys()
+    if missing:
+        raise ValueError(f"missing fields: {sorted(missing)}")
     cfg = row["config"]
     if not isinstance(cfg, dict):
         raise ValueError("config must be an object")
+    missing = _CONFIG_FIELDS - cfg.keys()
+    if missing:
+        raise ValueError(f"missing config fields: {sorted(missing)}")
     meta = row.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("meta must be an object")

@@ -105,6 +105,23 @@ class TestPrepare:
         for rel in ("train.jsonl", "validation.jsonl", "test.jsonl", "manifest.json"):
             assert (out / rel).read_bytes() == (pipeline.splits / rel).read_bytes()
 
+    def test_seed_counts_modulo_2_64(self, pipeline, tmp_path, monkeypatch):
+        # As generate takes it: -1 (a flag) and 2**64 - 1 (the environment)
+        # give the same splits, and the manifest records the seed as given.
+        argv = ["prepare", "--input", pipeline.raw, "--val-count", 15, "--test-count", 15]
+        run(*argv, "--out-dir", tmp_path / "minus", "--seed", -1)
+        monkeypatch.setenv("TITLEGEN_SEED", str(2**64 - 1))
+        run(*argv, "--out-dir", tmp_path / "top")
+        minus, top = tmp_path / "minus", tmp_path / "top"
+        files = sorted(path.relative_to(top) for path in top.rglob("*.jsonl"))
+        assert len(files) == 9
+        for rel in files:
+            assert (minus / rel).read_bytes() == (top / rel).read_bytes()
+        seeds = [json.loads((d / "manifest.json").read_text())["seed"] for d in (minus, top)]
+        assert seeds == [-1, 2**64 - 1]
+        # The seed still moves the split.
+        assert (top / "test.jsonl").read_bytes() != (pipeline.splits / "test.jsonl").read_bytes()
+
     def test_language_files_are_the_split_lines_of_that_language(self, pipeline):
         manifest = json.loads((pipeline.splits / "manifest.json").read_text())
         for name in ("train", "validation", "test"):
@@ -626,6 +643,42 @@ class TestRank:
         (line,) = capsys.readouterr().err.strip().splitlines()
         name = f"pool {rows[2]['meta']['id']}" if has_id else "pool on line 4"
         assert line == f"titlegen rank: error: {name}: empty candidate pool"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no_config", "missing fields: ['config']"),
+            ("no_input", "missing fields: ['input']"),
+            ("no_config_seed", "missing config fields: ['seed']"),
+            ("too_long", "candidate longer than max_length"),
+            ("negative_seed", "seed must be a 64-bit unsigned integer, got -1"),
+            ("meta_not_object", "meta must be an object"),
+        ],
+    )
+    def test_bad_pool_named_without_output(self, pipeline, tmp_path, capsys, case, message):
+        rows = read_rows(pipeline.pools)
+        row = rows[1]
+        name = f"pool {row['meta']['id']}"
+        if case == "no_config":
+            del row["config"]
+        elif case == "no_input":
+            del row["input"]
+        elif case == "no_config_seed":
+            del row["config"]["seed"]
+        elif case == "too_long":
+            row["config"]["max_length"] = max(map(len, row["candidates"])) - 1
+        elif case == "negative_seed":
+            row["config"]["seed"] = -1
+        else:
+            row["meta"] = [row["meta"]]
+            name = "pool on line 2"
+        pools = tmp_path / "pools.jsonl"
+        records.write_jsonl(pools, rows)
+        out = tmp_path / "selected.jsonl"
+        assert fails("rank", "--pools", pools, "--out", out)
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"titlegen rank: error: {name}: {message}"
         assert not out.exists()
 
 

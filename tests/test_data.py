@@ -127,6 +127,16 @@ class TestChronologicalSplit:
         b = tg.chronological_split(self.ten_posts(), spec, seed=7)
         assert [[p.id for p in part] for part in a] == [[p.id for p in part] for part in b]
 
+    def test_seed_counts_modulo_2_64(self):
+        spec = tg.SplitSpec(val_count=2, test_count=2)
+
+        def ids(seed):
+            parts = tg.chronological_split(self.ten_posts(), spec, seed)
+            return [[p.id for p in part] for part in parts]
+
+        assert ids(-1) == ids(2**64 - 1)
+        assert ids(2**64 + 7) == ids(7) == ids(-(2**64) + 7)
+
     def test_input_order_irrelevant(self):
         posts = self.ten_posts()
         spec = tg.SplitSpec(val_count=2, test_count=2)

@@ -12,8 +12,15 @@ from titlegen import cli, decode, lm, records
 from titlegen.text import END_ID, PAD, PAD_ID, START, START_ID
 
 from .conftest import DummyModel, build_toy_model, raw_post, topic_code
-from .test_lm import make_gapped_model
+from .test_lm import (
+    level_dicts,
+    make_gapped_model,
+    row_nuclei,
+    row_state,
+    step_state_contexts,
+)
 from .oracles import (
+    DictNGramLM,
     enumerate_paths,
     loop_beam_search,
     loop_decode_candidates,
@@ -51,6 +58,9 @@ class TableModel(tg.GeneratorModel):
 
 
 class CallCounter(tg.GeneratorModel):
+    """Counts ``next_distribution`` calls; keys states as the model does,
+    and keeps the default ``step_nuclei``."""
+
     def __init__(self, model):
         self._model = model
         self.calls = 0
@@ -63,8 +73,8 @@ class CallCounter(tg.GeneratorModel):
         self.calls += 1
         return self._model.next_distribution(code, prefix)
 
-    def state(self, code, prefix):
-        return self._model.state(code, prefix)
+    def step_states(self, codes, pools, prefixes):
+        return self._model.step_states(codes, pools, prefixes)
 
 
 def decode_steps(pool):
@@ -435,7 +445,7 @@ class TestNucleusMemo:
         # DummyModel's distributions depend on the code and it keeps the
         # default key, so equal prefixes under two codes are two states.
         model = DummyModel(vocab_size=7, seed=3)
-        assert model.state([5], [START_ID]) == ((5,), (START_ID,))
+        assert row_state(model, [5], [START_ID]) == ((5,), (START_ID,))
         counter = CallCounter(model)
         memo = decode.NucleusMemo(counter, 0.9, 0.8)
         cfg = tg.SamplingConfig(top_p=0.9, temperature=0.8, num_samples=30, max_length=3, seed=4)
@@ -561,7 +571,7 @@ class TestLockstep:
     def test_one_search_per_level_per_step(self, toy_model, monkeypatch):
         # Over one grouped call of three pools, NGramLM finds each step's
         # states with one ``searchsorted`` per level over all its live
-        # rows: no one-row walk, no ``state`` call and no second lookup for
+        # rows: no one-row walk or distribution and no second lookup for
         # the misses. The memo is keyed by hit rows, one entry per state.
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
         searches, step_rows = [], []
@@ -590,12 +600,13 @@ class TestLockstep:
         with monkeypatch.context() as m:
             m.setattr(toy_model, "_key_arrays", keys)
             m.setattr(lm, "bisect_left", refused)
-            m.setattr(tg.NGramLM, "state", refused)
-            m.setattr(tg.NGramLM, "nuclei", refused)
+            m.setattr(tg.NGramLM, "_walk", refused)
+            m.setattr(tg.NGramLM, "next_distribution", refused)
             m.setattr(memo, "tables", recording)
             pools = decode.decode_pools(toy_model, jobs, memo)
         assert searches == [rows for rows in step_rows for _ in range(span)]
         assert step_rows[0] == 180 and len(step_rows) > 1
+        oracle = DictNGramLM(toy_model.order, len(vocab), level_dicts(toy_model))
         states = {}
         for (code, cfg), pool in zip(jobs, pools):
             assert pool == loop_decode_candidates(toy_model, code, cfg)
@@ -603,18 +614,10 @@ class TestLockstep:
                 ids = vocab.encode(cand)
                 for n in range(len(ids) + (len(ids) < cfg.max_length)):
                     prefix = [START_ID, *ids[:n]]
-                    (key,) = toy_model.step_states(
-                        [code], np.zeros(1, dtype=np.int64), np.array([prefix])
-                    )
-                    states.setdefault(key, set()).add(toy_model.state(code, prefix))
                     # The key's hit rows hold the state's contexts.
-                    rows = np.frombuffer(key, dtype=np.int64).tolist()
-                    contexts = tuple(
-                        tuple(toy_model.levels[l].contexts[row].tolist())
-                        for l, row in enumerate(rows, 1)
-                        if row >= 0
-                    )
-                    assert contexts == toy_model.state(code, prefix)
+                    ((contexts, key),) = step_state_contexts(toy_model, [(code, prefix)])
+                    assert contexts == oracle.state(code, prefix)
+                    states.setdefault(key, set()).add(contexts)
         # Equal keys are equal states and the other way round.
         assert all(len(s) == 1 for s in states.values())
         assert len({s for (s,) in states.values()}) == len(states)
@@ -627,7 +630,7 @@ def pool_states(model, code, pool):
     for cand in pool.candidates:
         ids = model.vocabulary.encode(cand)
         for n in range(len(ids) + (len(ids) < pool.config.max_length)):
-            states.add(model.state(code, [START_ID, *ids[:n]]))
+            states.add(row_state(model, code, [START_ID, *ids[:n]]))
     return states
 
 
@@ -676,13 +679,14 @@ class TestRunMemo:
         # states it computes, and check each state's arrays against the
         # default and the loop oracle.
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
-        calls = []
-        sparse, step_nuclei = tg.NGramLM.nuclei, tg.NGramLM.step_nuclei
+        calls, computed = [], {}
+        step_nuclei = tg.NGramLM.step_nuclei
 
         def counted(model, states, codes, pools, prefixes, top_p, temperature):
-            rows = zip(pools.tolist(), prefixes.tolist())
-            calls.extend(model.state(codes[p], prefix) for p, prefix in rows)
-            return step_nuclei(model, states, codes, pools, prefixes, top_p, temperature)
+            found = step_nuclei(model, states, codes, pools, prefixes, top_p, temperature)
+            calls.extend(states)
+            computed.update(zip(states, found))
+            return found
 
         monkeypatch.setattr(tg.NGramLM, "step_nuclei", counted)
         config = {**self.CONFIG, "temperature": 1.0}
@@ -697,12 +701,13 @@ class TestRunMemo:
                 ids = vocab.encode(cand)
                 for n in range(len(ids) + (len(ids) < pool.config.max_length)):
                     prefix = [START_ID, *ids[:n]]
-                    states.setdefault(toy_model.state(code, prefix), (code, prefix))
+                    states.setdefault(row_state(toy_model, code, prefix), (code, prefix))
         assert len(calls) == len(set(calls)) == len(states)
         assert set(calls) == set(states)
-        for code, prefix in states.values():
-            ((ids, q),) = sparse(toy_model, code, [prefix], 0.8, 1.0)
-            ((want_ids, want_q),) = tg.GeneratorModel.nuclei(toy_model, code, [prefix], 0.8, 1.0)
+        monkeypatch.setattr(tg.NGramLM, "step_nuclei", step_nuclei)
+        for key, (code, prefix) in states.items():
+            ids, q = computed[key]
+            want_ids, want_q = row_nuclei(toy_model, code, prefix, 0.8, default=True)
             assert ids.tobytes() == want_ids.tobytes() and q.tobytes() == want_q.tobytes()
             dense = np.zeros(len(vocab))
             dense[ids] = q
@@ -712,27 +717,25 @@ class TestRunMemo:
 
 class RecordingModel(tg.GeneratorModel):
     """A model that keeps the default ``step_states`` and ``step_nuclei``,
-    recording its ``state`` calls and each ``nuclei`` call's code."""
+    recording how many rows ``step_states`` keys and the (code, prefix)
+    of each ``next_distribution`` call."""
 
     def __init__(self, model):
         self._model = model
-        self.states = 0
-        self.nuclei_codes = []
+        self.rows = 0
+        self.reads = []
 
     @property
     def vocabulary(self):
         return self._model.vocabulary
 
     def next_distribution(self, code, prefix):
+        self.reads.append((tuple(code), tuple(prefix)))
         return self._model.next_distribution(code, prefix)
 
-    def state(self, code, prefix):
-        self.states += 1
-        return self._model.state(code, prefix)
-
-    def nuclei(self, code, prefixes, top_p, temperature):
-        self.nuclei_codes.append(list(code))
-        return super().nuclei(code, prefixes, top_p, temperature)
+    def step_states(self, codes, pools, prefixes):
+        self.rows += len(prefixes)
+        return super().step_states(codes, pools, prefixes)
 
 
 class TestGroups:
@@ -774,15 +777,22 @@ class TestGroups:
         for (code, cfg), pool in zip(jobs, decode.decode_pools(model, jobs)):
             assert pool == loop_decode_candidates(model, code, cfg)
 
-    def test_other_model_goes_through_state_and_nuclei(self):
+    def test_other_model_goes_through_state_and_nuclei(self, monkeypatch):
+        # Every state is stored, so each is read once.
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
         model = RecordingModel(DummyModel(vocab_size=9, seed=5))
         jobs = self.jobs(model, [5, 8])
         pools = decode.decode_pools(model, jobs)
+        states = set()
         for (code, cfg), pool in zip(jobs, pools):
             assert pool == loop_decode_candidates(model._model, code, cfg)
-        # One ``state`` per row and step; ``nuclei`` takes one code a call.
-        assert model.states == sum(map(decode_steps, pools))
-        assert {tuple(c) for c in model.nuclei_codes} == {(5, 8), (5,)}
+            states |= pool_states(model._model, code, pool)
+        # One key per row and step; one ``next_distribution`` per state,
+        # the default key, under either code.
+        assert model.rows == sum(map(decode_steps, pools))
+        assert len(model.reads) == len(set(model.reads)) == len(states)
+        assert set(model.reads) == states
+        assert {code for code, _ in model.reads} == {(5, 8), (5,)}
 
     def test_group_refuses_mixed_settings(self, toy_model):
         code = toy_model.vocabulary.encode(topic_code(2))
@@ -828,6 +838,55 @@ def assert_pools_alone(model, posts, pools, config):
         alone = tg.decode_candidates(model, code, cfg)
         assert (pool.input, pool.candidates) == (alone.input, alone.candidates)
         assert pool.candidates == loop_decode_candidates(model, code, cfg).candidates
+
+
+#: What sampling and beam search may read of a model.
+CONTRACT = {"vocabulary", "next_distribution", "step_states", "step_nuclei"}
+
+
+class SurfaceProxy:
+    """Forwards every attribute read to a model, recording its name."""
+
+    def __init__(self, model):
+        self._model = model
+        self.touched = set()
+
+    def __getattr__(self, name):
+        self.touched.add(name)
+        return getattr(self._model, name)
+
+
+class TestContractSurface:
+    """``GeneratorModel`` defines only what the stages call, and they call
+    all of it: a hook without a caller, or a call outside the contract,
+    fails here."""
+
+    def test_generator_model_defines_the_contract(self):
+        assert {name for name in vars(tg.GeneratorModel) if not name.startswith("_")} == CONTRACT
+
+    @pytest.mark.parametrize("name", ["ngram", "dummy"])
+    def test_stages_read_only_the_contract(self, toy_model, name):
+        model, code = lockstep_model(name, toy_model)
+        cfg = tg.SamplingConfig(num_samples=20, max_length=5, seed=3)
+        res = cli._Resolver(SimpleNamespace(**TestRunMemo.CONFIG, beam_size=3))
+        posts = TestRunMemo.posts([3, 7])
+        runs = [
+            lambda m: decode.decode_pools(m, [(code, cfg), (code[:1], cfg)]),
+            lambda m: decode.beam_search(m, code, beam_size=3, k=2, max_length=5),
+            lambda m: list(cli._pools(res, m, posts, "sample")),
+            lambda m: list(cli._pools(res, m, posts, "beam")),
+        ]
+        touched = []
+        for run in runs:
+            proxy = SurfaceProxy(model)
+            run(proxy)
+            touched.append(proxy.touched)
+        assert all(t <= CONTRACT for t in touched)
+        assert set().union(*touched) == CONTRACT
+        # Sampling keys and computes states through the two step hooks;
+        # beam search reads distributions.
+        assert {"step_states", "step_nuclei"} <= touched[0] & touched[2]
+        assert "next_distribution" in touched[1] & touched[3]
 
 
 class VectorModel(tg.GeneratorModel):
@@ -899,20 +958,27 @@ class TestModelContractChecks:
     @pytest.mark.parametrize(
         "nuclei, rule",
         [
-            (lambda n: [], r"one \(ids, probabilities\) pair per prefix"),
+            (lambda n: [], r"one \(ids, probabilities\) pair per state"),
             (lambda n: [(np.array([], dtype=np.int64), np.array([]))] * n, "at least one"),
             (lambda n: [(np.array([3, 4]), np.array([1.0]))] * n, "as many probabilities as ids"),
             (lambda n: [(np.array([3]), np.array([0.0]))] * n, "positive mass"),
             (lambda n: [(np.array([-1, 3]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens"),
             (lambda n: [(np.array([3, 8]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens"),
+            (lambda n: [(np.array([3, -1, 4]), np.full(3, 1 / 3))] * n, "vocabulary of 8 tokens"),
+            (lambda n: [(np.array([3, 9, 4]), np.full(3, 1 / 3))] * n, "vocabulary of 8 tokens"),
         ],
-        ids=["too_few", "empty", "unequal", "no_mass", "negative_id", "id_past_vocab"],
+        ids=[
+            "too_few", "empty", "unequal", "no_mass", "negative_id", "id_past_vocab",
+            "negative_id_inside", "id_past_vocab_inside",
+        ],
     )
     def test_nuclei_override(self, nuclei, rule):
         # Unchecked, an empty nucleus draws index -1 and emits the last
-        # token, and too few tables end in a bare KeyError of a state.
+        # token, too few tables end in a bare KeyError of a state, an id
+        # of -1 inside a table emits the last token, and one past the
+        # vocabulary ends in a bare IndexError.
         model = VectorModel(VALID_VECTOR)
-        model.nuclei = lambda code, prefixes, top_p, t: nuclei(len(prefixes))
+        model.step_nuclei = lambda states, codes, pools, prefixes, p, t: nuclei(len(states))
         cfg = tg.SamplingConfig(num_samples=4, max_length=3)
         with pytest.raises(ValueError, match=rule):
             tg.decode_candidates(model, [5], cfg)

@@ -32,9 +32,11 @@ def level_dicts(model):
 
 
 def assert_matches_oracle(model, oracle, probes):
-    """Bit-equal distributions and equal states on every (code, prefix)."""
-    for code, prefix in probes:
-        assert model.state(code, prefix) == oracle.state(code, prefix)
+    """Bit-equal distributions on every (code, prefix), and the contexts
+    ``step_states`` keys it by equal to the oracle's state."""
+    probes = list(probes)
+    for (code, prefix), (contexts, _) in zip(probes, step_state_contexts(model, probes)):
+        assert contexts == oracle.state(code, prefix)
         np.testing.assert_array_equal(
             model.next_distribution(code, prefix), oracle.next_distribution(code, prefix)
         )
@@ -268,7 +270,7 @@ class GeneratorContract:
         model = self.make_model()
         seen = {}
         for code, prefix in [*self.contexts(model), *self.state_contexts(model)]:
-            key = (tuple(code), model.state(code, prefix))
+            key = row_state(model, code, prefix)
             dist = model.next_distribution(code, prefix)
             if key in seen:
                 np.testing.assert_array_equal(dist, seen[key])
@@ -297,7 +299,7 @@ GAPPED_LEVELS = [
 
 def make_gapped_model(weights=None):
     """Order 3, with the level-2 context (a, b) but not its level-1 suffix
-    (b,). Training never makes such a model; ``state`` must still hold."""
+    (b,). Training never makes such a model; its states must still hold."""
     v = make_vocab(["a", "b", "c"])
     assert [v.id(t) for t in "abc"] == [5, 6, 7]
     return tg.NGramLM(order=3, vocab=v, levels=GAPPED_LEVELS, weights=weights)
@@ -321,8 +323,11 @@ class TestGappedNGramLMContract(GeneratorContract):
         a, b = v.id("a"), v.id("b")
         # (b,) is absent, so a key that stops at the first missing
         # suffix would give these two prefixes the same state.
-        assert model.state([], [START_ID, a, b]) == ((a, b),)
-        assert model.state([], [START_ID, b, b]) == ()
+        oracle = DictNGramLM(3, len(v), GAPPED_LEVELS)
+        probes = [([], [START_ID, a, b]), ([], [START_ID, b, b])]
+        ((ab, ab_key), (bb, bb_key)) = step_state_contexts(model, probes)
+        assert (ab, bb) == (((a, b),), ()) == tuple(oracle.state(*probe) for probe in probes)
+        assert ab_key != bb_key
         assert not np.array_equal(
             model.next_distribution([], [START_ID, a, b]),
             model.next_distribution([], [START_ID, b, b]),
@@ -402,11 +407,29 @@ def assert_rows_found(model, probes):
     assert model._row_hits(np.array(tails, dtype=np.int64)).tolist() == walks
 
 
+def row_state(model, code, prefix):
+    """``model.step_states`` of one (code, prefix) row."""
+    pools, prefixes = np.zeros(1, dtype=np.int64), np.array([prefix], dtype=np.int64)
+    (key,) = model.step_states([code], pools, prefixes)
+    return key
+
+
+def row_nuclei(model, code, prefix, top_p, temperature=1.0, default=False):
+    """``model.step_nuclei`` of one (code, prefix) row, or with ``default``
+    ``GeneratorModel.step_nuclei``'s, on the key ``step_states`` gives it."""
+    pools, prefixes = np.zeros(1, dtype=np.int64), np.array([prefix], dtype=np.int64)
+    states = model.step_states([code], pools, prefixes)
+    step_nuclei = tg.GeneratorModel.step_nuclei if default else type(model).step_nuclei
+    (pair,) = step_nuclei(model, states, [code], pools, prefixes, top_p, temperature)
+    return pair
+
+
 def step_state_contexts(model, probes):
     """The contexts of the hit rows ``step_states`` keys each (code,
     prefix) probe by, with the keys. The probes are grouped by prefix
     length, one group per call, as a decoding step groups its rows; a
-    group's codes are listed once each."""
+    group's codes are listed once each. Each key's rows must be those of
+    the one-row walk ``next_distribution`` takes."""
     groups: dict = {}
     for i, (code, prefix) in enumerate(probes):
         groups.setdefault(len(prefix), []).append(i)
@@ -423,6 +446,7 @@ def step_state_contexts(model, probes):
         assert len(keys) == len(at)
         for i, key in zip(at, keys):
             rows = np.frombuffer(key, dtype=np.int64).tolist()
+            assert rows == model._walk(model._tail(*probes[i]))
             assert len(rows) == model.order - 1
             contexts = tuple(
                 tuple(model.levels[l].contexts[row].tolist())
@@ -434,11 +458,12 @@ def step_state_contexts(model, probes):
 
 
 def assert_step_states_match(model, oracle, probes):
-    """``step_states`` agrees with ``state`` and the oracle's ``state`` on
-    every probe, and its keys are equal exactly where the states are."""
+    """``step_states`` agrees with the one-row walk and the oracle's
+    ``state`` on every probe, and its keys are equal exactly where the
+    states are."""
     states = {}
     for (code, prefix), (contexts, key) in zip(probes, step_state_contexts(model, probes)):
-        assert contexts == model.state(code, prefix) == oracle.state(code, prefix)
+        assert contexts == oracle.state(code, prefix)
         states.setdefault(key, set()).add(contexts)
     assert all(len(s) == 1 for s in states.values())
     assert len({s for (s,) in states.values()}) == len(states)
@@ -446,7 +471,7 @@ def assert_step_states_match(model, oracle, probes):
 
 class TestStepStates:
     """``NGramLM.step_states``, the array search sampling keys its memo by,
-    against ``state`` and the dict oracle."""
+    against the one-row walk and the dict oracle."""
 
     def test_codes_shorter_than_the_context(self, toy_model):
         oracle = DictNGramLM(4, len(toy_model.vocabulary), level_dicts(toy_model))
@@ -512,10 +537,10 @@ class TestStepStates:
 
 
 def assert_nucleus_matches_default(model, code, prefix, top_p):
-    """``model.nuclei`` at temperature 1 returns the default's arrays,
-    bit for bit and with the same dtypes."""
-    (got,) = model.nuclei(code, [prefix], top_p, 1.0)
-    (want,) = tg.GeneratorModel.nuclei(model, code, [prefix], top_p, 1.0)
+    """``model.step_nuclei`` at temperature 1 returns the default's
+    arrays, bit for bit and with the same dtypes."""
+    got = row_nuclei(model, code, prefix, top_p)
+    want = row_nuclei(model, code, prefix, top_p, default=True)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -575,8 +600,8 @@ FLOOR_TIE_SPEC = {
 
 
 class TestSparseNucleus:
-    """``NGramLM.nuclei`` of one state against the default (the dense distribution
-    through ``_kernels.nucleus_kernel``)."""
+    """``NGramLM.step_nuclei`` of one state against the default (the dense
+    distribution through ``_kernels.nucleus_kernel``)."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -599,7 +624,7 @@ class TestSparseNucleus:
     def test_floor_ties_take_the_lowest_id(self):
         model = build_hand_model(FLOOR_TIE_SPEC)
         with mock.patch.object(lm, "_BORDER_FIRST", 1):
-            ((ids, _),) = model.nuclei([], [[START_ID]], 0.9999835, 1.0)
+            ids, _ = row_nuclei(model, [], [START_ID], 0.9999835)
         assert ids.tolist() == [END_ID, 5]
 
     def test_equals_default_on_gapped_model(self):
@@ -622,8 +647,8 @@ class TestSparseNucleus:
     def test_other_settings_take_the_default(self, toy_model, top_p, temperature):
         code = toy_model.vocabulary.encode(["fn", "call", "k3"])
         with mock.patch.object(tg.NGramLM, "_border_order", side_effect=AssertionError):
-            (got,) = toy_model.nuclei(code, [[START_ID]], top_p, temperature)
-        (want,) = tg.GeneratorModel.nuclei(toy_model, code, [[START_ID]], top_p, temperature)
+            got = row_nuclei(toy_model, code, [START_ID], top_p, temperature)
+        want = row_nuclei(toy_model, code, [START_ID], top_p, temperature, default=True)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -690,12 +715,13 @@ class TestBatchedNuclei:
         assert (max(widths) > lm._BORDER_FIRST) == (top_p > 0.9)
         assert bool(dense) == (top_p > 0.99)
         monkeypatch.setattr(lm._kernels, "nucleus_kernel", kernel)
+        monkeypatch.setattr(tg.NGramLM, "step_nuclei", step_nuclei)
         for code, prefix, arrays in computed:
-            (want,) = tg.GeneratorModel.nuclei(model, code, [prefix], top_p, 1.0)
+            want = row_nuclei(model, code, prefix, top_p, default=True)
             for a, b in zip(arrays, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            # The one-row path gives the same arrays.
-            (got,) = model.nuclei(code, [prefix], top_p, 1.0)
+            # A one-row step gives the same arrays.
+            got = row_nuclei(model, code, prefix, top_p)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert len(computed) == len(memo._entries) > 100
