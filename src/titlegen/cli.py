@@ -177,9 +177,10 @@ def _pool_seed(seed: int, post_id: int) -> int:
     return int(entropy.generate_state(1, np.uint64)[0])
 
 
-#: Sampled rows one ``decode.decode_pools`` call steps together: ``_pools``
-#: groups consecutive posts while their rows fit (20 posts at M = 200); a
-#: pool of more rows is sampled alone. Larger groups share more of each
+#: Rows one decoding call steps together: ``_pools`` groups consecutive
+#: posts while their rows fit, ``num_samples`` sampled rows (20 posts at
+#: M = 200) or ``beam_size`` live beams a post (1,365 posts at width 3); a
+#: pool of more rows is decoded alone. Larger groups share more of each
 #: step's work.
 _GROUP_ROWS = 4096
 
@@ -190,10 +191,10 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     list is a prefix. Each pool's ``config.seed`` is ``_pool_seed(run
     seed, post id)``, so a pool does not depend on the post's position,
     ``--limit`` or the other posts, and ``decode.decode_candidates`` with
-    a sampled pool's config and the post's code rebuilds it. Sampled
-    pools come from ``decode.decode_pools``, a group of consecutive posts
-    (``_GROUP_ROWS``) per call, and share one nucleus memo for the whole
-    run."""
+    a sampled pool's config and the post's code rebuilds it. Pools come
+    from ``decode.decode_pools`` or ``decode.beam_pools``, a group of
+    consecutive posts (``_GROUP_ROWS``) per call, and share one memo for
+    the whole run."""
     seed = res.get("seed", int)
     code_limit = _token_limit(res, "code_limit")
     beam_size = res.get("beam_size", int)
@@ -211,36 +212,36 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     max_length = sampling.max_length
     vocab = model.vocabulary
 
-    def code_of(post: data.Post) -> list[int]:
-        return vocab.encode(_code_tokens(post, code_limit))
+    def beam_group(group, codes, memo):
+        found = decode.beam_pools(model, codes, beam_size, beam_size, max_length, memo)
+        for post, code, seqs in zip(group, codes, found):
+            config = decode.SamplingConfig(
+                top_p=1.0,
+                num_samples=max(1, len(seqs)),
+                max_length=max_length,
+                seed=_pool_seed(seed, post.id),
+            )
+            yield decode.CandidatePool(vocab.decode(code), [vocab.decode(s) for s in seqs], config)
 
-    def beam_pool(post: data.Post) -> decode.CandidatePool:
-        code = code_of(post)
-        pool_seed = _pool_seed(seed, post.id)
-        seqs = decode.beam_search(
-            model, code, beam_size=beam_size, k=beam_size, max_length=max_length
-        )
-        config = decode.SamplingConfig(
-            top_p=1.0, num_samples=max(1, len(seqs)), max_length=max_length, seed=pool_seed
-        )
-        pool = decode.CandidatePool(vocab.decode(code), [vocab.decode(s) for s in seqs], config)
-        pool.meta = _post_meta(post)
-        return pool
+    def sampled_group(group, codes, memo):
+        jobs = [
+            (code, dataclasses.replace(sampling, seed=_pool_seed(seed, post.id)))
+            for post, code in zip(group, codes)
+        ]
+        return decode.decode_pools(model, jobs, memo)
 
-    def sampled_pools():
-        memo = decode.NucleusMemo(model, sampling.top_p, sampling.temperature)
+    def grouped(decode_group, rows, memo):
         posts_left = iter(posts)
-        per_group = max(1, _GROUP_ROWS // sampling.num_samples)
-        while group := list(itertools.islice(posts_left, per_group)):
-            jobs = [
-                (code_of(post), dataclasses.replace(sampling, seed=_pool_seed(seed, post.id)))
-                for post in group
-            ]
-            for post, pool in zip(group, decode.decode_pools(model, jobs, memo)):
+        while group := list(itertools.islice(posts_left, max(1, _GROUP_ROWS // rows))):
+            codes = [vocab.encode(_code_tokens(post, code_limit)) for post in group]
+            for post, pool in zip(group, decode_group(group, codes, memo)):
                 pool.meta = _post_meta(post)
                 yield pool
 
-    return map(beam_pool, posts) if strategy == "beam" else sampled_pools()
+    if strategy == "beam":
+        return grouped(beam_group, beam_size, decode.BandMemo(model, beam_size))
+    memo = decode.NucleusMemo(model, sampling.top_p, sampling.temperature)
+    return grouped(sampled_group, sampling.num_samples, memo)
 
 
 def _selector(strategy: str, k: int, dedup: bool = True):
@@ -361,7 +362,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         except ValueError as exc:
             meta = raw.get("meta")
             has_id = isinstance(meta, dict) and "id" in meta
-            name = f"pool {meta['id']}" if has_id else f"pool on line {stats.line}"
+            name = f"pool {meta['id']!r}" if has_id else f"pool on line {stats.line}"
             raise ValueError(f"{name}: {exc}") from None
         if len(indices) < k:
             short += 1

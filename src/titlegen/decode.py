@@ -116,13 +116,13 @@ def _row_uniforms(seed: int, rows: int, length: int) -> np.ndarray:
     return np.random.default_rng(seed).random((rows, length))
 
 
-#: The most nucleus ids one run's memo holds, as a multiple of the
-#: vocabulary size; each id costs 16 bytes. On the benchmark's model
-#: (V ~ 7.2k, top_p 0.8) a run's distinct states take 6 V ids over 4
-#: posts, 29 V over 100 and 36 V over 400, levelling off as the model's
-#: states run out, so there a run of any length fits. Near top_p 1 every
-#: entry approaches V ids, and an unbounded memo would hold a
-#: vocabulary-sized table per state.
+#: The most ids one run's memo holds, as a multiple of the vocabulary
+#: size. A nucleus id costs 16 bytes. On the benchmark's model (V ~ 7.2k,
+#: top_p 0.8) a run's distinct states take 6 V ids over 4 posts, 29 V
+#: over 100 and 36 V over 400, levelling off as the model's states run
+#: out, so there a run of any length fits. Near top_p 1 every entry
+#: approaches V ids, and an unbounded memo would hold a vocabulary-sized
+#: table per state. A beam band counts its width + 1 ids.
 _MEMO_IDS_PER_VOCAB = 64
 
 
@@ -331,6 +331,260 @@ def _best_expansions(scores: np.ndarray, parents: Sequence[tuple[int, ...]], cou
     return [(int(r), int(t), float(flat[i])) for r, t, i in zip(rows[best], toks[best], cand[best])]
 
 
+def _log_probabilities(dist, size: int) -> np.ndarray:
+    """``np.log`` of a ``next_distribution`` vector, beam search's scores;
+    the caller silences the warnings of zero and negative entries."""
+    logp = np.asarray(np.log(dist), dtype=np.float64)
+    if logp.shape != (size,):
+        raise ValueError(
+            f"next_distribution must return a 1-D vector of {size} numbers, one per token"
+        )
+    return logp
+
+
+#: Columns of a band row: END's log-probability, then two (hi, lo) pairs
+#: that a live score ``s`` must keep apart, ``s + hi > s + lo``, for the
+#: band to hold the row's best expansions, then the band's values and ids.
+_END, _BAND = 0, 5
+
+
+def _band(logp: np.ndarray, width: int) -> bytes:
+    """One state's band row (see :class:`BandMemo`), as the bytes of its
+    float64 values, from the log of its distribution, which it overwrites.
+
+    The band is the first ``width`` non-END entries in (-log p, id) order
+    that are neither -inf nor NaN; ``t`` is its last value when it holds
+    ``width`` of them. The first pair is (``t``, the largest such value
+    under ``t``), so every entry outside the band under ``t`` loses to
+    every band entry. Entries outside the band equal to ``t`` have larger
+    ids than the band's entries at ``t``; the second pair, (the smallest
+    band value above ``t``, ``t``), makes them lose to the band's larger
+    values too. A pair with nothing to keep apart is (inf, -inf).
+    """
+    end = float(logp[END_ID])
+    # Costs, -log p, exact negations: the band is the lowest, in (cost, id)
+    # order. np.partition is faster at a low kth, and it puts NaN last.
+    cost = np.negative(logp, out=logp)
+    cost[END_ID] = np.inf
+    top = np.partition(cost, width)[: width + 1].tolist() if width < len(cost) else []
+    if any(v != v for v in top):  # fewer than width + 1 other entries
+        cost[np.isnan(cost)] = np.inf
+        top = np.partition(cost, width)[: width + 1].tolist()
+    # The band's last cost, t, and the next one.
+    t, nxt = (max(top[:width]), top[width]) if top else (np.inf, np.inf)
+    ids = np.flatnonzero(cost <= t) if t < np.inf else np.flatnonzero(cost < np.inf)
+    if len(ids) > 1:
+        ids = ids[np.lexsort((ids, cost[ids]))[:width]]
+    values = (-cost[ids]).tolist()
+    pairs = [np.inf, -np.inf, np.inf, -np.inf]
+    if t < np.inf:
+        pairs[:2] = -t, -nxt
+        if nxt == t:
+            pairs[1] = -cost[cost > t].min(initial=np.inf)
+            pairs[2:] = min((v for v in values if v > -t), default=np.inf), -t
+    pad = [-np.inf] * (width - len(values))
+    return np.array([end, *pairs, *values, *pad, *ids.tolist(), *pad]).tobytes()
+
+
+class BandMemo:
+    """Each model state's beam band under one (model, beam width).
+
+    An entry is the bytes of one float64 row: the state's END
+    log-probability, two pairs of values that tell whether a live score's
+    expansions outside the band can reach its best, and the band itself,
+    the ``width`` best non-END log-probabilities and their ids in
+    (-log p, id) order, padded with -inf (see :func:`_band`). ``width`` is
+    ``beam_size``, or the vocabulary size if that is smaller: a band can
+    hold no more. Each is built
+    from one ``next_distribution`` call, whose ``np.log`` gives the very
+    values a dense step would score. Entries are keyed by
+    ``model.step_states``: equal keys give bit-identical distributions
+    under any code, so one memo serves every post of a run. The memo holds
+    at most ``capacity`` ids, ``width + 1`` (the band and END) per
+    entry; past that, new states are computed and not stored.
+    """
+
+    def __init__(self, model: GeneratorModel, beam_size: int):
+        if beam_size < 1:
+            raise ValueError(f"beam_size must be >= 1, got {beam_size}")
+        self.model = model
+        self.beam_size = beam_size
+        self.width = min(beam_size, len(model.vocabulary))
+        self._entries: dict = {}
+        self.cached_ids = 0
+        self.capacity = _MEMO_IDS_PER_VOCAB * len(model.vocabulary)
+
+    def check(self, model: GeneratorModel, beam_size: int) -> None:
+        """Raise ``ValueError`` unless the memo's entries hold for the call."""
+        if model is not self.model:
+            raise ValueError("band memo belongs to another model")
+        if beam_size != self.beam_size:
+            raise ValueError(f"band memo holds beam_size={self.beam_size}, not {beam_size}")
+
+    def bands(
+        self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray
+    ) -> np.ndarray:
+        """The band row of each row of a step, stacked: row ``i`` is
+        ``prefixes[i]`` under ``codes[pools[i]]``. A state no entry holds
+        takes one ``next_distribution`` call, at its first row."""
+        keys = self.model.step_states(codes, pools, prefixes)
+        got = list(map(self._entries.get, keys))
+        fresh: dict = {}
+        size, ids = len(self.model.vocabulary), self.width + 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, row in enumerate(got):
+                if row is None:
+                    row = fresh.get(keys[i])
+                    if row is None:
+                        dist = self.model.next_distribution(codes[pools[i]], prefixes[i].tolist())
+                        row = _band(_log_probabilities(dist, size), self.width)
+                        fresh[keys[i]] = row
+                        if self.cached_ids + ids <= self.capacity:
+                            self._entries[keys[i]] = row
+                            self.cached_ids += ids
+                    got[i] = row
+        return np.frombuffer(b"".join(got)).reshape(len(got), -1)
+
+
+def beam_pools(
+    model: GeneratorModel,
+    codes: Sequence[Sequence[int]],
+    beam_size: int,
+    k: int,
+    max_length: int = 48,
+    memo: BandMemo | None = None,
+) -> list[list[list[int]]]:
+    """:func:`beam_search` of each code of ``codes``, the posts stepped
+    together.
+
+    Every post's live beams advance in lockstep, one token a step, and one
+    ``model.step_states`` call keys all of a step's rows. ``memo`` (see
+    :class:`BandMemo`) gives each key's band: its END log-probability and
+    its ``beam_size`` best other entries, built once per run from one
+    ``next_distribution`` call. A post's step then merges its live rows'
+    bands, at most beam² entries, by (-score, parent rank, token), as
+    :func:`_best_expansions` orders them, and keeps the best ``beam_size``
+    (``k`` at the length cap).
+
+    That is exact because adding a live score ``s`` is monotone in
+    floating point. Let ``t`` be the band's last value. If ``s + t > s +
+    below``, where ``below`` is the largest value under ``t`` outside the
+    band, every band entry strictly beats every entry under ``t``. Entries
+    outside the band equal to ``t`` lose the id tie-break to the band's
+    entries at ``t``, and lose to its larger values while ``s`` keeps the
+    smallest of them strictly above ``s + t``. A band that holds every
+    finite entry needs neither check. A row that fails one (sums made equal
+    by rounding) takes its dense scores, from a fresh
+    ``next_distribution`` call, through ``_best_expansions`` with the rest
+    of its post in that step.
+
+    Pass one memo to every call of a run to share states across calls; it
+    must have been made for ``model`` and ``beam_size``, or this raises
+    ``ValueError``. Without one, the call uses a fresh memo.
+    """
+    if beam_size < 1:
+        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
+    if not 1 <= k <= beam_size:
+        raise ValueError(f"k must be in [1, beam_size], got k={k} beam_size={beam_size}")
+    if memo is None:
+        memo = BandMemo(model, beam_size)
+    memo.check(model, beam_size)
+    width = memo.width
+    finished: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in codes]
+    # The live rows of every post, grouped by post, each group in
+    # (-score, ids) order; ``rank`` orders a post's rows by their ids.
+    post = np.arange(len(codes))
+    rank = np.zeros(len(codes), dtype=np.int64)
+    live = np.zeros(len(codes))
+    tokens = np.full((len(codes), 1), START_ID, dtype=np.int64)
+    while len(post):
+        bands = memo.bands(codes, post, tokens)
+        seqs = list(map(tuple, tokens[:, 1:].tolist()))
+        owner = post.tolist()
+        grew = set()
+        for r, s in enumerate((live + bands[:, _END]).tolist()):
+            if s > -np.inf:
+                finished[owner[r]].append((s, seqs[r]))
+                grew.add(owner[r])
+        capped = tokens.shape[1] >= max_length
+        count = k if capped else beam_size
+        sums = live[:, None] + bands[:, 1 : _BAND + width]
+        gaps, scores = sums[:, : _BAND - 1], sums[:, _BAND - 1 :].ravel()
+        proven = (gaps[:, 0::2] > gaps[:, 1::2]).all(axis=1)
+        # Every band entry of the step, then each post's best ``count``.
+        at = np.flatnonzero(scores > -np.inf)
+        rows, scores = at // width, scores[at]
+        toks = bands[:, _BAND + width :].ravel()[at].astype(np.int64)
+        order = np.lexsort((toks, rank[rows], -scores, post[rows]))
+        owners = post[rows[order]]
+        best = order[np.arange(len(order)) - owners.searchsorted(owners) < count]
+        rows, toks, scores = rows[best], toks[best], scores[best]
+        if not proven.all():
+            rows, toks, scores = _dense_fallback(
+                model, codes, post, live, tokens, seqs, ~proven, count, rows, toks, scores
+            )
+        if capped:
+            for r, t, s in zip(rows.tolist(), toks.tolist(), scores.tolist()):
+                finished[owner[r]].append((s, seqs[r] + (t,)))
+                grew.add(owner[r])
+        for p in grew:
+            finished[p] = sorted(finished[p], key=lambda e: (-e[0], e[1]))[:k]
+        if capped:
+            break
+        # A post stops once its k-th finished score is strictly above its
+        # best live one: see beam_search.
+        owners = post[rows]
+        firsts = np.flatnonzero(owners.searchsorted(owners) == np.arange(len(owners)))
+        done = [
+            p
+            for p, s in zip(owners[firsts].tolist(), scores[firsts].tolist())
+            if len(finished[p]) == k and finished[p][-1][0] > s
+        ]
+        child_rank = np.empty(len(rows), dtype=np.int64)
+        child_rank[np.lexsort((toks, rank[rows], owners))] = np.arange(len(rows))
+        post, rank, live = owners, child_rank, scores
+        tokens = np.concatenate((tokens[rows], toks[:, None]), axis=1)
+        if done:
+            stop = np.zeros(len(codes), dtype=bool)
+            stop[done] = True
+            keep = ~stop[post]
+            post, rank, live, tokens = post[keep], rank[keep], live[keep], tokens[keep]
+    return [[list(ids) for _, ids in best] for best in finished]
+
+
+def _dense_fallback(model, codes, post, live, tokens, seqs, failed, count, rows, toks, scores):
+    """The step's best entries, each post with a row in ``failed``
+    recomputed by ``_best_expansions``: its failed rows' dense scores, its
+    other rows' band entries (the band holds a proven row's best)."""
+    bad = np.unique(post[failed])
+    keep = ~np.isin(post[rows], bad)
+    parts = [(rows[keep], toks[keep], scores[keep])]
+    size = len(model.vocabulary)
+    for p in bad.tolist():
+        members = np.flatnonzero(post == p)
+        dense = np.full((len(members), size), -np.inf)
+        for j, r in enumerate(members.tolist()):
+            if failed[r]:
+                dist = model.next_distribution(codes[p], tokens[r].tolist())
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    dense[j] = live[r] + _log_probabilities(dist, size)
+                dense[j, END_ID] = -np.inf
+        mine = np.isin(rows, members) & ~failed[rows]
+        dense[np.searchsorted(members, rows[mine]), toks[mine]] = scores[mine]
+        parents = [seqs[r] for r in members.tolist()]
+        got = _best_expansions(dense, parents, count)
+        parts.append(
+            (
+                members[[r for r, _, _ in got]],
+                np.array([t for _, t, _ in got], dtype=np.int64),
+                np.array([s for _, _, s in got]),
+            )
+        )
+    rows, toks, scores = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(post[rows], kind="stable")
+    return rows[order], toks[order], scores[order]
+
+
 def beam_search(
     model: GeneratorModel,
     code: Sequence[int],
@@ -341,47 +595,18 @@ def beam_search(
     """Top-k END-terminated (or length-capped) sequences by log-probability.
 
     No length normalization. Ties break by lexicographic token-id order.
-    Returned sequences are surface token ids without START or END.
+    Returned sequences are surface token ids without START or END. This
+    is the one-post call of :func:`beam_pools`, which describes how the
+    steps are computed.
 
-    The search stops before ``max_length`` once the k-th best finished
-    score is strictly greater than the best live score. This is exact:
-    every probability is at most 1, so a live beam's score can only fall
-    as it grows, and neither it nor anything it finishes can beat the
-    k-th finished sequence. On equal scores a later sequence could still
-    win the id tie-break, hence the strict comparison.
+    A step scores every live beam's expansions, keeps the best
+    ``beam_size`` (``k`` of them at ``max_length``, where the capped rows
+    finish) and adds each END expansion to the finished list. The search
+    stops before ``max_length`` once the k-th best finished score is
+    strictly greater than the best live score. This is exact: every
+    probability is at most 1, so a live beam's score can only fall as it
+    grows, and neither it nor anything it finishes can beat the k-th
+    finished sequence. On equal scores a later sequence could still win
+    the id tie-break, hence the strict comparison.
     """
-    if beam_size < 1:
-        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
-    if not 1 <= k <= beam_size:
-        raise ValueError(f"k must be in [1, beam_size], got k={k} beam_size={beam_size}")
-    live_ids: list[tuple[int, ...]] = [()]
-    live_scores = np.zeros(1)
-    finished: list[tuple[float, tuple[int, ...]]] = []
-    while live_ids:
-        scores = np.empty((len(live_ids), len(model.vocabulary)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for row, ids in enumerate(live_ids):
-                np.log(model.next_distribution(code, [START_ID, *ids]), out=scores[row])
-        scores += live_scores[:, None]
-        finished += [
-            (float(s), ids)
-            for s, ids in zip(scores[:, END_ID], live_ids)
-            if s > -np.inf
-        ]
-        scores[:, END_ID] = -np.inf
-        if len(live_ids[0]) + 1 >= max_length:
-            # Capped rows are kept: ranking can still use them. Only the
-            # best k of them can be returned, so only those are built.
-            finished += [
-                (s, live_ids[r] + (t,))
-                for r, t, s in _best_expansions(scores, live_ids, k)
-            ]
-            live_ids = []
-        else:
-            best = _best_expansions(scores, live_ids, beam_size)
-            live_ids = [live_ids[r] + (t,) for r, t, _ in best]
-            live_scores = np.array([s for _, _, s in best])
-        finished = sorted(finished, key=lambda e: (-e[0], e[1]))[:k]
-        if live_ids and len(finished) == k and finished[-1][0] > live_scores[0]:
-            break
-    return [list(ids) for _, ids in finished]
+    return beam_pools(model, [code], beam_size, k, max_length)[0]

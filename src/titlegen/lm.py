@@ -52,13 +52,14 @@ class GeneratorModel(ABC):
     for PAD and START (neither may ever be generated). Beam search's
     early stop relies on no entry exceeding 1.
 
-    Sampling steps many rows at once and calls two hooks. ``step_states``
-    keys each row's state: equal keys must give bit-identical
-    distributions, whatever the codes and prefixes they came from.
-    ``step_nuclei`` computes the nuclei of the keys no entry of
-    ``decode.NucleusMemo`` holds, each once per run. Their defaults are
-    exact for any model, one row at a time; a model may override either
-    with a faster exact path.
+    Sampling and beam search step many rows at once. Both call
+    ``step_states``, which keys each row's state: equal keys must give
+    bit-identical distributions, whatever the codes and prefixes they came
+    from, so each state is computed once per run. Sampling also
+    calls ``step_nuclei``, which computes the nuclei of the keys no entry
+    of ``decode.NucleusMemo`` holds. Their defaults are exact for any
+    model, one row at a time; a model may override either with a faster
+    exact path.
     """
 
     @property

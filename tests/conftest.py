@@ -4,15 +4,24 @@ tests, and corpus file builders for the CLI tests."""
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import titlegen as tg
 from titlegen.text import PAD_ID, START_ID
 
 from .oracles import stable_rng
+
+# Under CI a failing property test also prints the blob that
+# ``@reproduce_failure`` replays. Every other setting is the active
+# profile's, so nothing else about a CI run changes.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 NUM_TOPICS = 10
 #: Variant sampling weights per topic: "a" is the majority phrasing.

@@ -444,18 +444,29 @@ class TestGenerate:
     def test_groups_and_limit_keep_pool_bytes(self, pipeline, tmp_path, monkeypatch, budget):
         # Posts one by one, in groups of two (the limit cuts the last
         # group short) and of three: the bytes of the fixture's run, which
-        # samples its 8 posts as one group.
-        monkeypatch.setattr(cli, "_GROUP_ROWS", budget)
-        lines = pipeline.pools.read_bytes().splitlines(keepends=True)
-        for limit in (8, 5):
-            out = tmp_path / f"pools{limit}.jsonl"
+        # samples its 8 posts as one group. Beam search at width 2 splits
+        # its posts the same way, at a budget of 2, 4 and 6 rows.
+        def generate(out, limit, *flags):
             run(
                 "generate", "--model", pipeline.model,
                 "--input", pipeline.splits / "test.jsonl", "--out", out,
-                "--limit", limit, "--num-samples", 30,
-                "--max-length", 12, "--temperature", "0.5",
+                "--limit", limit, "--max-length", 12, *flags,
             )
-            assert out.read_bytes() == b"".join(lines[:limit])
+            return out.read_bytes()
+
+        beam = ("--strategy", "beam", "--beam-size", 2)
+        lines = {
+            "sample": pipeline.pools.read_bytes().splitlines(keepends=True),
+            "beam": generate(tmp_path / "beam.jsonl", 8, *beam).splitlines(keepends=True),
+        }
+        flags = {"sample": ("--num-samples", 30, "--temperature", "0.5"), "beam": beam}
+        per_group = max(1, budget // 30)
+        for strategy, rows in (("sample", budget), ("beam", 2 * per_group)):
+            monkeypatch.setattr(cli, "_GROUP_ROWS", rows)
+            for limit in (8, 5):
+                out = tmp_path / f"{strategy}{limit}.jsonl"
+                got = generate(out, limit, *flags[strategy])
+                assert got == b"".join(lines[strategy][:limit])
 
     @pytest.mark.parametrize("temperature", ["nan", "0", "-1"])
     def test_bad_temperature_fails_without_output(self, pipeline, tmp_path, capsys, temperature):
@@ -654,6 +665,7 @@ class TestRank:
             ("too_long", "candidate longer than max_length"),
             ("negative_seed", "seed must be a 64-bit unsigned integer, got -1"),
             ("meta_not_object", "meta must be an object"),
+            ("newline_id", "empty candidate pool"),
         ],
     )
     def test_bad_pool_named_without_output(self, pipeline, tmp_path, capsys, case, message):
@@ -670,6 +682,10 @@ class TestRank:
             row["config"]["max_length"] = max(map(len, row["candidates"])) - 1
         elif case == "negative_seed":
             row["config"]["seed"] = -1
+        elif case == "newline_id":
+            # A string id is quoted, so its newline cannot split the line.
+            row["meta"]["id"], row["candidates"] = "a\nb", []
+            name = "pool 'a\\nb'"
         else:
             row["meta"] = [row["meta"]]
             name = "pool on line 2"
@@ -979,13 +995,15 @@ class TestCompareStrategies:
             "--limit", 5, "--num-samples", 20, "--max-length", 12,
             "--temperature", "0.5", "--beam-size", 2, "--k-sweep", "1,3",
         )
+        # Sampled posts one group, groups of two, one by one; beam posts
+        # (width 2) one group, then groups of three, two and one.
         reports = []
-        for budget in (cli._GROUP_ROWS, 40, 1):
+        for budget in (cli._GROUP_ROWS, 40, 6, 4, 1):
             monkeypatch.setattr(cli, "_GROUP_ROWS", budget)
             out = tmp_path / f"compare{budget}.json"
             run("compare-strategies", *decoding, "--out", out)
             reports.append(out.read_bytes())
-        assert reports[0] == reports[1] == reports[2]
+        assert reports == [reports[0]] * 5
 
     def test_negative_limit_fails_without_output(self, pipeline, tmp_path, capsys):
         out = tmp_path / "compare.json"

@@ -77,6 +77,20 @@ class CallCounter(tg.GeneratorModel):
         return self._model.step_states(codes, pools, prefixes)
 
 
+def record_keys(model):
+    """Wrap ``model.step_states`` to record every key it returns."""
+    keys = []
+    step_states = model.step_states
+
+    def recording(codes, pools, prefixes):
+        found = step_states(codes, pools, prefixes)
+        keys.extend(found)
+        return found
+
+    model.step_states = recording
+    return keys
+
+
 def decode_steps(pool):
     """Kernel draws a pool took: one per token, plus the END draw of
     every row that stopped short of max_length."""
@@ -873,6 +887,7 @@ class TestContractSurface:
         runs = [
             lambda m: decode.decode_pools(m, [(code, cfg), (code[:1], cfg)]),
             lambda m: decode.beam_search(m, code, beam_size=3, k=2, max_length=5),
+            lambda m: decode.beam_pools(m, [code, code[:1], code], 3, 2, 5),
             lambda m: list(cli._pools(res, m, posts, "sample")),
             lambda m: list(cli._pools(res, m, posts, "beam")),
         ]
@@ -884,9 +899,11 @@ class TestContractSurface:
         assert all(t <= CONTRACT for t in touched)
         assert set().union(*touched) == CONTRACT
         # Sampling keys and computes states through the two step hooks;
-        # beam search reads distributions.
-        assert {"step_states", "step_nuclei"} <= touched[0] & touched[2]
-        assert "next_distribution" in touched[1] & touched[3]
+        # beam search keys states and reads their distributions.
+        assert {"step_states", "step_nuclei"} <= touched[0] & touched[3]
+        beam = {"step_states", "next_distribution"}
+        assert beam <= touched[1] & touched[2] & touched[4]
+        assert "step_nuclei" not in touched[1] | touched[2] | touched[4]
 
 
 class VectorModel(tg.GeneratorModel):
@@ -1129,10 +1146,13 @@ class TestBeamSearch:
     def test_early_stop_saves_model_calls(self, toy_model):
         code = toy_model.vocabulary.encode(topic_code(3))
         counter = CallCounter(toy_model)
+        keys = record_keys(counter)
         beam_size, max_length = 5, 48
         got = tg.beam_search(counter, code, beam_size, beam_size, max_length)
         assert counter.calls < 1 + beam_size * (max_length - 1)
         assert got == loop_beam_search(toy_model, code, beam_size, beam_size, max_length)
+        # One ``next_distribution`` call per distinct state of the run.
+        assert counter.calls == len(set(keys))
 
     def test_zero_probability_tokens_never_chosen(self):
         model = TableModel(TIE_TABLE)
@@ -1141,3 +1161,296 @@ class TestBeamSearch:
         # Capped at one token, only the two positive first tokens finish.
         got = tg.beam_search(model, [], beam_size=5, k=5, max_length=1)
         assert [model.vocabulary.decode(s) for s in got] == [["a"], ["c"]]
+
+
+#: START -> c | a | b; two rounds of branching, then END everywhere, so
+#: every beam width up to 5 meets ties across parents and early stops.
+BRANCH_TABLE = {
+    (): {"c": 0.5, "a": 0.25, "b": 0.25},
+    ("a",): {"b": 0.5, "c": 0.5},
+    ("b",): {"END": 0.5, "a": 0.5},
+    ("c",): {"a": 0.75, "b": 0.25},
+    ("a", "b"): {"c": 0.5, "END": 0.5},
+    ("a", "b", "c"): {"END": 1.0},
+    **{
+        (x, y): {"END": 1.0}
+        for x in "abc"
+        for y in "abc"
+        if (x, y) != ("a", "b")
+    },
+}
+
+
+def beam_group(name, toy_model):
+    """(model, codes) for the beam group checks: the toy n-gram model,
+    whose posts of one topic share states, and two models that keep the
+    default key (``TableModel`` ignores the code)."""
+    if name == "ngram":
+        vocab = toy_model.vocabulary
+        return toy_model, [vocab.encode(topic_code(t)) for t in (3, 7, 3, 0)] + [[]]
+    if name == "dummy":
+        return DummyModel(vocab_size=9, seed=5), [[5, 8], [5], [5, 8], [7]]
+    return TableModel(BRANCH_TABLE), [[], [5], []]
+
+
+class TestBeamPools:
+    """``beam_pools`` steps a group's posts together and expands each
+    state once; every post's result must equal its search alone and the
+    tuple-based reference."""
+
+    @pytest.mark.parametrize("name", ["ngram", "dummy", "table"])
+    @pytest.mark.parametrize(
+        "beam_size, k, max_length",
+        [(1, 1, 1), (2, 1, 2), (3, 2, 3), (3, 3, 16), (4, 4, 5), (5, 2, 8), (5, 5, 48)],
+    )
+    def test_group_equals_posts_alone_and_loop_oracle(
+        self, toy_model, monkeypatch, name, beam_size, k, max_length
+    ):
+        model, codes = beam_group(name, toy_model)
+        step_rows = []
+        step_states = model.step_states
+
+        def recording(group, pools, prefixes):
+            step_rows.append(len(prefixes))
+            return step_states(group, pools, prefixes)
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "step_states", recording)
+            got = decode.beam_pools(model, codes, beam_size, k, max_length)
+        # The first step keys one row per post, all in one call.
+        assert step_rows[0] == len(codes)
+        assert len(got) == len(codes)
+        for code, found in zip(codes, got):
+            assert found == tg.beam_search(model, code, beam_size, k, max_length)
+            assert found == loop_beam_search(model, code, beam_size, k, max_length)
+        assert decode.beam_pools(model, [], beam_size, k, max_length) == []
+
+    def test_posts_share_states(self, toy_model):
+        # Two posts of one topic reach the same states: the group asks the
+        # model for each state once, fewer calls than the posts alone.
+        _, codes = beam_group("ngram", toy_model)
+        grouped, alone = CallCounter(toy_model), CallCounter(toy_model)
+        keys = record_keys(grouped)
+        got = decode.beam_pools(grouped, codes, 5, 5, 48)
+        assert got == [tg.beam_search(alone, code, 5, 5, 48) for code in codes]
+        assert grouped.calls == len(set(keys)) < alone.calls
+
+    def test_memo_across_calls(self, toy_model):
+        # A run's memo carries states from one call to the next.
+        _, codes = beam_group("ngram", toy_model)
+        counter = CallCounter(toy_model)
+        memo = decode.BandMemo(counter, 4)
+        first = decode.beam_pools(counter, codes[:2], 4, 3, 48, memo)
+        calls = counter.calls
+        again = decode.beam_pools(counter, codes[2:3], 4, 3, 48, memo)
+        assert counter.calls == calls  # topic 3 again: every state is held
+        assert first + again == [loop_beam_search(toy_model, c, 4, 3, 48) for c in codes[:3]]
+
+    def test_memo_refuses_other_settings(self, toy_model):
+        code = toy_model.vocabulary.encode(topic_code(2))
+        memo = decode.BandMemo(toy_model, 3)
+        with pytest.raises(ValueError, match="band memo holds beam_size=3, not 4"):
+            decode.beam_pools(toy_model, [code], 4, 2, 8, memo)
+        with pytest.raises(ValueError, match="another model"):
+            decode.beam_pools(DummyModel(6, 0), [[5]], 3, 2, 8, memo)
+        with pytest.raises(ValueError, match="beam_size must be >= 1"):
+            decode.BandMemo(toy_model, 0)
+
+    @pytest.mark.parametrize("value", [VALID_VECTOR[:7], VALID_VECTOR + [0.0]])
+    def test_refuses_a_vector_of_another_length(self, value):
+        with pytest.raises(ValueError, match="1-D vector of 8 numbers"):
+            decode.beam_pools(VectorModel(np.array(value)), [[5], [6]], 3, 2, 4)
+
+    def test_band_width_stops_at_the_vocabulary(self):
+        # A band can hold no more than the vocabulary, so a wider beam
+        # stores rows of the vocabulary's width.
+        model = DummyModel(vocab_size=7, seed=2)
+        memo = decode.BandMemo(model, 40)
+        assert memo.width == 7
+        got = decode.beam_pools(model, [[5], [6]], 40, 40, 3, memo)
+        assert got == [loop_beam_search(model, c, 40, 40, 3) for c in ([5], [6])]
+        assert {len(row) for row in memo._entries.values()} == {8 * (decode._BAND + 2 * 7)}
+        assert memo.cached_ids == 8 * len(memo._entries)
+
+    @pytest.mark.parametrize("name", ["ngram", "dummy", "table"])
+    def test_capacity_zero_keeps_results(self, toy_model, name, monkeypatch):
+        model, codes = beam_group(name, toy_model)
+        want = decode.beam_pools(model, codes, 4, 3, 16)
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 0)
+        memo = decode.BandMemo(model, 4)
+        assert memo.capacity == 0
+        assert decode.beam_pools(model, codes, 4, 3, 16, memo) == want
+        assert memo.cached_ids == 0 and not memo._entries
+
+    def test_capacity_zero_keeps_pool_bytes(self, toy_model, monkeypatch):
+        res = cli._Resolver(SimpleNamespace(**TestRunMemo.CONFIG, beam_size=4))
+        posts = TestRunMemo.posts([3, 7, 3, 0, 9, 7])
+
+        def pool_bytes():
+            pools = cli._pools(res, toy_model, posts, "beam")
+            return [records.dump_json(records.pool_to_dict(pool)) for pool in pools]
+
+        want = pool_bytes()
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 0)
+        assert pool_bytes() == want
+
+    def test_stored_ids_never_exceed_capacity(self, toy_model, monkeypatch):
+        # A cap of one vocabulary's ids holds a few dozen bands of width 5;
+        # the run visits more states, so the cap fills and the rest are
+        # computed and not stored.
+        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 1)
+        counter = CallCounter(toy_model)
+        memo = decode.BandMemo(counter, 5)
+        peak = 0
+        bands = memo.bands
+
+        def recording(*step):
+            nonlocal peak
+            found = bands(*step)
+            peak = max(peak, memo.cached_ids)
+            return found
+
+        memo.bands = recording
+        vocab = toy_model.vocabulary
+        codes = [vocab.encode(topic_code(t)) for t in range(10)]
+        got = decode.beam_pools(counter, codes, 5, 5, 48, memo)
+        assert got == [loop_beam_search(toy_model, code, 5, 5, 48) for code in codes]
+        assert memo.capacity == len(vocab)
+        assert memo.cached_ids == peak == 6 * len(memo._entries) <= memo.capacity
+        assert memo.capacity - peak < 6
+        assert counter.calls > len(memo._entries)
+
+
+class UlpTieModel(tg.GeneratorModel):
+    """Beam search walks ten "a"s to a live score near -20.8, where
+    ``last`` gives the probabilities of the next step, then END. Values
+    a few ulps apart there have log-probabilities less than half an ulp of
+    the live score apart, so their sums tie and ids decide. The first
+    step's vector holds ``nan`` (at the last id) and zeros."""
+
+    #: "x" is one ulp above "y": the sums tie and "y" wins, though a band
+    #: of width 1 holds only "x", with "y" the largest value below it.
+    ABOVE = {"END": 0.2, "y": 0.4, "x": float(np.nextafter(0.4, 1.0))}
+    #: "y" and "x" tie exactly and "n" is one ulp above them: a band of
+    #: width 2 holds "n" and "y", the tie goes on to "x" outside it, and
+    #: the sums of all three tie, so "y" and "x" win.
+    TIED = {"END": 0.1, "y": 0.3, "x": 0.3, "n": float(np.nextafter(0.3, 1.0))}
+
+    def __init__(self, last=ABOVE, nan=np.nan):
+        self._vocab = tg.Vocabulary(list(tg.RESERVED) + ["a", "y", "x", "n"])
+        self._last = last
+        self._nan = nan
+
+    @property
+    def vocabulary(self):
+        return self._vocab
+
+    def next_distribution(self, code, prefix):
+        out = np.zeros(len(self._vocab))
+        v = self._vocab.id
+        depth = len(prefix) - 1
+        if depth == 0:
+            out[v("a")], out[v("n")] = 0.125, self._nan
+        elif depth < 10:
+            out[v("a")] = 0.125
+        elif depth == 10:
+            for tok, p in self._last.items():
+                out[END_ID if tok == "END" else v(tok)] = p
+        else:
+            out[END_ID] = 1.0
+        return out
+
+    def live_sums(self, first, second):
+        """The log-probabilities of tokens ``first`` and ``second`` after
+        the walk, and the same with the walk's live score added."""
+        walk = [START_ID] + [self._vocab.id("a")] * 10
+        with np.errstate(divide="ignore"):
+            logp = np.log(self.next_distribution([5], walk))
+            live = 0.0
+            for n in range(1, 11):
+                live = live + np.log(self.next_distribution([5], walk[:n]))[self._vocab.id("a")]
+        a, b = logp[self._vocab.id(first)], logp[self._vocab.id(second)]
+        return (a, b), (live + a, live + b)
+
+
+class TestBandProof:
+    """A row whose band cannot be proven to hold its best expansions takes
+    its dense scores: ties made by rounding are broken by ids, as the
+    dense search breaks them."""
+
+    def test_rounding_tie_takes_the_dense_scores(self):
+        model = UlpTieModel()
+        vocab = model.vocabulary
+        # "x" is above "y" in log-probability, but not once the live
+        # score is added.
+        (x, y), (live_x, live_y) = model.live_sums("x", "y")
+        assert x > y and live_x == live_y
+        code = [5]
+        want = loop_beam_search(model, code, 1, 1, 48)
+        assert vocab.decode(want[0]) == ["a"] * 10 + ["y"]
+        assert tg.beam_search(model, code, 1, 1, 48) == want
+        # In a group of three posts, two of them under one code.
+        counter = CallCounter(model)
+        got = decode.beam_pools(counter, [code, code, [6]], 1, 1, 48)
+        assert got == [want] * 3
+        # One call per state (the default key holds the code), and one
+        # more for each row that failed the proof: every post's last "a".
+        walk = [START_ID] + [vocab.id("a")] * 10
+        keys = set()
+        for c in (code, [6]):
+            keys |= {(tuple(c), tuple(walk[: n + 1])) for n in range(11)}
+            keys.add((tuple(c), (*walk, vocab.id("y"))))
+        assert counter.calls == len(keys) + 3
+
+    def test_tie_past_the_band_takes_the_dense_scores(self):
+        # The band's value above the tie sums equal to it, so the tied
+        # "x" outside the band beats "n" by id. At width 2 the reference
+        # would keep the NaN row, so the first step holds zeros only.
+        model = UlpTieModel(UlpTieModel.TIED, nan=0.0)
+        vocab = model.vocabulary
+        (n, y), (live_n, live_y) = model.live_sums("n", "y")
+        assert n > y and live_n == live_y
+        want = loop_beam_search(model, [5], 2, 2, 48)
+        assert [vocab.decode(s)[-1] for s in want] == ["y", "x"]
+        assert tg.beam_search(model, [5], 2, 2, 48) == want
+        assert decode.beam_pools(model, [[5], [6]], 2, 2, 48) == [want] * 2
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 6, 9])
+    def test_band_row(self, width):
+        # NaN, zero and END are never in the band. Equal values straddle
+        # the band's edge at width 1 (0.3, ids 5 and 8) and 4 (0.05, ids 4
+        # and 10).
+        dist = np.array([0.0, 0.1, 0.0, np.nan, 0.05, 0.3, np.nan, 0.2, 0.3, 0.0, 0.05])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.log(dist)
+        row = np.frombuffer(decode._band(logp.copy(), width))
+        entries = sorted(
+            (-v, i) for i, v in enumerate(logp.tolist()) if i != END_ID and v > -np.inf
+        )
+        band = entries[:width]
+        assert row[0] == logp[END_ID]
+        values = row[decode._BAND : decode._BAND + width]
+        ids = row[decode._BAND + width :]
+        assert values[: len(band)].tolist() == [-v for v, _ in band]
+        assert ids[: len(band)].tolist() == [i for _, i in band]
+        assert (values[len(band) :] == -np.inf).all()
+        pairs = row[1 : decode._BAND].tolist()
+        if len(band) < width:
+            assert pairs == [np.inf, -np.inf, np.inf, -np.inf]
+            return
+        t, outside = -band[-1][0], [-v for v, _ in entries[width:]]
+        assert pairs[:2] == [t, max([v for v in outside if v < t], default=-np.inf)]
+        if t in outside:
+            assert pairs[2:] == [min([-v for v, _ in band if -v > t], default=np.inf), t]
+        else:
+            assert pairs[2:] == [np.inf, -np.inf]
+
+    @pytest.mark.parametrize("beam_size, k", [(1, 1), (3, 1), (3, 3), (5, 2)])
+    def test_nan_and_zeros_are_never_chosen(self, beam_size, k):
+        # NaN counts as probability 0. The reference sorts a NaN score
+        # anywhere, so it runs on the model with 0 in its place; at width 1
+        # it keeps the one finite entry, so it runs on NaN as well.
+        got = tg.beam_search(UlpTieModel(), [5], beam_size, k, 48)
+        assert got == loop_beam_search(UlpTieModel(nan=0.0), [5], beam_size, k, 48)
+        if beam_size == 1:
+            assert got == loop_beam_search(UlpTieModel(), [5], beam_size, k, 48)
