@@ -15,8 +15,7 @@ import math
 import mmap
 import os
 from abc import ABC, abstractmethod
-from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Hashable, NamedTuple, Sequence
 
@@ -40,8 +39,7 @@ _BLOCK_BYTES = 2 << 20
 
 #: Model file identity; a file of another version must be rebuilt.
 FORMAT = "titlegen-ngram-lm"
-VERSION = 2
-_INT = np.dtype("<i8")
+VERSION = 3
 
 
 class GeneratorModel(ABC):
@@ -167,12 +165,30 @@ class Level(NamedTuple):
     counts: np.ndarray  # (entries,)
 
 
+class _Stored(NamedTuple):
+    """A model's arrays as its file holds them, in file order (see
+    ``_layout``). Entries lie end to end, level after level; offsets and
+    keys are each one run of all levels' arrays, in level order."""
+
+    base: np.ndarray  # (V,) float64: the floor plus the weighted level-0 row
+    next_ids: np.ndarray  # (entries,)
+    values: np.ndarray  # (entries,) float64: weights[l] * count / row total
+    counts: np.ndarray  # (entries,)
+    offsets: np.ndarray  # each level's rows + 1 offsets into the entries
+    keys: np.ndarray  # each level's context keys, up to the first past int64
+    contexts: np.ndarray  # each further level's contexts, flattened
+
+
+#: Each stored array's dtype on disk.
+_DTYPES = dict(zip(_Stored._fields, ("<f8", "<i8", "<f8", "<i8", "<i8", "<i8", "<i8")))
+
+
 class NGramLM(GeneratorModel):
     """Interpolated count n-gram model conditioned by prefix concatenation.
 
     Built from ``levels[l]``, a dict mapping each length-``l`` context
-    tuple to next-token counts, for l in 0..order-1; the model keeps them
-    as read-only :class:`Level` arrays (``model.levels``). Prediction
+    tuple to next-token counts, for l in 0..order-1; ``model.levels``
+    gives them back as read-only :class:`Level` arrays. Prediction
     mixes the levels with ``weights`` (uniform by default), adds the
     floor, zeroes PAD and START, and renormalizes. Levels whose context
     was never seen contribute nothing, so unseen histories back off
@@ -186,7 +202,7 @@ class NGramLM(GeneratorModel):
         levels: Sequence[dict[tuple[int, ...], dict[int, int]]],
         weights: Sequence[float] | None = None,
     ):
-        self._setup(order, vocab, [_level_from_dict(l, t) for l, t in enumerate(levels)], weights)
+        self._build(order, vocab, [_level_from_dict(l, t) for l, t in enumerate(levels)], weights)
 
     @classmethod
     def _from_levels(
@@ -197,75 +213,107 @@ class NGramLM(GeneratorModel):
         weights: Sequence[float] | None = None,
     ) -> "NGramLM":
         model = cls.__new__(cls)
-        model._setup(order, vocab, levels, weights)
+        model._build(order, vocab, levels, weights)
         return model
 
-    def _setup(self, order, vocab, levels, weights) -> None:
-        """Validate the arrays, then precompute what a call reads: the
-        floor plus the weighted level-0 row, and every level's next ids
-        and entry values ``weights[l] * count / row total``, one float
-        operation after another, so distributions do not depend on how
-        the counts were stored. The entries lie end to end, level after
-        level, and ``_offsets[l]`` holds level ``l``'s row offsets into
-        them. A context's row is found by bisecting its level's sorted
-        keys (see ``_context_keys``).
+    def _build(self, order, vocab, levels, weights) -> None:
+        """Lay ``levels`` out as a model file holds them, check them, then
+        compute every entry value ``weights[l] * count / row total``, one
+        float operation after another, and the floor + level-0 row that
+        ``save`` writes and ``load`` maps."""
+        weights = _checked_settings(order, weights, len(levels))
+        size = len(vocab)
+        levels = [_checked_level(l, level, size) for l, level in enumerate(levels)]
+        sizes = [[len(level.contexts), len(level.next_ids)] for level in levels]
+        starts = itertools.accumulate((n for _, n in sizes), initial=0)
+        keyed = _keyed_levels(len(levels), size)
 
-        Offsets and keys are ``array('q')`` copies of the int64 arrays'
-        bytes, so a load builds no Python object per row; an index into
-        one gives a Python int, as a list would, and ``_offset_arrays``
-        and ``_key_arrays`` are int64 views of the same bytes for the
-        batched paths. Keys of a level where int64 could overflow
-        (``V ** l >= 2 ** 63``) are Python ints and stay a list, with no
-        view."""
-        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-            raise ValueError(f"order must be an integer >= 1, got {order!r}")
-        if len(levels) != order:
-            raise ValueError(f"expected {order} count levels, got {len(levels)}")
-        if weights is None:
-            weights = [1.0 / order] * order
-        if not isinstance(weights, (list, tuple)) or not all(
-            isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
-        ):
-            raise ValueError(f"weights must be a list of numbers, got {weights!r}")
-        weights = [float(w) for w in weights]
-        if len(weights) != order or not all(0.0 <= w < math.inf for w in weights):
-            raise ValueError("weights must be finite and nonnegative, one per order level")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-        checked = [_checked_level(l, level, len(vocab)) for l, level in enumerate(levels)]
-        levels = tuple(level for level, _ in checked)
+        def joined(parts) -> np.ndarray:
+            return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
-        next_ids = np.concatenate([level.next_ids for level in levels])
-        # Each level fills its slice of one array: no per-level copies to join.
-        vals, offsets, start = np.empty(len(next_ids)), [], 0
-        for l, level in enumerate(levels):
-            part = vals[start : start + len(level.next_ids)]
-            totals = np.add.reduceat(level.counts, level.offsets[:-1])
-            np.multiply(weights[l], level.counts, out=part)
-            part /= np.repeat(totals, np.diff(level.offsets))
-            offsets.append(array("q", (level.offsets + start).tobytes()))
-            start += len(level.next_ids)
-        base = np.full(len(vocab), FLOOR, dtype=np.float64)
-        base[levels[0].next_ids] += vals[: len(levels[0].next_ids)]
+        stored = _Stored(
+            base=np.full(size, FLOOR, dtype=np.float64),
+            next_ids=joined(level.next_ids for level in levels),
+            values=None,
+            counts=joined(level.counts for level in levels),
+            offsets=joined(level.offsets + start for level, start in zip(levels, starts)),
+            keys=joined(_context_keys(level.contexts, size) for level in levels[:keyed]),
+            contexts=joined(level.contexts.ravel() for level in levels[keyed:]),
+        )
+        long_keys = _checked_stored(stored, sizes, size)
+        values, at = np.empty(len(stored.counts)), 0
+        for l, (rows, n) in enumerate(sizes):
+            offsets = stored.offsets[at : at + rows + 1]
+            at += rows + 1
+            start = offsets[0]
+            counts, part = stored.counts[start : start + n], values[start : start + n]
+            totals = np.add.reduceat(counts, offsets[:-1] - start)
+            np.multiply(weights[l], counts, out=part)
+            part /= np.repeat(totals, np.diff(offsets))
+        n0 = sizes[0][1]
+        stored.base[stored.next_ids[:n0]] += values[:n0]
+        self._setup(order, vocab, weights, sizes, stored._replace(values=values), long_keys)
+
+    def _setup(self, order, vocab, weights, sizes, stored, long_keys) -> None:
+        """Check the entry values and the base row, then keep the arrays
+        as a call reads them: ``_offsets[l]`` holds level ``l``'s row
+        offsets into the entries and ``_keys[l]`` its context keys, each a
+        ``memoryview`` of the stored int64 bytes, so a load builds no
+        Python object per row; an index into one gives a Python int, as a
+        list would. ``_offset_arrays`` and ``_key_arrays`` are numpy views
+        of the same bytes for the batched paths. The keys of a level
+        where int64 could overflow (``V ** l >= 2 ** 63``) are the Python
+        ints ``long_keys``, with no array. Nothing here is per entry or
+        per row: ``levels`` is built on first use."""
+        _check_values(stored, sizes, weights)
+        at = list(itertools.accumulate((rows + 1 for rows, _ in sizes), initial=0))
+        self._offset_arrays = [stored.offsets[a:b] for a, b in zip(at, at[1:])]
+        keyed = _keyed_levels(order, len(vocab))
+        at = list(itertools.accumulate((rows for rows, _ in sizes[:keyed]), initial=0))
+        self._key_arrays = [stored.keys[a:b] for a, b in zip(at, at[1:])]
+        self._offsets = [_int_view(a) for a in self._offset_arrays]
+        self._keys = [*map(_int_view, self._key_arrays), *long_keys]
+        self._key_arrays += [None] * len(long_keys)
         self.order = order
         self._vocab = vocab
-        self.levels = levels
         self.weights = weights
-        self._base = base
-        self._next_ids = next_ids
-        self._vals = vals
-        self._offsets = offsets
-        # Ascending, in row order; Python ints only where int64 could overflow.
-        self._keys = [
-            keys.tolist() if keys.dtype == object else array("q", keys.tobytes())
-            for _, keys in checked
-        ]
-        self._offset_arrays = [np.frombuffer(o, dtype=np.int64) for o in offsets]
-        self._key_arrays = [
-            np.frombuffer(k, dtype=np.int64) if isinstance(k, array) else None
-            for k in self._keys
-        ]
+        self._sizes = sizes
+        self._stored = stored
+        self._base = stored.base
+        self._next_ids = stored.next_ids
+        self._vals = stored.values
+        self._levels: tuple[Level, ...] | None = None  # see levels
         self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
+
+    @property
+    def levels(self) -> tuple[Level, ...]:
+        """Each level's counts, read-only; contexts are read back from
+        their keys. Built on first use: no call reads them."""
+        if self._levels is None:
+            size, keyed = len(self._vocab), _keyed_levels(self.order, len(self._vocab))
+            levels, at = [], 0
+            for l, offsets in enumerate(self._offset_arrays):
+                start, end = int(offsets[0]), int(offsets[-1])
+                rows = len(offsets) - 1
+                if l < keyed:
+                    contexts = np.empty((rows, l), dtype=np.int64)
+                    keys = self._key_arrays[l].astype(np.int64)
+                    for j in reversed(range(l)):
+                        keys, contexts[:, j] = np.divmod(keys, size)
+                else:
+                    contexts = self._stored.contexts[at : at + rows * l].reshape(rows, l)
+                    at += rows * l
+                level = Level(
+                    contexts,
+                    offsets - start,
+                    self._next_ids[start:end],
+                    self._stored.counts[start:end],
+                )
+                for a in level:
+                    a.flags.writeable = False
+                levels.append(level)
+            self._levels = tuple(levels)
+        return self._levels
 
     # -- GeneratorModel --------------------------------------------------
 
@@ -457,9 +505,9 @@ class NGramLM(GeneratorModel):
     def _walk(self, tail: Sequence[int]) -> list[int]:
         """The hit row of each level, -1 where none: entry ``l - 1`` is the
         row of level ``l`` whose context is the last ``l`` ids of ``tail``.
-        A level is searched with ``bisect_left`` on its keys, an
-        ``array('q')`` or, past int64, a list of Python ints (see
-        ``_setup``); both compare as ints."""
+        A level is searched with ``bisect_left`` on its keys, a
+        ``memoryview`` of int64 or, past int64, a list of Python ints (see
+        ``_setup``); both give ints."""
         size = len(self._vocab)
         rows = [-1] * (self.order - 1)
         key, scale = 0, 1
@@ -509,18 +557,18 @@ class NGramLM(GeneratorModel):
 
     def save(self, path: str | Path) -> None:
         """Write the model file: one JSON header line (format, version,
-        order, weights, vocabulary, and each level's [rows, entries]),
-        padded with spaces so the arrays start on an 8-byte boundary,
-        then each level's ``contexts``, ``offsets``, ``next_ids`` and
-        ``counts`` as little-endian int64. The bytes depend only on the
-        model."""
+        order, weights, vocabulary, each level's [rows, entries], and the
+        arrays that follow as ``_layout`` lists them), padded with spaces
+        so the arrays start on an 8-byte boundary, then the arrays, little
+        endian. The bytes depend only on the model."""
         header = {
             "format": FORMAT,
             "version": VERSION,
             "order": self.order,
             "weights": self.weights,
             "vocabulary": list(self._vocab.tokens),
-            "levels": [[len(level.contexts), len(level.counts)] for level in self.levels],
+            "levels": self._sizes,
+            "arrays": _layout(self._sizes, len(self._vocab)),
         }
         head = json.dumps(header, sort_keys=True, separators=(",", ":"))
         head += " " * (-(len(head) + 1) % 8) + "\n"
@@ -528,18 +576,18 @@ class NGramLM(GeneratorModel):
 
         def write(fh) -> None:
             fh.write(head.encode("ascii"))
-            for level in self.levels:
-                for a in level:
-                    fh.write(a.astype(_INT).tobytes())
+            for name, a in zip(_Stored._fields, self._stored):
+                fh.write(a.astype(_DTYPES[name], copy=False).tobytes())
 
         write_atomic(path, write, binary=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramLM":
         """Read a file written by :meth:`save`. The file is mapped
-        read-only, not copied, and the level arrays are read-only views of
-        the mapping, checked with array operations; any malformed content
-        is a ``ValueError`` naming the file. A file replaced by rename, as
+        read-only, not copied; the model's arrays are read-only views of
+        the mapping, checked with array operations, and nothing is
+        computed per entry or per row. Any malformed content is a
+        ``ValueError`` naming the file. A file replaced by rename, as
         ``save`` replaces one, leaves a loaded model as it was; truncating
         the file in place while a model of it is loaded is unsupported."""
         with open(path, "rb") as fh:
@@ -559,7 +607,7 @@ class NGramLM(GeneratorModel):
                 f"model {path} has format version {header.get('version')!r}, not {VERSION};"
                 " rerun train-lm to rebuild it"
             )
-        missing = {"order", "weights", "vocabulary", "levels"} - header.keys()
+        missing = {"order", "weights", "vocabulary", "levels", "arrays"} - header.keys()
         if missing:
             raise ValueError(f"model {path} lacks {sorted(missing)}")
         tokens, sizes = header["vocabulary"], header["levels"]
@@ -569,28 +617,61 @@ class NGramLM(GeneratorModel):
             isinstance(s, list) and len(s) == 2 and all(_is_count(n) for n in s) for s in sizes
         ):
             raise ValueError(f"model {path}: levels must be [rows, entries] integer pairs >= 0")
-        lengths = [(rows * l, rows + 1, n, n) for l, (rows, n) in enumerate(sizes)]
-        expected = _INT.itemsize * sum(map(sum, lengths))
+        layout = _layout(sizes, len(tokens))
+        if header["arrays"] != layout:
+            raise ValueError(
+                f"model {path}: the header's arrays do not fit its vocabulary and level sizes"
+            )
+        lengths = dict.fromkeys(_Stored._fields, 0)
+        for name, _, n in layout:
+            lengths[name.partition("[")[0]] += n
+        expected = 8 * sum(lengths.values())
         if len(raw) - end - 1 != expected:
             raise ValueError(
                 f"model {path}: the header's level sizes need {expected} bytes of arrays,"
                 f" the file holds {len(raw) - end - 1}"
             )
-        flat = np.frombuffer(raw, dtype=_INT, offset=end + 1)
-        levels, at = [], 0
-        for l, (rows, _) in enumerate(sizes):
-            parts = []
-            for n in lengths[l]:
-                parts.append(flat[at : at + n])
-                at += n
-            parts[0] = parts[0].reshape(rows, l)
-            levels.append(Level(*parts))
+        parts, at = [], end + 1
+        for name, n in lengths.items():
+            parts.append(np.frombuffer(raw, dtype=_DTYPES[name], count=n, offset=at))
+            at += 8 * n
+        stored = _Stored(*parts)
+        model = cls.__new__(cls)
         try:
-            return cls._from_levels(
-                header["order"], Vocabulary(tokens), levels, header["weights"]
-            )
+            weights = _checked_settings(header["order"], header["weights"], len(sizes))
+            long_keys = _checked_stored(stored, sizes, len(tokens))
+            model._setup(header["order"], Vocabulary(tokens), weights, sizes, stored, long_keys)
         except ValueError as exc:
             raise ValueError(f"model {path}: {exc}") from None
+        return model
+
+
+def _layout(sizes: Sequence[Sequence[int]], vocab_size: int) -> list[list]:
+    """The arrays of a model file after its header, in file order, as
+    [name, dtype, length]: the base row, the entries' next ids, values
+    and counts, then each level's offsets, then each level's context keys
+    or, from the first level where int64 could overflow on, its contexts
+    flattened. Offsets and keys are written level after level, so each
+    kind is one run of the file (see :class:`_Stored`)."""
+    entries = sum(n for _, n in sizes)
+    keyed = _keyed_levels(len(sizes), vocab_size)
+    parts = [("base", vocab_size), ("next_ids", entries), ("values", entries), ("counts", entries)]
+    parts += [(f"offsets[{l}]", rows + 1) for l, (rows, _) in enumerate(sizes)]
+    parts += [(f"keys[{l}]", rows) for l, (rows, _) in enumerate(sizes[:keyed])]
+    parts += [(f"contexts[{l}]", rows * l) for l, (rows, _) in enumerate(sizes) if l >= keyed]
+    return [[name, _DTYPES[name.partition("[")[0]], n] for name, n in parts]
+
+
+def _keyed_levels(order: int, vocab_size: int) -> int:
+    """How many levels, from level 0 up, key their contexts in int64:
+    those with ``vocab_size ** l < 2 ** 63``."""
+    return next((l for l in range(order) if vocab_size**l >= 2**63), order)
+
+
+def _int_view(a: np.ndarray) -> memoryview:
+    """An int64 array as a memoryview of the same bytes, whose items are
+    Python ints: cheaper to index one at a time than the array."""
+    return memoryview(a.astype(np.int64, copy=False))
 
 
 def _all_str(items: list) -> bool:
@@ -605,6 +686,31 @@ def _all_str(items: list) -> bool:
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _checked_settings(order, weights, levels: int) -> list[float]:
+    """The interpolation weights as floats, uniform if ``None``, or a
+    ``ValueError`` if they or ``order`` do not fit ``levels`` levels."""
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+    if levels != order:
+        raise ValueError(f"expected {order} count levels, got {levels}")
+    if weights is None:
+        return [1.0 / order] * order
+    if not isinstance(weights, (list, tuple)) or not all(
+        isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
+    ):
+        raise ValueError(f"weights must be a list of numbers, got {weights!r}")
+    bad = "weights must be finite and nonnegative, one per order level"
+    try:
+        weights = [float(w) for w in weights]
+    except OverflowError:  # an int past the float range
+        raise ValueError(bad) from None
+    if len(weights) != order or not all(0.0 <= w < math.inf for w in weights):
+        raise ValueError(bad)
+    if abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError("weights must sum to 1")
+    return weights
 
 
 def _level_from_dict(l: int, table: dict[tuple[int, ...], dict[int, int]]) -> Level:
@@ -622,33 +728,111 @@ def _level_from_dict(l: int, table: dict[tuple[int, ...], dict[int, int]]) -> Le
     )
 
 
-def _checked_level(l: int, level: Level, vocab_size: int) -> tuple[Level, np.ndarray]:
-    """``level`` as read-only int64 arrays, with its context keys, or a
-    ``ValueError`` saying which rule of :class:`Level` it breaks."""
+def _checked_level(l: int, level: Level, vocab_size: int) -> Level:
+    """``level`` as int64 arrays whose shapes fit together and whose
+    context ids lie in the vocabulary, so its context keys are defined,
+    or a ``ValueError``. ``_checked_stored`` checks the other rules of
+    :class:`Level` once the levels are laid out."""
     contexts, offsets, next_ids, counts = (np.asarray(a, dtype=np.int64) for a in level)
     rows, entries = len(contexts), len(next_ids)
     if contexts.shape != (rows, l) or offsets.shape != (rows + 1,) or counts.shape != (entries,):
         raise ValueError(f"level {l}: array shapes do not fit {rows} contexts of length {l}")
-    if offsets[0] != 0 or offsets[-1] != entries or (np.diff(offsets) < 1).any():
-        raise ValueError(
-            f"level {l}: offsets must start at 0, increase strictly and end at {entries}"
-        )
-    for ids in (contexts, next_ids):
-        if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-            bad = ids.min() if ids.min() < 0 else ids.max()
-            raise ValueError(f"token id {bad} is outside the vocabulary of {vocab_size} tokens")
-    if entries and counts.min() < 1:
-        raise ValueError(f"level {l}: counts must be >= 1, got {counts.min()}")
-    keys = _context_keys(contexts, vocab_size)
-    if (np.diff(keys) < 1).any():
-        raise ValueError(f"level {l}: contexts must be strictly ascending")
-    steps = np.diff(next_ids)
-    steps[offsets[1:-1] - 1] = 1  # a new row may start anywhere
-    if (steps < 1).any():
-        raise ValueError(f"level {l}: next ids must be strictly ascending within each context")
-    for a in (contexts, offsets, next_ids, counts):
-        a.flags.writeable = False
-    return Level(contexts, offsets, next_ids, counts), keys
+    _check_ids(contexts, vocab_size)
+    return Level(contexts, offsets, next_ids, counts)
+
+
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        bad = ids.min() if ids.min() < 0 else ids.max()
+        raise ValueError(f"token id {bad} is outside the vocabulary of {vocab_size} tokens")
+
+
+def _rises(a: np.ndarray, starts) -> bool:
+    """Whether ``a`` increases strictly within each run that begins at
+    an index of ``starts``: one pass over ``a``, however many runs."""
+    rise = np.ones(len(a) + 1, dtype=bool)
+    np.greater(a[1:], a[:-1], out=rise[1:-1])
+    rise[starts] = True
+    return bool(rise.all())
+
+
+def _checked_stored(stored: _Stored, sizes, vocab_size: int) -> list[list[int]]:
+    """Check a model's count arrays against the rules of :class:`Level`,
+    each rule in one pass over all levels, with no sort; returns the
+    context keys of the levels past int64, as lists of Python ints. A
+    ``ValueError`` names the rule broken and, once a pass fails, the
+    first level that breaks it."""
+    rows = [r for r, _ in sizes]
+    ends = list(itertools.accumulate(n for _, n in sizes))
+    starts = [e - n for e, (_, n) in zip(ends, sizes)]
+    # Level l's offsets are offsets[at[l]:at[l + 1]].
+    at = list(itertools.accumulate((r + 1 for r in rows), initial=0))
+    offsets = stored.offsets
+    firsts, lasts = offsets[at[:-1]], offsets[np.subtract(at[1:], 1)]
+    if (firsts != starts).any() or (lasts != ends).any() or not _rises(offsets, at):
+        for l, (a, b) in enumerate(zip(at, at[1:])):
+            if firsts[l] != starts[l] or lasts[l] != ends[l] or not _rises(offsets[a:b], 0):
+                raise ValueError(
+                    f"level {l}: offsets must start at {starts[l]}, increase strictly"
+                    f" and end at {ends[l]}"
+                )
+    next_ids, counts = stored.next_ids, stored.counts
+    _check_ids(next_ids, vocab_size)
+    if counts.size and counts.min() < 1:
+        i = int(counts.argmin())
+        raise ValueError(f"level {bisect_right(ends, i)}: counts must be >= 1, got {counts[i]}")
+    # A row's first entry may be below the previous row's last.
+    if not _rises(next_ids, offsets):
+        for l, (a, b) in enumerate(zip(at, at[1:])):
+            if not _rises(next_ids[starts[l] : ends[l]], offsets[a:b] - starts[l]):
+                raise ValueError(
+                    f"level {l}: next ids must be strictly ascending within each context"
+                )
+    keyed = _keyed_levels(len(sizes), vocab_size)
+    keys = stored.keys
+    at = list(itertools.accumulate(rows[:keyed], initial=0))
+    ascending = _rises(keys, at)
+    for l, (a, b) in enumerate(zip(at, at[1:])):
+        if a < b and not (
+            keys[a] >= 0
+            and keys[b - 1] < vocab_size**l
+            and (ascending or _rises(keys[a:b], 0))
+        ):
+            raise ValueError(
+                f"level {l}: context keys must be strictly ascending in [0, {vocab_size**l})"
+            )
+    long_keys, at = [], 0
+    for l in range(keyed, len(sizes)):
+        contexts = stored.contexts[at : at + rows[l] * l].reshape(rows[l], l)
+        at += rows[l] * l
+        _check_ids(contexts, vocab_size)
+        level_keys = _context_keys(contexts, vocab_size)
+        if (np.diff(level_keys) < 1).any():
+            raise ValueError(f"level {l}: contexts must be strictly ascending")
+        long_keys.append(level_keys.tolist())
+    return long_keys
+
+
+def _check_values(stored: _Stored, sizes, weights: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless every entry value lies in (0, 1], or
+    is 0 on a level of weight 0, and the base row in (0, 1 + FLOOR]: what
+    the computed ones satisfy, and enough for every distribution to hold
+    ``GeneratorModel``'s contract."""
+    start = 0
+    for l, ((_, n), w) in enumerate(zip(sizes, weights)):
+        part = stored.values[start : start + n]
+        start += n
+        if not n:
+            continue
+        # min and max are NaN if any value is, and then fail both tests.
+        lo, hi = part.min(), part.max()
+        if w and not (0.0 < lo and hi <= 1.0):
+            raise ValueError(f"level {l}: values must be finite and in (0, 1]")
+        if not w and not lo == hi == 0.0:
+            raise ValueError(f"level {l}: values must be 0 on a level of weight 0")
+    base = stored.base
+    if not (0.0 < base.min() and base.max() <= 1.0 + FLOOR):
+        raise ValueError(f"base row entries must be finite and in (0, {1.0 + FLOOR!r}]")
 
 
 def _context_keys(contexts: np.ndarray, vocab_size: int) -> np.ndarray:

@@ -78,7 +78,6 @@ class BM25Index:
         self.k1 = k1
         self.b = b
         self.num_docs = n = len(doc_ids)
-        self.avgdl = sum(doc_lens) / len(doc_lens)
         if pos.size and (pos.min() < 0 or pos.max() >= n):
             raise ValueError(f"posting position outside 0..{n - 1}")
         if pos.size and f.min() < 1:
@@ -93,6 +92,9 @@ class BM25Index:
         del keys
         if not np.array_equal(np.bincount(pos, weights=f, minlength=n), doc_lens):
             raise ValueError("doc_lens must equal each document's summed term frequencies")
+        # Only now: a length past the float range is refused above, not
+        # overflowed here.
+        self.avgdl = sum(doc_lens) / len(doc_lens)
         # The scalar formula's operations in its order (in place, and
         # + and * commute exactly), so every weight, and every score
         # summed from them in query order, is bit-identical to it.

@@ -92,7 +92,7 @@ class Vocabulary:
         if tuple(toks[: len(RESERVED)]) != RESERVED:
             raise ValueError(f"vocabulary must start with the reserved markers {RESERVED}")
         self._tokens: list[str] = toks
-        self._index: dict[str, int] = {t: i for i, t in enumerate(toks)}
+        self._index: dict[str, int] = dict(zip(toks, range(len(toks))))
         if len(self._index) != len(toks):
             raise ValueError("vocabulary tokens must be distinct")
 

@@ -312,8 +312,7 @@ class TestTrainLm:
         path = tmp_path / "model.bin"
         path.write_bytes(pipeline.model.read_bytes())
         loaded = NGramLM.load(path)
-        for level in loaded.levels:
-            assert all(not a.flags.writeable and not a.flags.owndata for a in level)
+        assert all(not a.flags.writeable and not a.flags.owndata for a in loaded._stored)
         vocab = loaded.vocabulary
         states = [
             (vocab.encode(["fn", "call", f"k{t}"]), [START_ID, *vocab.encode(title)])
@@ -516,13 +515,12 @@ class TestGenerate:
     def test_out_of_range_model_id_fails(self, pipeline, tmp_path, capsys, bad_id):
         # A next-token id outside the vocabulary under the START context,
         # which every sampled row reads at its first step.
-        header, levels = split_model(pipeline.model.read_bytes())
+        header, arrays = split_model(pipeline.model.read_bytes())
         size = len(header["vocabulary"])
-        contexts, offsets, next_ids, _ = levels[1]
-        first = offsets[contexts.index(START_ID)]
-        next_ids[first] = size if bad_id == "past_end" else bad_id
+        first = arrays["offsets[1]"][arrays["keys[1]"].index(START_ID)]
+        arrays["next_ids"][first] = size if bad_id == "past_end" else bad_id
         model = tmp_path / "model.bin"
-        model.write_bytes(join_model(header, levels))
+        model.write_bytes(join_model(header, arrays))
         out = tmp_path / "pools.jsonl"
         assert fails(
             "generate", "--model", model, "--input", pipeline.splits / "test.jsonl",

@@ -3,7 +3,7 @@ import json
 import math
 import re
 import struct
-from array import array
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -155,7 +155,7 @@ class TestNextDistribution:
         loaded = tg.NGramLM.load(tmp_path / "model.bin")
         assert isinstance(loaded._keys[19], list)
         assert all(type(k) is int for k in loaded._keys[19])
-        assert all(isinstance(keys, array) and keys.typecode == "q" for keys in loaded._keys[:19])
+        assert all(isinstance(keys, memoryview) and keys.itemsize == 8 for keys in loaded._keys[:19])
         assert_matches_oracle(loaded, oracle, probes)
 
     def test_distribution_contract(self, toy_model):
@@ -728,97 +728,129 @@ class TestBatchedNuclei:
 
 
 def split_model(data):
-    """(header, levels) of a model file's bytes; each level is a list of
-    four plain int lists: contexts (flattened), offsets, next ids, counts."""
+    """(header, arrays) of a model file's bytes: ``arrays`` maps the name
+    of each array the header lists to a plain list of its values."""
     end = data.index(b"\n")
     header = json.loads(data[:end])
-    flat = np.frombuffer(data, dtype="<i8", offset=end + 1).tolist()
-    levels = []
-    for l, (rows, entries) in enumerate(header["levels"]):
-        level = []
-        for size in (rows * l, rows + 1, entries, entries):
-            level.append(flat[:size])
-            flat = flat[size:]
-        levels.append(level)
-    return header, levels
+    arrays, at = {}, end + 1
+    for name, dtype, n in header["arrays"]:
+        arrays[name] = np.frombuffer(data, dtype=dtype, count=n, offset=at).tolist()
+        at += 8 * n
+    return header, arrays
 
 
-def join_model(header, levels):
-    """The bytes ``NGramLM.save`` lays out for ``split_model``'s parts."""
+def join_model(header, arrays, layout=None):
+    """The bytes ``NGramLM.save`` lays out for ``split_model``'s parts; the
+    arrays are written as ``layout`` lists them, by default the header."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":"))
     head += " " * (-(len(head) + 1) % 8) + "\n"
-    values = [v for level in levels for part in level for v in part]
-    return head.encode("ascii") + np.array(values, dtype="<i8").tobytes()
+    layout = header["arrays"] if layout is None else layout
+    body = [np.array(arrays[name], dtype=dtype).tobytes() for name, dtype, _ in layout]
+    return head.encode("ascii") + b"".join(body)
 
 
 def _edit(fn):
+    """Apply ``fn`` to a file's (header, arrays); the arrays keep the
+    layout the file had."""
     def mutate(data):
-        header, levels = split_model(data)
-        fn(header, levels)
-        return join_model(header, levels)
+        header, arrays = split_model(data)
+        layout = header["arrays"]
+        fn(header, arrays)
+        return join_model(header, arrays, layout)
 
     return mutate
 
 
 def _header(**changes):
-    return _edit(lambda header, levels: header.update(changes))
+    return _edit(lambda header, arrays: header.update(changes))
 
 
-def _put(l, part, values):
-    """Replace part ``part`` (0 contexts, 1 offsets, 2 next ids, 3 counts)
-    of level ``l``."""
-    return _edit(lambda header, levels: levels[l].__setitem__(part, list(values)))
+def _resize(levels):
+    """Give the header other level sizes, and the arrays they lay out."""
+    def resize(header, arrays):
+        header["levels"] = levels
+        header["arrays"] = lm._layout(levels, len(header["vocabulary"]))
+
+    return _edit(resize)
+
+
+def _put(name, values):
+    """Replace the array ``name`` with ``values``."""
+    return _edit(lambda header, arrays: arrays.__setitem__(name, list(values)))
+
+
+def _set(name, i, value):
+    """Replace entry (or slice) ``i`` of the array ``name``."""
+    return _edit(lambda header, arrays: arrays[name].__setitem__(i, value))
 
 
 def _old_json_model(data):
     header, _ = split_model(data)
-    del header["version"]
+    del header["version"], header["arrays"]
     header["levels"] = [[[[], [[END_ID, 1]]]], [], []]
     return (json.dumps(header) + "\n").encode()
 
 
-# Cases over the gapped model's file. Its level 1 holds contexts
-# [<s>], [a], [c] (ids 0, 5, 7), offsets 0 2 3 4, next ids 5 7 6 1 and
-# counts 1 1 3 2; level 2 holds contexts [a b], [c a], offsets 0 1 3,
-# next ids 7 1 6 and counts 5 1 1. V = 8.
+# Cases over the gapped model's file (V = 8, weights 1/3 each). Its entries
+# are level 0's (next ids 1 5 6 7, counts 1 2 1 1), then level 1's (5 7 6 1,
+# counts 1 1 3 2) and level 2's (7 1 6, counts 5 1 1). Offsets into them:
+# 0 4 | 4 6 7 8 | 8 9 11. Context keys: 0 | 0 5 7 (<s>, a, c) | 46 61
+# ((a b), (c a)).
+KEYS = "context keys must be strictly ascending"
 BAD_MODELS = [
     ("truncated", lambda data: data[:-8], "bytes of arrays"),
     ("truncated_in_header", lambda data: data[:40], "not a model file"),
     ("empty", lambda data: b"", "not a model file"),
     ("trailing_bytes", lambda data: data + bytes(8), "bytes of arrays"),
-    ("sizes_disagree", _header(levels=[[1, 4], [3, 5], [2, 3]]), "bytes of arrays"),
-    # Same byte total, split otherwise: level 1 reads offsets 7 0 2.
-    ("sizes_shifted", _header(levels=[[1, 4], [2, 5], [2, 3]]), "offsets must start at 0"),
+    ("sizes_disagree", _header(levels=[[1, 4], [3, 5], [2, 3]]), "arrays do not fit"),
+    ("arrays_retyped", _edit(lambda h, a: h["arrays"][2].__setitem__(1, "<i8")), "do not fit"),
+    ("arrays_missing", _edit(lambda h, a: h.pop("arrays")), "lacks ['arrays']"),
+    # Same byte total, split otherwise: level 0's entries end at 3.
+    ("sizes_shifted", _resize([[1, 3], [3, 4], [2, 4]]), "level 0: offsets must start at 0"),
     ("sizes_not_pairs", _header(levels=[1, 4]), "integer pairs"),
     ("size_negative", _header(levels=[[1, 4], [3, 4], [-2, 3]]), "integer pairs >= 0"),
     ("header_list", lambda data: b"[1, 2]" + data[data.index(b"\n") :], "not a model file"),
     ("header_not_json", lambda data: b"\xff" + data, "not a model file"),
     ("foreign_format", _header(format="titlegen-bm25-index"), "not a model file"),
-    ("version_3", _header(version=3), "format version 3, not 2"),
+    ("version_4", _header(version=4), "format version 4, not 3"),
     ("old_json_model", _old_json_model, "rerun train-lm"),
-    ("missing_weights", _edit(lambda header, levels: header.pop("weights")), "lacks ['weights']"),
+    ("missing_weights", _edit(lambda h, a: h.pop("weights")), "lacks ['weights']"),
     ("vocabulary_numbers", _header(vocabulary=list(range(8))), "list of strings"),
     ("vocabulary_unmarked", _header(vocabulary=list("abcdefgh")), "reserved markers"),
-    ("next_id_past_end", _put(1, 2, [5, 8, 6, 1]), "id 8 is outside the vocabulary of 8"),
-    ("next_id_negative", _put(1, 2, [-1, 7, 6, 1]), "id -1 is outside the vocabulary"),
-    ("context_id_past_end", _put(2, 0, [5, 6, 9, 5]), "id 9 is outside the vocabulary"),
-    ("context_id_negative", _put(1, 0, [-3, 5, 7]), "id -3 is outside the vocabulary"),
-    ("count_zero", _put(1, 3, [1, 0, 3, 2]), "counts must be >= 1, got 0"),
-    ("count_negative", _put(2, 3, [-5, 1, 1]), "counts must be >= 1, got -5"),
-    ("offsets_repeated", _put(1, 1, [0, 2, 2, 4]), "increase strictly"),
-    ("offsets_descending", _put(1, 1, [0, 3, 2, 4]), "increase strictly"),
-    ("offsets_short_of_end", _put(1, 1, [0, 1, 2, 3]), "end at 4"),
-    ("offsets_not_from_zero", _put(2, 1, [1, 2, 3]), "start at 0"),
-    ("contexts_unsorted", _put(1, 0, [5, 0, 7]), "contexts must be strictly ascending"),
-    ("contexts_repeated", _put(2, 0, [5, 6, 5, 6]), "contexts must be strictly ascending"),
-    ("next_ids_unsorted", _put(1, 2, [7, 5, 6, 1]), "next ids must be strictly ascending"),
-    ("next_ids_repeated", _put(2, 2, [7, 6, 6]), "next ids must be strictly ascending"),
+    ("next_id_past_end", _set("next_ids", 5, 8), "id 8 is outside the vocabulary of 8"),
+    ("next_id_negative", _set("next_ids", 4, -1), "id -1 is outside the vocabulary"),
+    ("context_id_past_end", _put("keys[2]", [46, 64]), f"level 2: {KEYS} in [0, 64)"),
+    ("context_id_negative", _put("keys[1]", [-3, 5, 7]), f"level 1: {KEYS} in [0, 8)"),
+    ("contexts_unsorted", _put("keys[1]", [5, 0, 7]), f"level 1: {KEYS}"),
+    ("contexts_repeated", _put("keys[2]", [46, 46]), f"level 2: {KEYS}"),
+    ("level_0_key", _put("keys[0]", [1]), f"level 0: {KEYS} in [0, 1)"),
+    ("count_zero", _set("counts", 5, 0), "level 1: counts must be >= 1, got 0"),
+    ("count_negative", _set("counts", 8, -5), "level 2: counts must be >= 1, got -5"),
+    ("offsets_repeated", _put("offsets[1]", [4, 6, 6, 8]), "level 1: offsets must start at 4"),
+    ("offsets_descending", _put("offsets[1]", [4, 7, 6, 8]), "increase strictly"),
+    ("offsets_short_of_end", _put("offsets[1]", [4, 5, 6, 7]), "strictly and end at 8"),
+    ("offsets_not_from_zero", _put("offsets[0]", [1, 4]), "level 0: offsets must start at 0"),
+    ("offsets_not_from_level_start", _put("offsets[2]", [9, 10, 11]), "level 2: offsets must start at 8"),
+    ("offsets_from_zero_past_level_0", _put("offsets[2]", [0, 9, 11]), "level 2: offsets must"),
+    ("next_ids_unsorted", _set("next_ids", slice(4, 6), [7, 5]), "level 1: next ids must be"),
+    ("next_ids_repeated", _set("next_ids", 10, 1), "level 2: next ids must be strictly ascending"),
+    ("value_nan", _set("values", 6, math.nan), "level 1: values must be finite and in (0, 1]"),
+    ("value_zero", _set("values", 9, 0.0), "level 2: values must be finite and in (0, 1]"),
+    ("value_negative", _set("values", 0, -0.25), "level 0: values must be finite and in (0, 1]"),
+    ("value_above_one", _set("values", 6, 1.5), "level 1: values must be finite and in (0, 1]"),
+    ("value_infinite", _set("values", 6, math.inf), "level 1: values must be finite and in (0, 1]"),
+    ("value_under_zero_weight", _header(weights=[0.5, 0.5, 0.0]), "level 2: values must be 0"),
+    ("base_zero", _set("base", 2, 0.0), "base row entries must be finite and in (0, 1.000001]"),
+    ("base_negative", _set("base", 5, -1e-6), "base row entries must be finite"),
+    ("base_nan", _set("base", 7, math.nan), "base row entries must be finite"),
+    ("base_above_one", _set("base", 5, 2.0), "base row entries must be finite"),
     ("order_zero", _header(order=0), "order must be an integer >= 1, got 0"),
     ("order_string", _header(order="3"), "order must be an integer >= 1, got '3'"),
     ("order_disagrees", _header(order=2), "expected 2 count levels, got 3"),
     ("weights_sum", _header(weights=[0.5, 0.5, 0.5]), "sum to 1"),
     ("weights_negative", _header(weights=[1.5, -0.5, 0.0]), "nonnegative"),
     ("weights_infinite", _header(weights=[math.inf, 0.0, 0.0]), "finite"),
+    ("weights_past_float", _header(weights=[10**400, 0, 0]), "must be finite and nonnegative"),
     ("weights_short", _header(weights=[0.5, 0.5]), "one per order level"),
     ("weights_strings", _header(weights=["0.5", "0.25", "0.25"]), "list of numbers"),
     ("weights_object", _header(weights={"a": 1}), "list of numbers"),
@@ -832,22 +864,67 @@ def write_bad_model(path, mutate):
 
 
 # The file ``NGramLM.save`` writes for the gapped model with weights
-# (0.5, 0.25, 0.25): the header line, padded with spaces to 176 bytes,
-# then every level's contexts, offsets, next ids and counts as
-# little-endian int64.
+# (0.5, 0.25, 0.25): the header line, padded with spaces to 392 bytes,
+# then the arrays it lists, little endian.
 GOLDEN_HEADER = (
+    b'{"arrays":[["base","<f8",8],["next_ids","<i8",11],["values","<f8",11],'
+    b'["counts","<i8",11],["offsets[0]","<i8",2],["offsets[1]","<i8",4],'
+    b'["offsets[2]","<i8",3],["keys[0]","<i8",1],["keys[1]","<i8",3],["keys[2]","<i8",2]],'
+    b'"format":"titlegen-ngram-lm","levels":[[1,4],[3,4],[2,3]],"order":3,"version":3,'
+    b'"vocabulary":["<s>","</s>","[PAD]","[NEXT]","[UNK]","a","b","c"],'
+    b'"weights":[0.5,0.25,0.25]}\n'
+)
+GOLDEN_ARRAYS = [
+    # base: the floor, plus 0.5 * count / 5 at </s> a b c
+    1e-06, 0.100001, 1e-06, 1e-06, 1e-06, 0.200001, 0.100001, 0.100001,
+    # next ids, level after level: </s> a b c | a c, b, </s> | c, </s> b
+    1, 5, 6, 7, 5, 7, 6, 1, 7, 1, 6,
+    # values: weight * count / row total
+    0.1, 0.2, 0.1, 0.1, 0.125, 0.125, 0.25, 0.25, 0.25, 0.125, 0.125,
+    # counts
+    1, 2, 1, 1, 1, 1, 3, 2, 5, 1, 1,
+    # offsets into the entries, per level
+    0, 4, 4, 6, 7, 8, 8, 9, 11,
+    # context keys, per level: (); <s>, a, c; (a b) = 5 * 8 + 6, (c a) = 7 * 8 + 5
+    0, 0, 5, 7, 46, 61,
+]
+
+# The version 2 file of the same model: contexts, offsets, next ids and
+# counts per level, as int64.
+GOLDEN_V2 = (
     b'{"format":"titlegen-ngram-lm","levels":[[1,4],[3,4],[2,3]],"order":3,"version":2,'
     b'"vocabulary":["<s>","</s>","[PAD]","[NEXT]","[UNK]","a","b","c"],'
     b'"weights":[0.5,0.25,0.25]}   \n'
-)
-GOLDEN_ARRAYS = [
-    # level 0: no context ids; offsets 0 4; next ids </s> a b c; counts
+) + struct.pack(
+    "<38q",
     0, 4, 1, 5, 6, 7, 1, 2, 1, 1,
-    # level 1: contexts <s>, a, c; offsets; next ids; counts
     0, 5, 7, 0, 2, 3, 4, 5, 7, 6, 1, 1, 1, 3, 2,
-    # level 2: contexts (a b), (c a); offsets; next ids; counts
     5, 6, 7, 5, 0, 1, 3, 7, 1, 6, 5, 1, 1,
-]
+)
+
+
+def packed(values):
+    """Floats as little-endian float64, ints as int64."""
+    return b"".join(struct.pack("<d" if isinstance(v, float) else "<q", v) for v in values)
+
+
+def assert_same_model_output(model, other, probes, beam_size=3):
+    """Bit-identical ``next_distribution``, ``step_nuclei`` and beam bands
+    from two models on every (code, prefix) probe."""
+    for code, prefix in probes:
+        assert model.next_distribution(code, prefix).tobytes() == (
+            other.next_distribution(code, prefix).tobytes()
+        )
+        for top_p in (0.5, 0.9, 0.999):
+            for a, b in zip(row_nuclei(model, code, prefix, top_p), row_nuclei(other, code, prefix, top_p)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    pools = np.zeros(1, dtype=np.int64)
+    for code, prefix in probes:
+        prefixes = np.array([prefix], dtype=np.int64)
+        bands = [
+            decode.BandMemo(m, beam_size).bands([code], pools, prefixes) for m in (model, other)
+        ]
+        assert bands[0].tobytes() == bands[1].tobytes()
 
 
 class TestSerialization:
@@ -878,13 +955,86 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         make_gapped_model(weights=(0.5, 0.25, 0.25)).save(path)
         assert len(GOLDEN_HEADER) % 8 == 0
-        want = GOLDEN_HEADER + struct.pack(f"<{len(GOLDEN_ARRAYS)}q", *GOLDEN_ARRAYS)
-        assert path.read_bytes() == want
+        assert path.read_bytes() == GOLDEN_HEADER + packed(GOLDEN_ARRAYS)
+
+    def test_refuses_version_2_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(GOLDEN_V2)
+        with pytest.raises(ValueError) as info:
+            tg.NGramLM.load(path)
+        assert str(info.value) == (
+            f"model {path} has format version 2, not 3; rerun train-lm to rebuild it"
+        )
 
     def test_split_and_join_round_trip(self, tmp_path):
         path = tmp_path / "model.bin"
         make_gapped_model().save(path)
         assert join_model(*split_model(path.read_bytes())) == path.read_bytes()
+
+    def test_reload_gives_identical_outputs(self, tmp_path, toy_model):
+        rng = stable_rng("reload")
+        size = len(toy_model.vocabulary)
+        probes = [
+            (rng.integers(5, size, size=3).tolist(),
+             [START_ID, *rng.integers(5, size, size=int(rng.integers(0, 4))).tolist()])
+            for _ in range(40)
+        ]
+        long_model, pairs = make_long_model()
+        cases = [
+            (toy_model, probes),
+            (make_gapped_model(), list(TestGappedNGramLMContract().contexts(make_gapped_model()))),
+            # A level of weight 0, whose values are all 0.
+            (build_hand_model(FLOOR_TIE_SPEC), [([], [START_ID]), ([5], [START_ID, 7])]),
+            (long_model, [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(5)]),
+        ]
+        for i, (model, probes) in enumerate(cases):
+            path = tmp_path / f"model{i}.bin"
+            model.save(path)
+            loaded = tg.NGramLM.load(path)
+            assert level_dicts(loaded) == level_dicts(model)
+            assert_same_model_output(model, loaded, probes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abcdef"), max_size=4),
+                st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        order=st.integers(1, 4),
+    )
+    def test_reload_of_trained_corpus(self, tmp_path_factory, pairs, order):
+        v = make_vocab(list("abcdef"))
+        pairs = [(v.encode(code), v.encode(title)) for code, title in pairs]
+        model = tg.train_ngram_lm(pairs, order, v)
+        path = tmp_path_factory.mktemp("reload") / "model.bin"
+        model.save(path)
+        probes = [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(len(title) + 2)]
+        assert_same_model_output(model, tg.NGramLM.load(path), probes)
+
+    def test_load_copies_nothing_per_entry(self, tmp_path):
+        # Far more entries than tokens, and than context rows, so an array
+        # of 8 bytes per entry stands out from the per-token work.
+        rng = stable_rng("load-memory")
+        v = make_vocab([f"w{i}" for i in range(40)])
+        words = np.arange(5, len(v))
+        pairs = [(rng.choice(words, 2).tolist(), rng.choice(words, 8).tolist()) for _ in range(3000)]
+        model = tg.train_ngram_lm(pairs, 3, v)
+        entries = sum(len(level.next_ids) for level in model.levels)
+        rows = sum(len(level.contexts) for level in model.levels)
+        assert entries > 200 * len(v) and entries > 8 * rows
+        path = tmp_path / "model.bin"
+        model.save(path)
+        tracemalloc.start()
+        try:
+            tg.NGramLM.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * entries
 
     def test_failed_save_keeps_earlier_file(self, tmp_path, toy_model, monkeypatch):
         path = tmp_path / "model.bin"

@@ -354,6 +354,7 @@ BAD_INDEXES = [
     ("title_number", _set("titles", ["t1", 2, "t3"]), "titles must be strings"),
     ("doc_len_negative", _set("doc_lens", [3, 2, -1]), "doc_lens must be integers >= 0"),
     ("doc_lens_mismatch", _set("doc_lens", [3, 2, 3]), "summed term frequencies"),
+    ("doc_len_past_float", _set("doc_lens", [3, 10**400, 2]), "summed term frequencies"),
     ("lists_misaligned", _set("titles", ["t1", "t2"]), "must align"),
     ("postings_list", _set("postings", []), "postings must be an object"),
     ("posting_triple", _postings(lambda p: p["d"][0].append(1)), "integer pairs"),
