@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -126,21 +126,13 @@ def _row_uniforms(seed: int, rows: int, length: int) -> np.ndarray:
 _MEMO_IDS_PER_VOCAB = 64
 
 
-class NucleusMemo:
-    """Each model state's draw table under one (model, top_p, temperature).
-
-    A table is the state's nucleus as ``model.step_nuclei`` gives it: the
-    kept ids in ascending order (``array('q')``) and the running sums of
-    their probabilities after temperature, divided by the nucleus mass
-    (``array('d')``, ``q.cumsum()``), which ``_kernels.sample_step_kernel``
-    bisects. Entries are keyed by ``model.step_states``: for ``NGramLM``
-    a state's hit rows, found for all of a step's rows by array search;
-    for any other model, by default, the code and the prefix. Equal keys
-    give bit-identical distributions under any code, and the nucleus does
-    not depend on the seed, so one memo serves every pool of a run. The
-    memo holds at most ``capacity`` ids; past that, new states are
-    computed and not stored.
-    """
+class _StateMemo:
+    """The entry of each model state under one (model, top_p, temperature),
+    keyed by ``model.step_states``. Equal keys give bit-identical
+    distributions under any code, and no entry depends on the seed, so one
+    memo serves a whole run. A subclass's ``_from_nuclei`` turns one
+    ``step_nuclei`` result into (entry, ids) pairs. The memo holds at most
+    ``capacity`` ids; past that, new states are computed and not stored."""
 
     def __init__(self, model: GeneratorModel, top_p: float, temperature: float):
         self.model = model
@@ -150,29 +142,14 @@ class NucleusMemo:
         self.cached_ids = 0
         self.capacity = _MEMO_IDS_PER_VOCAB * len(model.vocabulary)
 
-    def check(self, model: GeneratorModel, config: SamplingConfig) -> None:
-        """Raise ``ValueError`` unless the memo's entries hold for ``config``."""
-        if model is not self.model:
-            raise ValueError("nucleus memo belongs to another model")
-        if (config.top_p, config.temperature) != (self.top_p, self.temperature):
-            raise ValueError(
-                f"nucleus memo holds top_p={self.top_p} temperature={self.temperature},"
-                f" not top_p={config.top_p} temperature={config.temperature}"
-            )
-
-    def tables(
-        self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray
-    ) -> list[tuple[array, array]]:
-        """The draw table of each row of a step: row ``i`` is ``prefixes[i]``
-        under ``codes[pools[i]]`` (see ``GeneratorModel.step_states``). The
-        states no entry holds are computed in one ``model.step_nuclei``
-        call, in the order they first appear, and its tables are checked
-        against its contract: each in O(1) (see ``_checked_table``), and
-        all their ids at once, with one ``min`` and ``max``."""
+    def _lookup(self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray):
+        """The entry of each row of a step: row ``i`` is ``prefixes[i]``
+        under ``codes[pools[i]]``. The states no entry holds are computed
+        in one ``model.step_nuclei`` call, in the order they first appear."""
         keys = self.model.step_states(codes, pools, prefixes)
         got = list(map(self._entries.get, keys))
         if None in got:
-            absent = [i for i, table in enumerate(got) if table is None]
+            absent = [i for i, entry in enumerate(got) if entry is None]
             misses = {}
             for i in absent:
                 misses.setdefault(keys[i], i)
@@ -185,36 +162,60 @@ class NucleusMemo:
                     f"step_nuclei must return one (ids, probabilities) pair per state:"
                     f" asked for {len(misses)}, got {len(computed)}"
                 )
-            id_arrays = [ids.astype(np.int64, copy=False) for ids, _ in computed]
-            tables = [
-                _checked_table(array("q", ids.tobytes()), array("d", q.cumsum().tobytes()))
-                for ids, (_, q) in zip(id_arrays, computed)
-            ]
-            every, size = np.concatenate(id_arrays), len(self.model.vocabulary)
-            if every.min() < 0 or every.max() >= size:
-                raise ValueError(f"step_nuclei ids must lie in the vocabulary of {size} tokens")
-            fresh = dict(zip(misses, tables))
-            for key, table in fresh.items():
-                if self.cached_ids + len(table[0]) <= self.capacity:
-                    self._entries[key] = table
-                    self.cached_ids += len(table[0])
+            fresh = dict(zip(misses, self._from_nuclei(computed)))
+            for key, (entry, ids) in fresh.items():
+                if self.cached_ids + ids <= self.capacity:
+                    self._entries[key] = entry
+                    self.cached_ids += ids
             for i in absent:
-                got[i] = fresh[keys[i]]
+                got[i] = fresh[keys[i]][0]
         return got
 
 
-def _checked_table(ids: array, cdf: array) -> tuple[array, array]:
-    """``(ids, cdf)``, or a ``ValueError`` naming the rule of
-    ``GeneratorModel.step_nuclei`` it breaks. Every check is O(1);
-    ``NucleusMemo.tables`` bounds the ids of a step's tables together."""
-    if not len(ids) == len(cdf) > 0:
-        raise ValueError(
-            f"step_nuclei must return as many probabilities as ids, at least one;"
-            f" got {len(ids)} ids and {len(cdf)} probabilities"
-        )
-    if not cdf[-1] > 0.0:
-        raise ValueError(f"step_nuclei probabilities must have positive mass, got {cdf[-1]!r}")
-    return ids, cdf
+class NucleusMemo(_StateMemo):
+    """Each model state's draw table: its nucleus as ``model.step_nuclei``
+    gives it, the kept ids in ascending order (``array('q')``) and the
+    running sums of their probabilities (``array('d')``, ``q.cumsum()``),
+    which ``_kernels.sample_step_kernel`` bisects."""
+
+    def check(self, model: GeneratorModel, config: SamplingConfig) -> None:
+        """Raise ``ValueError`` unless the memo's entries hold for ``config``."""
+        if model is not self.model:
+            raise ValueError("nucleus memo belongs to another model")
+        if (config.top_p, config.temperature) != (self.top_p, self.temperature):
+            raise ValueError(
+                f"nucleus memo holds top_p={self.top_p} temperature={self.temperature},"
+                f" not top_p={config.top_p} temperature={config.temperature}"
+            )
+
+    def tables(self, codes, pools, prefixes) -> list[tuple[array, array]]:
+        """The draw table of each row of a step (see ``_lookup``)."""
+        return self._lookup(codes, pools, prefixes)
+
+    def _from_nuclei(self, computed) -> list[tuple[tuple[array, array], int]]:
+        """Each pair's table and its ids, or a ``ValueError`` naming the
+        rule of ``GeneratorModel.step_nuclei`` it breaks: each pair is
+        checked in O(1), and all their ids at once, with one ``min`` and
+        ``max``."""
+        found, every = [], []
+        for ids, q in computed:
+            ids = ids.astype(np.int64, copy=False)
+            cdf = array("d", q.cumsum().tobytes())
+            if not len(ids) == len(cdf) > 0:
+                raise ValueError(
+                    f"step_nuclei must return as many probabilities as ids, at least one;"
+                    f" got {len(ids)} ids and {len(cdf)} probabilities"
+                )
+            if not cdf[-1] > 0.0:
+                raise ValueError(
+                    f"step_nuclei probabilities must have positive mass, got {cdf[-1]!r}"
+                )
+            found.append(((array("q", ids.tobytes()), cdf), len(ids)))
+            every.append(ids)
+        every, size = np.concatenate(every), len(self.model.vocabulary)
+        if every.min() < 0 or every.max() >= size:
+            raise ValueError(f"step_nuclei ids must lie in the vocabulary of {size} tokens")
+        return found
 
 
 def decode_pools(
@@ -242,19 +243,20 @@ def decode_pools(
     ``_kernels.sample_step_kernel`` call each. The state contract makes
     every drawn token the same as computing the nucleus afresh at each
     step of each row in turn. The configs must share top_p and
-    temperature. Pass one memo to every call of a run to share states
-    across calls; it must have been made for ``model`` and those
-    settings, or this raises ``ValueError``. Without one, the call uses a
-    fresh memo.
+    temperature, or this raises ``ValueError``. Pass one memo to every
+    call of a run to share states across calls; it must have been made
+    for ``model`` and those settings, or this raises ``ValueError``.
+    Without one, the call uses a fresh memo.
     """
     if not pools:
         return []
     codes = [code for code, _ in pools]
     configs = [config for _, config in pools]
+    if len({(config.top_p, config.temperature) for config in configs}) > 1:
+        raise ValueError("the pools of one decode_pools call must share top_p and temperature")
     if memo is None:
         memo = NucleusMemo(model, configs[0].top_p, configs[0].temperature)
-    for config in configs:
-        memo.check(model, config)
+    memo.check(model, configs[0])
     sizes = [config.num_samples for config in configs]
     ends = np.cumsum(sizes).tolist()
     width = max(config.max_length for config in configs)
@@ -331,15 +333,16 @@ def _best_expansions(scores: np.ndarray, parents: Sequence[tuple[int, ...]], cou
     return [(int(r), int(t), float(flat[i])) for r, t, i in zip(rows[best], toks[best], cand[best])]
 
 
-def _log_probabilities(dist, size: int) -> np.ndarray:
-    """``np.log`` of a ``next_distribution`` vector, beam search's scores;
-    the caller silences the warnings of zero and negative entries."""
-    logp = np.asarray(np.log(dist), dtype=np.float64)
-    if logp.shape != (size,):
-        raise ValueError(
-            f"next_distribution must return a 1-D vector of {size} numbers, one per token"
-        )
-    return logp
+def _log_distributions(computed, size: int) -> Iterator[np.ndarray]:
+    """``np.log`` of each pair's probabilities from ``step_nuclei`` at top_p
+    1 and temperature 1, which keep every id and divide nothing: the state's
+    distribution, beam search's scores. Each is made as the caller asks."""
+    if any(not len(ids) == len(q) == size for ids, q in computed):
+        raise ValueError(f"step_nuclei at top_p 1 must return {size} ids and probabilities")
+    for _, q in computed:
+        with np.errstate(divide="ignore"):
+            logp = np.log(q)
+        yield logp
 
 
 #: Columns of a band row: END's log-probability, then two (hi, lo) pairs
@@ -386,33 +389,23 @@ def _band(logp: np.ndarray, width: int) -> bytes:
     return np.array([end, *pairs, *values, *pad, *ids.tolist(), *pad]).tobytes()
 
 
-class BandMemo:
-    """Each model state's beam band under one (model, beam width).
-
-    An entry is the bytes of one float64 row: the state's END
-    log-probability, two pairs of values that tell whether a live score's
-    expansions outside the band can reach its best, and the band itself,
-    the ``width`` best non-END log-probabilities and their ids in
-    (-log p, id) order, padded with -inf (see :func:`_band`). ``width`` is
-    ``beam_size``, or the vocabulary size if that is smaller: a band can
-    hold no more. Each is built
-    from one ``next_distribution`` call, whose ``np.log`` gives the very
-    values a dense step would score. Entries are keyed by
-    ``model.step_states``: equal keys give bit-identical distributions
-    under any code, so one memo serves every post of a run. The memo holds
-    at most ``capacity`` ids, ``width + 1`` (the band and END) per
-    entry; past that, new states are computed and not stored.
-    """
+class BandMemo(_StateMemo):
+    """Each model state's beam band under one (model, beam width): the
+    bytes of one float64 row built from the ``np.log`` of the state's
+    distribution, the very values a dense step would score. It holds the
+    END log-probability, two pairs of values that tell whether a live
+    score's expansions outside the band can reach its best, and the
+    ``width`` best non-END log-probabilities and their ids in (-log p, id)
+    order, padded with -inf (see :func:`_band`). ``width`` is
+    ``beam_size``, or the vocabulary size if that is smaller. An entry
+    counts ``width + 1`` ids, the band and END."""
 
     def __init__(self, model: GeneratorModel, beam_size: int):
         if beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {beam_size}")
-        self.model = model
+        super().__init__(model, 1.0, 1.0)
         self.beam_size = beam_size
         self.width = min(beam_size, len(model.vocabulary))
-        self._entries: dict = {}
-        self.cached_ids = 0
-        self.capacity = _MEMO_IDS_PER_VOCAB * len(model.vocabulary)
 
     def check(self, model: GeneratorModel, beam_size: int) -> None:
         """Raise ``ValueError`` unless the memo's entries hold for the call."""
@@ -421,29 +414,14 @@ class BandMemo:
         if beam_size != self.beam_size:
             raise ValueError(f"band memo holds beam_size={self.beam_size}, not {beam_size}")
 
-    def bands(
-        self, codes: Sequence[Sequence[int]], pools: np.ndarray, prefixes: np.ndarray
-    ) -> np.ndarray:
-        """The band row of each row of a step, stacked: row ``i`` is
-        ``prefixes[i]`` under ``codes[pools[i]]``. A state no entry holds
-        takes one ``next_distribution`` call, at its first row."""
-        keys = self.model.step_states(codes, pools, prefixes)
-        got = list(map(self._entries.get, keys))
-        fresh: dict = {}
-        size, ids = len(self.model.vocabulary), self.width + 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i, row in enumerate(got):
-                if row is None:
-                    row = fresh.get(keys[i])
-                    if row is None:
-                        dist = self.model.next_distribution(codes[pools[i]], prefixes[i].tolist())
-                        row = _band(_log_probabilities(dist, size), self.width)
-                        fresh[keys[i]] = row
-                        if self.cached_ids + ids <= self.capacity:
-                            self._entries[keys[i]] = row
-                            self.cached_ids += ids
-                    got[i] = row
+    def bands(self, codes, pools, prefixes) -> np.ndarray:
+        """The band row of each row of a step, stacked (see ``_lookup``)."""
+        got = self._lookup(codes, pools, prefixes)
         return np.frombuffer(b"".join(got)).reshape(len(got), -1)
+
+    def _from_nuclei(self, computed) -> list[tuple[bytes, int]]:
+        logs = _log_distributions(computed, len(self.model.vocabulary))
+        return [(_band(logp, self.width), self.width + 1) for logp in logs]
 
 
 def beam_pools(
@@ -460,8 +438,9 @@ def beam_pools(
     Every post's live beams advance in lockstep, one token a step, and one
     ``model.step_states`` call keys all of a step's rows. ``memo`` (see
     :class:`BandMemo`) gives each key's band: its END log-probability and
-    its ``beam_size`` best other entries, built once per run from one
-    ``next_distribution`` call. A post's step then merges its live rows'
+    its ``beam_size`` best other entries, built once per run from its
+    whole distribution, one ``step_nuclei`` call per step for the states
+    no entry holds. A post's step then merges its live rows'
     bands, at most beam² entries, by (-score, parent rank, token), as
     :func:`_best_expansions` orders them, and keeps the best ``beam_size``
     (``k`` at the length cap).
@@ -474,9 +453,9 @@ def beam_pools(
     entries at ``t``, and lose to its larger values while ``s`` keeps the
     smallest of them strictly above ``s + t``. A band that holds every
     finite entry needs neither check. A row that fails one (sums made equal
-    by rounding) takes its dense scores, from a fresh
-    ``next_distribution`` call, through ``_best_expansions`` with the rest
-    of its post in that step.
+    by rounding) takes its dense scores, from a fresh ``step_nuclei``
+    call, through ``_best_expansions`` with the rest of its post in that
+    step.
 
     Pass one memo to every call of a run to share states across calls; it
     must have been made for ``model`` and ``beam_size``, or this raises
@@ -484,6 +463,8 @@ def beam_pools(
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
+    if max_length < 1:
+        raise ValueError(f"max_length must be >= 1, got {max_length}")
     if not 1 <= k <= beam_size:
         raise ValueError(f"k must be in [1, beam_size], got k={k} beam_size={beam_size}")
     if memo is None:
@@ -554,20 +535,22 @@ def beam_pools(
 
 def _dense_fallback(model, codes, post, live, tokens, seqs, failed, count, rows, toks, scores):
     """The step's best entries, each post with a row in ``failed``
-    recomputed by ``_best_expansions``: its failed rows' dense scores, its
-    other rows' band entries (the band holds a proven row's best)."""
+    recomputed by ``_best_expansions``: its failed rows' dense scores, from
+    one ``step_nuclei`` call at top_p 1, its other rows' band entries (the
+    band holds a proven row's best)."""
+    at = np.flatnonzero(failed)
+    states = model.step_states(codes, post[at], tokens[at])
+    computed = model.step_nuclei(states, codes, post[at], tokens[at], 1.0, 1.0)
+    logs = dict(zip(at.tolist(), _log_distributions(computed, len(model.vocabulary))))
     bad = np.unique(post[failed])
     keep = ~np.isin(post[rows], bad)
     parts = [(rows[keep], toks[keep], scores[keep])]
-    size = len(model.vocabulary)
     for p in bad.tolist():
         members = np.flatnonzero(post == p)
-        dense = np.full((len(members), size), -np.inf)
+        dense = np.full((len(members), len(model.vocabulary)), -np.inf)
         for j, r in enumerate(members.tolist()):
-            if failed[r]:
-                dist = model.next_distribution(codes[p], tokens[r].tolist())
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    dense[j] = live[r] + _log_probabilities(dist, size)
+            if r in logs:
+                dense[j] = live[r] + logs[r]
                 dense[j, END_ID] = -np.inf
         mine = np.isin(rows, members) & ~failed[rows]
         dense[np.searchsorted(members, rows[mine]), toks[mine]] = scores[mine]

@@ -15,7 +15,7 @@ import math
 import mmap
 import os
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from pathlib import Path
 from typing import Hashable, NamedTuple, Sequence
 
@@ -50,13 +50,15 @@ class GeneratorModel(ABC):
     for PAD and START (neither may ever be generated). Beam search's
     early stop relies on no entry exceeding 1.
 
-    Sampling and beam search step many rows at once. Both call
-    ``step_states``, which keys each row's state: equal keys must give
+    Decoding reads a model only through two hooks, stepping many rows at
+    once. ``step_states`` keys each row's state: equal keys must give
     bit-identical distributions, whatever the codes and prefixes they came
-    from, so each state is computed once per run. Sampling also
-    calls ``step_nuclei``, which computes the nuclei of the keys no entry
-    of ``decode.NucleusMemo`` holds. Their defaults are exact for any
-    model, one row at a time; a model may override either with a faster
+    from, so each state is computed once per run. ``step_nuclei`` computes
+    the nuclei of the keys no memo entry holds: sampling's at its top_p
+    and temperature, beam search's at top_p 1 and temperature 1, which is
+    the whole distribution. Their defaults are exact for any model, one
+    row at a time, and only the default ``step_nuclei`` calls
+    ``next_distribution``; a model may override either hook with a faster
     exact path.
     """
 
@@ -146,7 +148,7 @@ def _checked_distribution(dist, size: int) -> np.ndarray:
     if arr[PAD_ID] != 0.0 or arr[START_ID] != 0.0:
         raise ValueError("next_distribution must give PAD and START probability 0")
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"next_distribution must sum to 1 within 1e-9, got {total!r}")
+        raise ValueError(f"next_distribution must sum to 1 within 1e-9, got {float(total)!r}")
     return arr
 
 
@@ -256,24 +258,18 @@ class NGramLM(GeneratorModel):
 
     def _setup(self, order, vocab, weights, sizes, stored, long_keys) -> None:
         """Check the entry values and the base row, then keep the arrays
-        as a call reads them: ``_offsets[l]`` holds level ``l``'s row
-        offsets into the entries and ``_keys[l]`` its context keys, each a
-        ``memoryview`` of the stored int64 bytes, so a load builds no
-        Python object per row; an index into one gives a Python int, as a
-        list would. ``_offset_arrays`` and ``_key_arrays`` are numpy views
-        of the same bytes for the batched paths. The keys of a level
-        where int64 could overflow (``V ** l >= 2 ** 63``) are the Python
-        ints ``long_keys``, with no array. Nothing here is per entry or
-        per row: ``levels`` is built on first use."""
+        as a call reads them: ``_offset_arrays[l]`` holds level ``l``'s row
+        offsets into the entries and ``_key_arrays[l]`` its context keys,
+        each a view of the stored int64 array. The keys of a level where
+        int64 could overflow (``V ** l >= 2 ** 63``) are ``long_keys``,
+        object arrays of Python ints. Nothing here is per entry or per
+        row: ``levels`` is built on first use."""
         _check_values(stored, sizes, weights)
         at = list(itertools.accumulate((rows + 1 for rows, _ in sizes), initial=0))
         self._offset_arrays = [stored.offsets[a:b] for a, b in zip(at, at[1:])]
         keyed = _keyed_levels(order, len(vocab))
         at = list(itertools.accumulate((rows for rows, _ in sizes[:keyed]), initial=0))
-        self._key_arrays = [stored.keys[a:b] for a, b in zip(at, at[1:])]
-        self._offsets = [_int_view(a) for a in self._offset_arrays]
-        self._keys = [*map(_int_view, self._key_arrays), *long_keys]
-        self._key_arrays += [None] * len(long_keys)
+        self._key_arrays = [*(stored.keys[a:b] for a, b in zip(at, at[1:])), *long_keys]
         self.order = order
         self._vocab = vocab
         self.weights = weights
@@ -322,7 +318,12 @@ class NGramLM(GeneratorModel):
         return self._vocab
 
     def next_distribution(self, code: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
-        return self._distribution(self._walk(self._tail(code, prefix)))
+        """The distribution of the state ``step_states`` keys one row by."""
+        if not len(prefix) or prefix[0] != START_ID:
+            raise ValueError("prefix must begin with START")
+        pools, prefixes = np.zeros(1, dtype=np.int64), np.array([prefix], dtype=np.int64)
+        (key,) = self.step_states([code], pools, prefixes)
+        return self._distribution(np.frombuffer(key, dtype=np.int64).tolist())
 
     def _distribution(self, rows: Sequence[int]) -> np.ndarray:
         """The distribution of the state whose hit row at level ``l`` is
@@ -332,8 +333,7 @@ class NGramLM(GeneratorModel):
         out = self._base.copy()
         for l, row in enumerate(rows, 1):
             if row >= 0:
-                offsets = self._offsets[l]
-                start, end = offsets[row], offsets[row + 1]
+                start, end = self._offset_arrays[l][row : row + 2].tolist()
                 out[self._next_ids[start:end]] += self._vals[start:end]
         out[PAD_ID] = 0.0
         out[START_ID] = 0.0
@@ -378,10 +378,11 @@ class NGramLM(GeneratorModel):
         temperature: float,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """The default's arrays, bit for bit, from the hit rows
-        ``step_states`` keyed: no walk. At temperature 1 and top_p below 1
-        they come from each state's hit ids and the floor + unigram order,
-        with no divide, tail scan or partition over the vocabulary, and
-        the states run together, a block of them at a time.
+        ``step_states`` keyed: no second lookup. At top_p 1 and temperature
+        1 every pair shares one array of all ids. At temperature 1 and
+        top_p below 1 they come from each state's hit ids and the floor +
+        unigram order, with no divide, tail scan or partition over the
+        vocabulary, and the states run together, a block of them at a time.
 
         Each total is ``next_distribution``'s: the same vector, the same
         sum. An id no hit row holds keeps its floor + unigram value, so
@@ -394,7 +395,10 @@ class NGramLM(GeneratorModel):
         """
         hits = np.frombuffer(b"".join(states), dtype=np.int64)
         hits = hits.reshape(len(states), self.order - 1)
-        if temperature != 1.0 or top_p >= 1.0:
+        if top_p >= 1.0 and temperature == 1.0:
+            ids = np.arange(len(self._vocab))
+            return [(ids, self._distribution(rows)) for rows in hits.tolist()]
+        if temperature != 1.0:
             return [
                 _kernels.nucleus_kernel(self._distribution(rows), top_p, temperature)
                 for rows in hits.tolist()
@@ -492,44 +496,13 @@ class NGramLM(GeneratorModel):
             self._border = (ids, base[ids])
         return self._border
 
-    def _tail(self, code: Sequence[int], prefix: Sequence[int]) -> tuple:
-        """The last ``order - 1`` ids of ``code + [NEXT] + prefix``, or all
-        of them if there are fewer: the ids the distribution depends on."""
-        if not prefix or prefix[0] != START_ID:
-            raise ValueError("prefix must begin with START")
-        span = self.order - 1
-        if len(prefix) >= span:
-            return tuple(prefix[len(prefix) - span :])
-        return (*code[-span:], NEXT_ID, *prefix)[-span:]
-
-    def _walk(self, tail: Sequence[int]) -> list[int]:
-        """The hit row of each level, -1 where none: entry ``l - 1`` is the
-        row of level ``l`` whose context is the last ``l`` ids of ``tail``.
-        A level is searched with ``bisect_left`` on its keys, a
-        ``memoryview`` of int64 or, past int64, a list of Python ints (see
-        ``_setup``); both give ints."""
-        size = len(self._vocab)
-        rows = [-1] * (self.order - 1)
-        key, scale = 0, 1
-        for l in range(1, len(tail) + 1):
-            tok = tail[-l]
-            if not 0 <= tok < size:
-                break  # no context holds it, so no longer suffix can match
-            key += int(tok) * scale
-            scale *= size
-            keys = self._keys[l]
-            row = bisect_left(keys, key)
-            if row < len(keys) and keys[row] == key:
-                rows[l - 1] = row
-        return rows
-
     def _row_hits(self, tails: np.ndarray) -> np.ndarray:
-        """``_walk`` of every row of ``tails``, an (n, order - 1) int64
-        array, as an array of the same shape, with one ``searchsorted`` per
-        level for all rows. A row's key grows by one digit per level, and
-        an id outside the vocabulary ends its search, as in ``_walk``.
-        From the first level whose keys pass int64 on, the rows still
-        searching are walked one by one."""
+        """Entry ``l - 1`` of each row: the row of level ``l`` whose context
+        is the last ``l`` ids of that row of ``tails``, an (n, order - 1)
+        int64 array, or -1. One ``searchsorted`` per level serves all rows.
+        A row's key grows by one base-V digit per level, as Python ints
+        from the first level whose keys pass int64, and an id outside the
+        vocabulary ends its search: no context holds it."""
         n, span = tails.shape
         size = len(self._vocab)
         hits = np.full((n, span), -1, dtype=np.int64)
@@ -538,13 +511,12 @@ class NGramLM(GeneratorModel):
         scale = 1
         for l in range(1, span + 1):
             keys = self._key_arrays[l]
-            if keys is None:
-                for i in np.flatnonzero(live).tolist():
-                    hits[i] = self._walk(tails[i].tolist())
-                break
             tok = tails[:, span - l]
             live &= (tok >= 0) & (tok < size)
-            key += np.where(live, tok, 0) * scale
+            digit = np.where(live, tok, 0)
+            if keys.dtype == object:
+                key, digit = key.astype(object), digit.astype(object)
+            key = key + digit * scale
             scale *= size
             if not len(keys):
                 continue
@@ -668,12 +640,6 @@ def _keyed_levels(order: int, vocab_size: int) -> int:
     return next((l for l in range(order) if vocab_size**l >= 2**63), order)
 
 
-def _int_view(a: np.ndarray) -> memoryview:
-    """An int64 array as a memoryview of the same bytes, whose items are
-    Python ints: cheaper to index one at a time than the array."""
-    return memoryview(a.astype(np.int64, copy=False))
-
-
 def _all_str(items: list) -> bool:
     """Whether every item is a str. ``str.join`` checks them in C, several
     times faster than a test per item."""
@@ -756,12 +722,12 @@ def _rises(a: np.ndarray, starts) -> bool:
     return bool(rise.all())
 
 
-def _checked_stored(stored: _Stored, sizes, vocab_size: int) -> list[list[int]]:
+def _checked_stored(stored: _Stored, sizes, vocab_size: int) -> list[np.ndarray]:
     """Check a model's count arrays against the rules of :class:`Level`,
     each rule in one pass over all levels, with no sort; returns the
-    context keys of the levels past int64, as lists of Python ints. A
-    ``ValueError`` names the rule broken and, once a pass fails, the
-    first level that breaks it."""
+    context keys of the levels past int64, as object arrays of Python
+    ints. A ``ValueError`` names the rule broken and, once a pass fails,
+    the first level that breaks it."""
     rows = [r for r, _ in sizes]
     ends = list(itertools.accumulate(n for _, n in sizes))
     starts = [e - n for e, (_, n) in zip(ends, sizes)]
@@ -809,7 +775,7 @@ def _checked_stored(stored: _Stored, sizes, vocab_size: int) -> list[list[int]]:
         level_keys = _context_keys(contexts, vocab_size)
         if (np.diff(level_keys) < 1).any():
             raise ValueError(f"level {l}: contexts must be strictly ascending")
-        long_keys.append(level_keys.tolist())
+        long_keys.append(level_keys)
     return long_keys
 
 

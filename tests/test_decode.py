@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import titlegen as tg
-from titlegen import cli, decode, lm, records
+from titlegen import cli, decode, records
 from titlegen.text import END_ID, PAD, PAD_ID, START, START_ID
 
 from .conftest import DummyModel, build_toy_model, raw_post, topic_code
@@ -585,40 +586,18 @@ class TestLockstep:
     def test_one_search_per_level_per_step(self, toy_model, monkeypatch):
         # Over one grouped call of three pools, NGramLM finds each step's
         # states with one ``searchsorted`` per level over all its live
-        # rows: no one-row walk or distribution and no second lookup for
-        # the misses. The memo is keyed by hit rows, one entry per state.
+        # rows: no one-row lookup and no second lookup for the misses. The
+        # memo is keyed by hit rows, one entry per state.
         monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
-        searches, step_rows = [], []
-
-        class Counted(np.ndarray):
-            def searchsorted(self, v, *args, **kwargs):
-                searches.append(len(v))
-                return np.asarray(self).searchsorted(v, *args, **kwargs)
-
-        def refused(*args):
-            raise AssertionError("a one-row lookup ran while sampling")
-
         memo = decode.NucleusMemo(toy_model, 0.8, 1.0)
-        tables = memo.tables
-
-        def recording(codes, pools, prefixes):
-            step_rows.append(len(prefixes))
-            return tables(codes, pools, prefixes)
-
-        keys = [k if k is None else k.view(Counted) for k in toy_model._key_arrays]
-        vocab, span = toy_model.vocabulary, toy_model.order - 1
+        vocab = toy_model.vocabulary
         jobs = [
             (vocab.encode(topic_code(topic)), tg.SamplingConfig(num_samples=60, max_length=8, seed=s))
             for s, topic in enumerate((3, 7, 3))
         ]
-        with monkeypatch.context() as m:
-            m.setattr(toy_model, "_key_arrays", keys)
-            m.setattr(lm, "bisect_left", refused)
-            m.setattr(tg.NGramLM, "_walk", refused)
-            m.setattr(tg.NGramLM, "next_distribution", refused)
-            m.setattr(memo, "tables", recording)
-            pools = decode.decode_pools(toy_model, jobs, memo)
-        assert searches == [rows for rows in step_rows for _ in range(span)]
+        step_rows, pools = count_searches(
+            toy_model, monkeypatch, memo, "tables", lambda: decode.decode_pools(toy_model, jobs, memo)
+        )
         assert step_rows[0] == 180 and len(step_rows) > 1
         oracle = DictNGramLM(toy_model.order, len(vocab), level_dicts(toy_model))
         states = {}
@@ -636,6 +615,50 @@ class TestLockstep:
         assert all(len(s) == 1 for s in states.values())
         assert len({s for (s,) in states.values()}) == len(states)
         assert set(memo._entries) == set(states)
+
+    def test_beam_one_search_per_level_per_step(self, toy_model, monkeypatch):
+        # Beam search reads the model as sampling does: every step's rows
+        # keyed with one ``searchsorted`` per level, no one-row lookup.
+        vocab = toy_model.vocabulary
+        codes = [vocab.encode(topic_code(t)) for t in (3, 7, 3, 0)]
+        memo = decode.BandMemo(toy_model, 5)
+        step_rows, got = count_searches(
+            toy_model, monkeypatch, memo, "bands",
+            lambda: decode.beam_pools(toy_model, codes, 5, 3, 16, memo),
+        )
+        assert step_rows[0] == len(codes) and len(step_rows) > 1
+        assert got == [loop_beam_search(toy_model, code, 5, 3, 16) for code in codes]
+
+
+def count_searches(model, monkeypatch, memo, lookup, run):
+    """Run ``run`` with ``model``'s level keys counting their searches and
+    its one-row ``next_distribution`` refused; assert one search per level
+    per row-keying step. Returns the rows of each step ``memo``'s ``lookup``
+    method served, and what ``run`` returned."""
+    searches, step_rows = [], []
+
+    class Counted(np.ndarray):
+        def searchsorted(self, v, *args, **kwargs):
+            searches.append(len(v))
+            return np.asarray(self).searchsorted(v, *args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("a one-row lookup ran while decoding")
+
+    served = getattr(memo, lookup)
+
+    def recording(codes, pools, prefixes):
+        step_rows.append(len(prefixes))
+        return served(codes, pools, prefixes)
+
+    keys = [k.view(Counted) for k in model._key_arrays]
+    with monkeypatch.context() as m:
+        m.setattr(model, "_key_arrays", keys)
+        m.setattr(tg.NGramLM, "next_distribution", refused)
+        m.setattr(memo, lookup, recording)
+        got = run()
+    assert searches == [rows for rows in step_rows for _ in range(model.order - 1)]
+    return step_rows, got
 
 
 def pool_states(model, code, pool):
@@ -809,10 +832,16 @@ class TestGroups:
         assert {code for code, _ in model.reads} == {(5, 8), (5,)}
 
     def test_group_refuses_mixed_settings(self, toy_model):
+        # The error names the call's pools, not a memo the caller never
+        # passed; with a memo of the first pool's settings it is the same.
         code = toy_model.vocabulary.encode(topic_code(2))
-        jobs = [(code, tg.SamplingConfig(top_p=0.8)), (code, tg.SamplingConfig(top_p=0.9))]
-        with pytest.raises(ValueError, match="nucleus memo holds top_p=0.8"):
-            decode.decode_pools(toy_model, jobs)
+        rule = "^the pools of one decode_pools call must share top_p and temperature$"
+        for other in (tg.SamplingConfig(top_p=0.9), tg.SamplingConfig(temperature=0.7)):
+            jobs = [(code, tg.SamplingConfig()), (code, other)]
+            with pytest.raises(ValueError, match=rule):
+                decode.decode_pools(toy_model, jobs)
+            with pytest.raises(ValueError, match=rule):
+                decode.decode_pools(toy_model, jobs, decode.NucleusMemo(toy_model, 0.8, 1.0))
 
     @pytest.mark.parametrize(
         "budget, groups",
@@ -854,8 +883,11 @@ def assert_pools_alone(model, posts, pools, config):
         assert pool.candidates == loop_decode_candidates(model, code, cfg).candidates
 
 
-#: What sampling and beam search may read of a model.
+#: What a model must define.
 CONTRACT = {"vocabulary", "next_distribution", "step_states", "step_nuclei"}
+
+#: What sampling and beam search read of a model.
+READS = {"vocabulary", "step_states", "step_nuclei"}
 
 
 class SurfaceProxy:
@@ -870,40 +902,65 @@ class SurfaceProxy:
         return getattr(self._model, name)
 
 
+def surface_runs(toy_model, name):
+    """(model, runs) for the contract checks: each run decodes with the
+    model it is given, sampling or beam search, alone or in a group, or
+    through ``cli._pools``."""
+    model, code = lockstep_model(name, toy_model)
+    cfg = tg.SamplingConfig(num_samples=20, max_length=5, seed=3)
+    res = cli._Resolver(SimpleNamespace(**TestRunMemo.CONFIG, beam_size=3))
+    posts = TestRunMemo.posts([3, 7])
+    return model, [
+        lambda m: decode.decode_pools(m, [(code, cfg), (code[:1], cfg)]),
+        lambda m: decode.beam_search(m, code, beam_size=3, k=2, max_length=5),
+        lambda m: decode.beam_pools(m, [code, code[:1], code], 3, 2, 5),
+        lambda m: list(cli._pools(res, m, posts, "sample")),
+        lambda m: list(cli._pools(res, m, posts, "beam")),
+    ]
+
+
 class TestContractSurface:
-    """``GeneratorModel`` defines only what the stages call, and they call
-    all of it: a hook without a caller, or a call outside the contract,
-    fails here."""
+    """``GeneratorModel`` defines only what a model must provide, and the
+    stages read a model only through the two step hooks: a hook without a
+    caller, or a read outside them, fails here."""
 
     def test_generator_model_defines_the_contract(self):
         assert {name for name in vars(tg.GeneratorModel) if not name.startswith("_")} == CONTRACT
 
     @pytest.mark.parametrize("name", ["ngram", "dummy"])
     def test_stages_read_only_the_contract(self, toy_model, name):
-        model, code = lockstep_model(name, toy_model)
-        cfg = tg.SamplingConfig(num_samples=20, max_length=5, seed=3)
-        res = cli._Resolver(SimpleNamespace(**TestRunMemo.CONFIG, beam_size=3))
-        posts = TestRunMemo.posts([3, 7])
-        runs = [
-            lambda m: decode.decode_pools(m, [(code, cfg), (code[:1], cfg)]),
-            lambda m: decode.beam_search(m, code, beam_size=3, k=2, max_length=5),
-            lambda m: decode.beam_pools(m, [code, code[:1], code], 3, 2, 5),
-            lambda m: list(cli._pools(res, m, posts, "sample")),
-            lambda m: list(cli._pools(res, m, posts, "beam")),
-        ]
-        touched = []
+        # Sampling and beam search alike key states with ``step_states``
+        # and compute them with ``step_nuclei``.
+        model, runs = surface_runs(toy_model, name)
         for run in runs:
             proxy = SurfaceProxy(model)
             run(proxy)
-            touched.append(proxy.touched)
-        assert all(t <= CONTRACT for t in touched)
-        assert set().union(*touched) == CONTRACT
-        # Sampling keys and computes states through the two step hooks;
-        # beam search keys states and reads their distributions.
-        assert {"step_states", "step_nuclei"} <= touched[0] & touched[3]
-        beam = {"step_states", "next_distribution"}
-        assert beam <= touched[1] & touched[2] & touched[4]
-        assert "step_nuclei" not in touched[1] | touched[2] | touched[4]
+            assert proxy.touched == READS
+
+    @pytest.mark.parametrize("name", ["ngram", "dummy"])
+    def test_next_distribution_only_through_the_default_hook(self, toy_model, name, monkeypatch):
+        # NGramLM overrides both hooks, so no stage calls its
+        # ``next_distribution``; a model that keeps the default
+        # ``step_nuclei`` is called from there and nowhere else.
+        model, runs = surface_runs(toy_model, name)
+        default = tg.GeneratorModel.step_nuclei.__code__
+        callers = []
+        next_distribution = type(model).next_distribution
+
+        def recording(self, code, prefix):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not default:
+                frame = frame.f_back
+            callers.append(frame is not None)
+            return next_distribution(self, code, prefix)
+
+        monkeypatch.setattr(type(model), "next_distribution", recording)
+        for run in runs:
+            run(model)
+        if name == "ngram":
+            assert callers == []
+        else:
+            assert callers and all(callers)
 
 
 class VectorModel(tg.GeneratorModel):
@@ -1017,6 +1074,10 @@ class TestModelContractChecks:
             )
             with pytest.raises(ValueError, match=rule):
                 tg.decode_candidates(VectorModel(value), [5], cfg)
+        # Beam search reads the same default hook, so it refuses alike.
+        for beam_size, k in ((1, 1), (3, 2)):
+            with pytest.raises(ValueError, match=rule):
+                tg.beam_search(VectorModel(value), [5], beam_size, k, 3)
 
 
 #: Few distinct scores, so ties are heavy, with the -inf and NaN that are
@@ -1261,6 +1322,57 @@ class TestBeamPools:
         with pytest.raises(ValueError, match="1-D vector of 8 numbers"):
             decode.beam_pools(VectorModel(np.array(value)), [[5], [6]], 3, 2, 4)
 
+    def test_refuses_a_model_that_breaks_the_contract(self):
+        # An entry above 1 would let the early stop end the search too
+        # soon: the empty title, finished at log 2, beats the live "a" at
+        # log 0.5, though "a b" ends at log 8. Beam search refuses the
+        # model with sampling's one-line error instead.
+        table = {(): {"END": 2.0, "a": 0.5}, ("a",): {"b": 4.0}, ("a", "b"): {"END": 4.0}}
+        model = TableModel(table)
+        a, b = model.vocabulary.id("a"), model.vocabulary.id("b")
+        assert loop_beam_search(model, [5], 1, 1, 8) == [[a, b]]
+        with pytest.raises(ValueError) as sampled:
+            tg.decode_candidates(model, [5], tg.SamplingConfig(num_samples=4, max_length=8))
+        assert str(sampled.value) == "next_distribution must sum to 1 within 1e-9, got 2.5"
+        for run in (
+            lambda: tg.beam_search(model, [5], 1, 1, 8),
+            lambda: decode.beam_pools(model, [[5], [6]], 3, 2, 8),
+        ):
+            with pytest.raises(ValueError) as beamed:
+                run()
+            assert str(beamed.value) == str(sampled.value)
+
+    @pytest.mark.parametrize(
+        "nuclei",
+        [
+            lambda n: [],
+            lambda n: [(np.array([3, 4]), np.array([0.5, 0.5]))] * n,
+            lambda n: [(np.arange(8), np.full(7, 1 / 7))] * n,
+            lambda n: [(np.arange(7), np.full(8, 1 / 8))] * n,
+        ],
+        ids=["too_few", "a_nucleus", "short_probabilities", "short_ids"],
+    )
+    def test_refuses_nuclei_that_are_not_distributions(self, nuclei):
+        # At top_p 1 a state's pair must hold every id; a pair of any other
+        # length would build a band from the wrong scores.
+        model = VectorModel(VALID_VECTOR)
+        model.step_nuclei = lambda states, codes, pools, prefixes, p, t: nuclei(len(states))
+        rule = "one .ids, probabilities. pair per state|must return 8 ids and probabilities"
+        with pytest.raises(ValueError, match=rule):
+            tg.beam_search(model, [5], 3, 2, 4)
+
+    @pytest.mark.parametrize("max_length", [0, -3])
+    def test_refuses_max_length_below_one(self, max_length):
+        # Unchecked, a cap below 1 returned a one-token sequence.
+        with pytest.raises(ValueError) as sampled:
+            tg.SamplingConfig(max_length=max_length)
+        with pytest.raises(ValueError) as beamed:
+            tg.beam_search(DummyModel(9, 5), [5], 3, 2, max_length=max_length)
+        assert str(beamed.value) == str(sampled.value) == f"max_length must be >= 1, got {max_length}"
+        model = DummyModel(9, 5)
+        with pytest.raises(ValueError, match="max_length must be >= 1"):
+            decode.beam_pools(model, [[5], [6]], 3, 2, max_length, decode.BandMemo(model, 3))
+
     def test_band_width_stops_at_the_vocabulary(self):
         # A band can hold no more than the vocabulary, so a wider beam
         # stores rows of the vocabulary's width.
@@ -1325,8 +1437,12 @@ class UlpTieModel(tg.GeneratorModel):
     """Beam search walks ten "a"s to a live score near -20.8, where
     ``last`` gives the probabilities of the next step, then END. Values
     a few ulps apart there have log-probabilities less than half an ulp of
-    the live score apart, so their sums tie and ids decide. The first
-    step's vector holds ``nan`` (at the last id) and zeros."""
+    the live score apart, so their sums tie and ids decide. Each step of
+    the walk gives "a" 0.125 and the rest to seven fillers, 0.125 each,
+    whose ids follow "a"'s: "a" wins every tie. Every step depends on the
+    depth alone, so a path that leaves the walk scores as the walk does
+    and loses its ties. With ``nan`` the first step holds NaN, which the
+    contract forbids."""
 
     #: "x" is one ulp above "y": the sums tie and "y" wins, though a band
     #: of width 1 holds only "x", with "y" the largest value below it.
@@ -1335,9 +1451,10 @@ class UlpTieModel(tg.GeneratorModel):
     #: width 2 holds "n" and "y", the tie goes on to "x" outside it, and
     #: the sums of all three tie, so "y" and "x" win.
     TIED = {"END": 0.1, "y": 0.3, "x": 0.3, "n": float(np.nextafter(0.3, 1.0))}
+    FILLERS = [f"f{i}" for i in range(7)]
 
-    def __init__(self, last=ABOVE, nan=np.nan):
-        self._vocab = tg.Vocabulary(list(tg.RESERVED) + ["a", "y", "x", "n"])
+    def __init__(self, last=ABOVE, nan=False):
+        self._vocab = tg.Vocabulary(list(tg.RESERVED) + ["a", "y", "x", "n"] + self.FILLERS)
         self._last = last
         self._nan = nan
 
@@ -1349,10 +1466,11 @@ class UlpTieModel(tg.GeneratorModel):
         out = np.zeros(len(self._vocab))
         v = self._vocab.id
         depth = len(prefix) - 1
-        if depth == 0:
-            out[v("a")], out[v("n")] = 0.125, self._nan
-        elif depth < 10:
+        if depth < 10:
             out[v("a")] = 0.125
+            out[[v(f) for f in self.FILLERS]] = 0.125
+            if self._nan and depth == 0:
+                out[v("n")] = np.nan
         elif depth == 10:
             for tok, p in self._last.items():
                 out[END_ID if tok == "END" else v(tok)] = p
@@ -1402,17 +1520,27 @@ class TestBandProof:
             keys.add((tuple(c), (*walk, vocab.id("y"))))
         assert counter.calls == len(keys) + 3
 
-    def test_tie_past_the_band_takes_the_dense_scores(self):
+    def test_tie_past_the_band_takes_the_dense_scores(self, monkeypatch):
         # The band's value above the tie sums equal to it, so the tied
-        # "x" outside the band beats "n" by id. At width 2 the reference
-        # would keep the NaN row, so the first step holds zeros only.
-        model = UlpTieModel(UlpTieModel.TIED, nan=0.0)
+        # "x" outside the band beats "n" by id. Both live rows at depth 10,
+        # the walk and the walk with a filler last, fail the proof.
+        model = UlpTieModel(UlpTieModel.TIED)
         vocab = model.vocabulary
         (n, y), (live_n, live_y) = model.live_sums("n", "y")
         assert n > y and live_n == live_y
         want = loop_beam_search(model, [5], 2, 2, 48)
-        assert [vocab.decode(s)[-1] for s in want] == ["y", "x"]
+        assert [vocab.decode(s) for s in want] == [["a"] * 10 + [end] for end in "yx"]
+        failed = []
+        fallback = decode._dense_fallback
+
+        def recording(model, codes, post, live, tokens, seqs, bad, *rest):
+            failed.append(tokens[bad].tolist())
+            return fallback(model, codes, post, live, tokens, seqs, bad, *rest)
+
+        monkeypatch.setattr(decode, "_dense_fallback", recording)
         assert tg.beam_search(model, [5], 2, 2, 48) == want
+        walk = [START_ID] + [vocab.id("a")] * 10
+        assert failed == [[walk, walk[:-1] + [vocab.id("f0")]]]
         assert decode.beam_pools(model, [[5], [6]], 2, 2, 48) == [want] * 2
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 6, 9])
@@ -1446,11 +1574,13 @@ class TestBandProof:
             assert pairs[2:] == [np.inf, -np.inf]
 
     @pytest.mark.parametrize("beam_size, k", [(1, 1), (3, 1), (3, 3), (5, 2)])
-    def test_nan_and_zeros_are_never_chosen(self, beam_size, k):
-        # NaN counts as probability 0. The reference sorts a NaN score
-        # anywhere, so it runs on the model with 0 in its place; at width 1
-        # it keeps the one finite entry, so it runs on NaN as well.
-        got = tg.beam_search(UlpTieModel(), [5], beam_size, k, 48)
-        assert got == loop_beam_search(UlpTieModel(nan=0.0), [5], beam_size, k, 48)
-        if beam_size == 1:
-            assert got == loop_beam_search(UlpTieModel(), [5], beam_size, k, 48)
+    def test_nan_is_refused(self, beam_size, k):
+        # NaN breaks the contract: beam search refuses it as sampling does,
+        # whatever the width.
+        rule = "^next_distribution entries must be finite$"
+        with pytest.raises(ValueError, match=rule):
+            tg.decode_candidates(UlpTieModel(nan=True), [5], tg.SamplingConfig(num_samples=4))
+        with pytest.raises(ValueError, match=rule):
+            tg.beam_search(UlpTieModel(nan=True), [5], beam_size, k, 48)
+        with pytest.raises(ValueError, match=rule):
+            decode.beam_pools(UlpTieModel(nan=True), [[5], [6]], beam_size, k, 48)

@@ -153,9 +153,7 @@ class TestNextDistribution:
         # with int64 arrays, as a trained one does.
         model.save(tmp_path / "model.bin")
         loaded = tg.NGramLM.load(tmp_path / "model.bin")
-        assert isinstance(loaded._keys[19], list)
-        assert all(type(k) is int for k in loaded._keys[19])
-        assert all(isinstance(keys, memoryview) and keys.itemsize == 8 for keys in loaded._keys[:19])
+        assert_key_types(loaded)
         assert_matches_oracle(loaded, oracle, probes)
 
     def test_distribution_contract(self, toy_model):
@@ -343,8 +341,8 @@ class TestGappedNGramLMContract(GeneratorContract):
 
 
 class TestRowLookup:
-    """``_walk`` finds each context's row by bisecting its level's keys, and
-    ``_row_hits`` finds the same rows for many tails at once."""
+    """``_row_hits`` finds each context's row for many tails at once, with
+    one search per level, as the dict-backed reference finds it by lookup."""
 
     def test_gapped_levels(self):
         v = make_vocab(list("abcde"))
@@ -359,8 +357,7 @@ class TestRowLookup:
 
     def test_python_int_keys(self):
         model, _ = make_long_model()
-        assert model._keys[19] and all(type(k) is int for k in model._keys[19])
-        assert model._key_arrays[19] is None and model._key_arrays[18] is not None
+        assert_key_types(model)
         high = len(model.vocabulary) - 1
         probes = {}
         for l in range(1, model.order):
@@ -372,39 +369,42 @@ class TestRowLookup:
         assert_rows_found(model, probes)
 
 
+def assert_key_types(model):
+    """Level 19 of ``make_long_model`` keys its contexts with Python ints
+    in an object array, the levels below with int64 arrays."""
+    long_keys = model._key_arrays[19]
+    assert long_keys.dtype == object and len(long_keys)
+    assert all(type(k) is int for k in long_keys.tolist())
+    assert all(keys.dtype == np.int64 for keys in model._key_arrays[:19])
+
+
 def assert_rows_found(model, probes):
     """Every stored context is found at its row. ``probes[l]`` are
     length-``l`` contexts: those the level lacks must be found nowhere,
     and among them, over all levels, must be one below a level's first
     context, one between two of its contexts and one above its last.
-    Every tail is walked alone, and all of them are searched in one
-    ``_row_hits`` call, which must agree."""
+    Each context becomes a tail padded on the left with PAD, with -1 and
+    with V, ids outside the vocabulary that end a search. All tails are
+    searched in one ``_row_hits`` call; a row's hit at level ``l`` must be
+    the sorted position of the tail's last ``l`` ids in ``DictNGramLM``'s
+    level ``l``, and -1 where that level lacks them."""
     span = model.order - 1
+    oracle = DictNGramLM(model.order, len(model.vocabulary), level_dicts(model))
+    rows = [{ctx: row for row, ctx in enumerate(sorted(level))} for level in oracle.levels]
     below = between = above = 0
-    tails, walks = [], []
-
-    def found(ctx):
-        tail = (*[PAD_ID] * (span - len(ctx)), *ctx)
-        rows = model._walk(tail)
-        tails.append(tail)
-        walks.append(rows)
-        for l, row in enumerate(rows, 1):
-            if row >= 0:
-                assert tuple(model.levels[l].contexts[row].tolist()) == tail[-l:]
-        return {tail[-l:]: row for l, row in enumerate(rows, 1) if row >= 0}
-
+    tails = []
     for l in range(1, model.order):
-        stored = [tuple(c) for c in model.levels[l].contexts.tolist()]
-        for row, ctx in enumerate(stored):
-            assert found(ctx)[ctx] == row
+        stored = sorted(oracle.levels[l])
         absent = set(probes[l]) - set(stored)
-        for ctx in absent:
-            assert ctx not in found(ctx)
+        for pad in (PAD_ID, -1, len(model.vocabulary)):
+            tails += [(*[pad] * (span - l), *ctx) for ctx in (*stored, *sorted(absent))]
         below += sum(ctx < stored[0] for ctx in absent)
         between += sum(stored[0] < ctx < stored[-1] for ctx in absent)
         above += sum(ctx > stored[-1] for ctx in absent)
     assert below and between and above
-    assert model._row_hits(np.array(tails, dtype=np.int64)).tolist() == walks
+    hits = model._row_hits(np.array(tails, dtype=np.int64)).tolist()
+    for tail, got in zip(tails, hits):
+        assert got == [rows[l].get(tail[span - l :], -1) for l in range(1, span + 1)]
 
 
 def row_state(model, code, prefix):
@@ -428,8 +428,7 @@ def step_state_contexts(model, probes):
     """The contexts of the hit rows ``step_states`` keys each (code,
     prefix) probe by, with the keys. The probes are grouped by prefix
     length, one group per call, as a decoding step groups its rows; a
-    group's codes are listed once each. Each key's rows must be those of
-    the one-row walk ``next_distribution`` takes."""
+    group's codes are listed once each. Each key is ``order - 1`` rows."""
     groups: dict = {}
     for i, (code, prefix) in enumerate(probes):
         groups.setdefault(len(prefix), []).append(i)
@@ -446,7 +445,6 @@ def step_state_contexts(model, probes):
         assert len(keys) == len(at)
         for i, key in zip(at, keys):
             rows = np.frombuffer(key, dtype=np.int64).tolist()
-            assert rows == model._walk(model._tail(*probes[i]))
             assert len(rows) == model.order - 1
             contexts = tuple(
                 tuple(model.levels[l].contexts[row].tolist())
@@ -526,7 +524,7 @@ class TestStepStates:
 
     def test_levels_past_int64(self):
         model, pairs = make_long_model()
-        assert model._key_arrays[19] is None
+        assert_key_types(model)
         oracle = DictNGramLM.train(pairs, 20, len(model.vocabulary))
         probes = [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(5)]
         probes += [(code[:6], [START_ID]) for code, _ in pairs]
@@ -609,7 +607,7 @@ class TestSparseNucleus:
         code=st.lists(st.sampled_from(CONTEXT_IDS), max_size=3),
         tail=st.lists(st.sampled_from(CONTEXT_IDS[2:]), max_size=3),
         top_p=st.one_of(
-            st.sampled_from([0.5, 0.8, 0.99999, 1.0 - 1e-9]), st.floats(0.01, 0.999999)
+            st.sampled_from([0.5, 0.8, 0.99999, 1.0 - 1e-9, 1.0]), st.floats(0.01, 0.999999)
         ),
         first=st.sampled_from([1, 2, 3, lm._BORDER_FIRST]),
     )
