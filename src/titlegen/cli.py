@@ -194,7 +194,7 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
     a sampled pool's config and the post's code rebuilds it. Pools come
     from ``decode.decode_pools`` or ``decode.beam_pools``, a group of
     consecutive posts (``_GROUP_ROWS``) per call, and share one memo for
-    the whole run."""
+    the whole run, whose counts are logged once the last pool is drawn."""
     seed = res.get("seed", int)
     code_limit = _token_limit(res, "code_limit")
     beam_size = res.get("beam_size", int)
@@ -237,6 +237,10 @@ def _pools(res: _Resolver, model: NGramLM, posts, strategy: str):
             for post, pool in zip(group, decode_group(group, codes, memo)):
                 pool.meta = _post_meta(post)
                 yield pool
+        log.info(
+            "%s memo: %d rows looked up, %d misses computed, %d ids stored",
+            strategy, memo.looked_up, memo.computed, memo.cached_ids,
+        )
 
     if strategy == "beam":
         return grouped(beam_group, beam_size, decode.BandMemo(model, beam_size))

@@ -132,13 +132,17 @@ class _StateMemo:
     distributions under any code, and no entry depends on the seed, so one
     memo serves a whole run. A subclass's ``_from_nuclei`` turns one
     ``step_nuclei`` result into (entry, ids) pairs. The memo holds at most
-    ``capacity`` ids; past that, new states are computed and not stored."""
+    ``capacity`` ids; past that, new states are computed and not stored.
+    ``looked_up`` counts the rows looked up, ``computed`` the states
+    computed and ``cached_ids`` the ids stored."""
 
     def __init__(self, model: GeneratorModel, top_p: float, temperature: float):
         self.model = model
         self.top_p = top_p
         self.temperature = temperature
         self._entries: dict = {}
+        self.looked_up = 0
+        self.computed = 0
         self.cached_ids = 0
         self.capacity = _MEMO_IDS_PER_VOCAB * len(model.vocabulary)
 
@@ -147,6 +151,7 @@ class _StateMemo:
         under ``codes[pools[i]]``. The states no entry holds are computed
         in one ``model.step_nuclei`` call, in the order they first appear."""
         keys = self.model.step_states(codes, pools, prefixes)
+        self.looked_up += len(keys)
         got = list(map(self._entries.get, keys))
         if None in got:
             absent = [i for i, entry in enumerate(got) if entry is None]
@@ -163,6 +168,7 @@ class _StateMemo:
                     f" asked for {len(misses)}, got {len(computed)}"
                 )
             fresh = dict(zip(misses, self._from_nuclei(computed)))
+            self.computed += len(misses)
             for key, (entry, ids) in fresh.items():
                 if self.cached_ids + ids <= self.capacity:
                     self._entries[key] = entry
@@ -172,11 +178,29 @@ class _StateMemo:
         return got
 
 
+def _joined(parts, dtype, casting: str, rule: str) -> np.ndarray:
+    """One side of ``step_nuclei``'s pairs joined into one 1-D array of
+    ``dtype``. Otherwise a ``ValueError``: ``rule`` and the dtype of the
+    first part that breaks it, or, if every part casts, that the parts
+    are not 1-D arrays."""
+    try:
+        joined = np.concatenate(parts, dtype=dtype, casting=casting)
+    except (TypeError, ValueError):
+        joined = None
+    if joined is None or joined.ndim != 1:
+        for part in map(np.asarray, parts):
+            if not np.can_cast(part.dtype, dtype, casting):
+                raise ValueError(f"step_nuclei {rule}, got {part.dtype}")
+        raise ValueError("step_nuclei must return pairs of 1-D arrays")
+    return joined
+
+
 class NucleusMemo(_StateMemo):
     """Each model state's draw table: its nucleus as ``model.step_nuclei``
     gives it, the kept ids in ascending order (``array('q')``) and the
     running sums of their probabilities (``array('d')``, ``q.cumsum()``),
-    which ``_kernels.sample_step_kernel`` bisects."""
+    which ``_kernels.sample_step_kernel`` bisects. A step's misses get
+    their tables together, slices of one pair of arrays."""
 
     def check(self, model: GeneratorModel, config: SamplingConfig) -> None:
         """Raise ``ValueError`` unless the memo's entries hold for ``config``."""
@@ -194,28 +218,34 @@ class NucleusMemo(_StateMemo):
 
     def _from_nuclei(self, computed) -> list[tuple[tuple[array, array], int]]:
         """Each pair's table and its ids, or a ``ValueError`` naming the
-        rule of ``GeneratorModel.step_nuclei`` it breaks: each pair is
-        checked in O(1), and all their ids at once, with one ``min`` and
-        ``max``."""
-        found, every = [], []
-        for ids, q in computed:
-            ids = ids.astype(np.int64, copy=False)
-            cdf = array("d", q.cumsum().tobytes())
-            if not len(ids) == len(cdf) > 0:
-                raise ValueError(
-                    f"step_nuclei must return as many probabilities as ids, at least one;"
-                    f" got {len(ids)} ids and {len(cdf)} probabilities"
-                )
-            if not cdf[-1] > 0.0:
-                raise ValueError(
-                    f"step_nuclei probabilities must have positive mass, got {cdf[-1]!r}"
-                )
-            found.append(((array("q", ids.tobytes()), cdf), len(ids)))
-            every.append(ids)
-        every, size = np.concatenate(every), len(self.model.vocabulary)
-        if every.min() < 0 or every.max() >= size:
+        rule of ``GeneratorModel.step_nuclei`` it breaks. The whole batch
+        is checked at once: its ids and probabilities are each joined into
+        one array and checked there. Each table is its ids and its own
+        ``q.cumsum()``, sliced from one ``array('q')`` and one
+        ``array('d')`` of the batch."""
+        ids, probs = zip(*computed)
+        sizes = np.fromiter(map(len, ids), np.int64, len(ids))
+        lengths = np.fromiter(map(len, probs), np.int64, len(probs))
+        bad = np.flatnonzero((sizes != lengths) | (sizes < 1))
+        if bad.size:
+            raise ValueError(
+                f"step_nuclei must return as many probabilities as ids, at least one;"
+                f" got {sizes[bad[0]]} ids and {lengths[bad[0]]} probabilities"
+            )
+        ids = _joined(ids, np.int64, "same_kind", "ids must be integers")
+        _joined(probs, np.float64, "no", "probabilities must be float64")
+        cdf = np.concatenate([q.cumsum() for q in probs])
+        ends = sizes.cumsum()
+        last = cdf[ends - 1]
+        if not (last > 0.0).all():
+            got = float(last[np.flatnonzero(~(last > 0.0))[0]])
+            raise ValueError(f"step_nuclei probabilities must have positive mass, got {got!r}")
+        size = len(self.model.vocabulary)
+        if ids.min() < 0 or ids.max() >= size:
             raise ValueError(f"step_nuclei ids must lie in the vocabulary of {size} tokens")
-        return found
+        ids, cdf = array("q", ids.tobytes()), array("d", cdf.tobytes())
+        ends = ends.tolist()
+        return [((ids[a:b], cdf[a:b]), b - a) for a, b in zip([0, *ends], ends)]
 
 
 def decode_pools(

@@ -33,8 +33,9 @@ FLOOR = 1e-6
 #: top_p 0.8 a nucleus holds 19 ids on average and 174 at most.
 _BORDER_FIRST = 64
 
-#: Bytes of the (states x V) block ``NGramLM.step_nuclei`` fills at once;
-#: larger batches run in chunks of as many states as fit.
+#: Bytes of the (states x V) block ``NGramLM.step_nuclei`` takes at once;
+#: larger batches run in chunks of as many states as fit. The block is
+#: never filled: a cut writes and reads only its candidates' positions.
 _BLOCK_BYTES = 2 << 20
 
 #: Model file identity; a file of another version must be rebuilt.
@@ -112,8 +113,9 @@ class GeneratorModel(ABC):
         An override may compute the rows together, or from the keys alone,
         and must return arrays equal to the default's bit for bit;
         sampling refuses one whose result lacks a pair per state, or a
-        pair of as many probabilities as ids, at least one, with positive
-        mass and ids in the vocabulary.
+        pair of 1-D arrays of integer ids and float64 probabilities, as
+        many of each, at least one, with positive mass and ids in the
+        vocabulary.
         """
         size = len(self.vocabulary)
         return [
@@ -262,8 +264,9 @@ class NGramLM(GeneratorModel):
         offsets into the entries and ``_key_arrays[l]`` its context keys,
         each a view of the stored int64 array. The keys of a level where
         int64 could overflow (``V ** l >= 2 ** 63``) are ``long_keys``,
-        object arrays of Python ints. Nothing here is per entry or per
-        row: ``levels`` is built on first use."""
+        object arrays of Python ints. The base row is kept as a copy with
+        PAD and START at 0, beside its sum (see ``_distribution``). Nothing
+        here is per entry or per row: ``levels`` is built on first use."""
         _check_values(stored, sizes, weights)
         at = list(itertools.accumulate((rows + 1 for rows, _ in sizes), initial=0))
         self._offset_arrays = [stored.offsets[a:b] for a, b in zip(at, at[1:])]
@@ -275,7 +278,9 @@ class NGramLM(GeneratorModel):
         self.weights = weights
         self._sizes = sizes
         self._stored = stored
-        self._base = stored.base
+        self._base = stored.base.copy()
+        self._base[[PAD_ID, START_ID]] = 0.0
+        self._base_total = float(self._base.sum())
         self._next_ids = stored.next_ids
         self._vals = stored.values
         self._levels: tuple[Level, ...] | None = None  # see levels
@@ -328,16 +333,26 @@ class NGramLM(GeneratorModel):
     def _distribution(self, rows: Sequence[int]) -> np.ndarray:
         """The distribution of the state whose hit row at level ``l`` is
         ``rows[l - 1]`` (-1: none): the floor + unigram row plus each hit
-        row's values, shortest context first; ``_block_nuclei`` adds them
-        in the same order per entry."""
+        row's values, shortest context first, PAD and START at 0, divided
+        by the state's total. The total needs no vocabulary-wide sum: it is
+        the floor + unigram row's sum with PAD and START at 0, taken once
+        per model, plus each hit row's value sum, shortest context first.
+        A row's sum is sequential in id order with its PAD and START
+        entries left out. ``_block_nuclei`` adds the same floats in the
+        same order."""
         out = self._base.copy()
+        total = self._base_total
         for l, row in enumerate(rows, 1):
             if row >= 0:
                 start, end = self._offset_arrays[l][row : row + 2].tolist()
-                out[self._next_ids[start:end]] += self._vals[start:end]
-        out[PAD_ID] = 0.0
-        out[START_ID] = 0.0
-        out /= out.sum()
+                ids, vals = self._next_ids[start:end], self._vals[start:end]
+                out[ids] += vals
+                # Next ids ascend, so START (0) and PAD (2) can only lead a row.
+                if ids[0] <= PAD_ID:
+                    out[[PAD_ID, START_ID]] = 0.0
+                    vals = np.where((ids == PAD_ID) | (ids == START_ID), 0.0, vals)
+                total += vals.cumsum()[-1]
+        out /= total
         return out
 
     def step_states(
@@ -381,17 +396,21 @@ class NGramLM(GeneratorModel):
         ``step_states`` keyed: no second lookup. At top_p 1 and temperature
         1 every pair shares one array of all ids. At temperature 1 and
         top_p below 1 they come from each state's hit ids and the floor +
-        unigram order, with no divide, tail scan or partition over the
-        vocabulary, and the states run together, a block of them at a time.
+        unigram order, with no fill, sum, divide, tail scan or partition
+        over the vocabulary, and the states run together, a block of them
+        at a time.
 
-        Each total is ``next_distribution``'s: the same vector, the same
-        sum. An id no hit row holds keeps its floor + unigram value, so
-        outside the hit ids and the first ``m`` ids of that order each id
-        is at most the next one's value. The ids above it are then every
-        id above it: in (-p, id) order they are a prefix of the dense
-        stable order, ties included, with the same running sums. If those
-        reach top_p, the nucleus is theirs; otherwise ``m`` widens, and
-        at the vocabulary size the dense kernel runs.
+        Each total is ``next_distribution``'s (see ``_distribution``): one
+        ``np.bincount`` over (state, level) slots takes every hit row's
+        value sum, in id order, and each state adds its slots to the
+        floor + unigram sum, shortest context first. An id no hit row holds
+        keeps its floor + unigram value, so outside the hit ids and the
+        first ``m`` ids of that order each id is at most the next one's
+        value. The ids above it are then every id above it: in (-p, id)
+        order they are a prefix of the dense stable order, ties included,
+        with the same running sums. If those reach top_p, the nucleus is
+        theirs; otherwise ``m`` widens, and at the vocabulary size the
+        dense kernel runs on the state's ``_distribution``.
         """
         hits = np.frombuffer(b"".join(states), dtype=np.int64)
         hits = hits.reshape(len(states), self.order - 1)
@@ -410,15 +429,16 @@ class NGramLM(GeneratorModel):
         return found
 
     def _block_nuclei(self, hits, top_p) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``step_nuclei`` at temperature 1 for one block's worth of states."""
+        """``step_nuclei`` at temperature 1 for one block's worth of states.
+        The (states x V) block is left unfilled: here only its hit
+        positions get values, and ``_cut_block`` writes the border
+        positions it reads."""
         states, span = hits.shape
         size = len(self._vocab)
-        block = np.empty((states, size))
-        block[:] = self._base
-        flat = block.reshape(-1)
         # Every hit row's entries, state by state, each state's rows
-        # shortest context first: ``add.at`` adds in array order, so each
-        # entry gets its values in ``next_distribution``'s order.
+        # shortest context first: ``add.at`` and ``bincount`` add in array
+        # order, so each entry gets its values, and each (state, level)
+        # slot its sum, in ``next_distribution``'s order.
         starts = np.zeros((states, span), dtype=np.int64)
         lens = np.zeros((states, span), dtype=np.int64)
         for c in range(span):
@@ -426,36 +446,50 @@ class NGramLM(GeneratorModel):
             offsets, rows = self._offset_arrays[c + 1], hits[at, c]
             starts[at, c] = offsets[rows]
             lens[at, c] = offsets[rows + 1] - starts[at, c]
-        who = np.repeat(np.arange(states, dtype=np.int64) * size, span)
         lens, starts = lens.ravel(), starts.ravel()
-        starts = starts - lens.cumsum() + lens
-        entries = np.repeat(starts, lens) + np.arange(lens.sum())
-        hit_keys = np.repeat(who, lens) + self._next_ids[entries]
-        np.add.at(flat, hit_keys, self._vals[entries])
-        block[:, PAD_ID] = 0.0
-        block[:, START_ID] = 0.0
-        totals = block.sum(axis=1)
+        slots = np.repeat(np.arange(states * span), lens)
+        entries = np.repeat(starts - lens.cumsum() + lens, lens) + np.arange(len(slots))
+        ids, values = self._next_ids[entries], self._vals[entries]
+        dropped = (ids == PAD_ID) | (ids == START_ID)
+        sums = np.bincount(slots, np.where(dropped, 0.0, values), states * span)
+        totals = np.full(states, self._base_total)
+        for c in range(span):
+            totals += sums[c::span]
+        block = np.empty((states, size))
+        flat = block.reshape(-1)
+        hit_keys = slots // span * size + ids
+        flat[hit_keys] = self._base[ids]
+        np.add.at(flat, hit_keys, values)
+        hit_values = flat[hit_keys]
+        hit_values[dropped] = 0.0
         found = [None] * states
         pending = np.arange(states)
         m = _BORDER_FIRST
         while pending.size and m < size:
-            pending = self._cut_block(block, totals, pending, hit_keys, m, top_p, found)
+            pending = self._cut_block(block, totals, pending, hit_keys, hit_values, m, top_p, found)
             m *= 4
-        for s in pending:
-            found[s] = _kernels.nucleus_kernel(block[s] / totals[s], top_p, 1.0)
+        for s in pending.tolist():
+            found[s] = _kernels.nucleus_kernel(self._distribution(hits[s].tolist()), top_p, 1.0)
         return found
 
-    def _cut_block(self, block, totals, pending, hit_keys, m, top_p, found):
+    def _cut_block(self, block, totals, pending, hit_keys, hit_values, m, top_p, found):
         """Cut each pending state's nucleus among its hit ids and the first
         ``m`` border ids into ``found`` with ``_kernels.nucleus_cut``;
         returns the states whose running sum fell short. ``hit_keys`` are
-        state * V + id."""
+        state * V + id, ``hit_values`` their values. The cut reads only
+        the block positions it writes first."""
         size = block.shape[1]
         flat = block.reshape(-1)
         border, border_vals = self._border_order()
         if len(pending) < block.shape[0]:
-            hit_keys = hit_keys[np.isin(hit_keys // size, pending)]
-        keys = np.concatenate((hit_keys, (pending[:, None] * size + border[:m]).ravel()))
+            mine = np.isin(hit_keys // size, pending)
+            hit_keys, hit_values = hit_keys[mine], hit_values[mine]
+        # The floor + unigram values at the border ids, then the hit values
+        # over them where the two meet.
+        border_keys = pending[:, None] * size + border[:m]
+        flat[border_keys] = border_vals[:m]
+        flat[hit_keys] = hit_values
+        keys = np.concatenate((hit_keys, border_keys.ravel()))
         tot = totals[keys // size]
         keys = keys[flat[keys] / tot > border_vals[m] / tot]
         # Each state's candidates once, ascending by state, then id.
@@ -489,11 +523,8 @@ class NGramLM(GeneratorModel):
         value with PAD and START at 0, and those values. Built on first use,
         so a model that never samples never sorts."""
         if self._border is None:
-            base = self._base.copy()
-            base[PAD_ID] = 0.0
-            base[START_ID] = 0.0
-            ids = np.argsort(-base, kind="stable")
-            self._border = (ids, base[ids])
+            ids = np.argsort(-self._base, kind="stable")
+            self._border = (ids, self._base[ids])
         return self._border
 
     def _row_hits(self, tails: np.ndarray) -> np.ndarray:

@@ -392,7 +392,10 @@ class DictNGramLM:
     tuple to a dict of next-token counts, trained by one dict update per
     (position, level). A distribution adds the floor, then the empty
     context's row token by token, then each hit context's row, shortest
-    first, each value ``weights[l] * count / total``."""
+    first, each value ``weights[l] * count / total``, and divides by its
+    mass: the sum of the floor + empty-context row with PAD and START at
+    0, plus each hit row's sum, shortest first, where a row's sum adds
+    its values one by one in token order, PAD and START left out."""
 
     def __init__(self, order, vocab_size, levels, weights=None):
         self.order = order
@@ -432,14 +435,24 @@ class DictNGramLM:
         table0 = self.levels[0].get((), {})
         for tok, c in table0.items():
             out[tok] += self.weights[0] * c / sum(table0.values())
+        base = out.copy()
+        base[PAD_ID] = 0.0
+        base[START_ID] = 0.0
+        mass = base.sum()
         for ctx in self.state(code, prefix):
             table = self.levels[len(ctx)][ctx]
             total = sum(table.values())
-            ids = np.fromiter(table.keys(), dtype=np.int64, count=len(table))
-            out[ids] += np.array([self.weights[len(ctx)] * c / total for c in table.values()])
+            values = {tok: self.weights[len(ctx)] * c / total for tok, c in table.items()}
+            ids = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
+            out[ids] += np.fromiter(values.values(), dtype=np.float64, count=len(values))
+            row = 0.0
+            for tok in sorted(values):
+                if tok not in (PAD_ID, START_ID):
+                    row += values[tok]
+            mass += row
         out[PAD_ID] = 0.0
         out[START_ID] = 0.0
-        out /= out.sum()
+        out /= mass
         return out
 
 

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -395,6 +396,43 @@ class TestGenerate:
             assert 1 <= len(strings) <= 5
             assert len(set(strings)) == len(strings)  # beams are distinct
             assert row["config"]["top_p"] == 1.0
+
+    @pytest.mark.parametrize("strategy", ["sample", "beam"])
+    def test_verbose_line_reports_the_memo(self, pipeline, tmp_path, caplog, strategy):
+        # The counts go to the log line only: the pools keep their bytes.
+        flags = {
+            "sample": ("--num-samples", 30, "--temperature", "0.5"),
+            "beam": ("--strategy", "beam", "--beam-size", 3),
+        }[strategy]
+        generate = (
+            "generate", "--model", pipeline.model, "--input", pipeline.splits / "test.jsonl",
+            "--limit", 8, "--max-length", 12, *flags,
+        )
+        quiet, verbose = tmp_path / "quiet.jsonl", tmp_path / "verbose.jsonl"
+        run(*generate, "--out", quiet)
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            run("--verbose", *generate, "--out", verbose)
+        assert verbose.read_bytes() == quiet.read_bytes()
+        line, done = [r.getMessage() for r in caplog.records if r.name == "titlegen"]
+        assert done == f"generate: 8 pools ({strategy})"
+        found = re.fullmatch(
+            rf"{strategy} memo: (\d+) rows looked up, (\d+) misses computed, (\d+) ids stored",
+            line,
+        )
+        assert found, line
+        looked_up, computed, stored = map(int, found.groups())
+        assert 0 < computed < looked_up
+        if strategy == "beam":
+            # Every state is stored, each as its band of 3 and END.
+            assert stored == 4 * computed
+            return
+        # A sampled row looks up one state a step: one per token, and one
+        # more for the END it drew unless it stopped at the length cap.
+        candidates = [c for row in read_rows(quiet) for c in row["candidates"]]
+        assert looked_up == sum(len(c) + (len(c) < 12) for c in candidates)
+        # Every state is stored, with at least one id.
+        assert stored >= computed
 
     def test_missing_model_fails(self, pipeline, tmp_path):
         out = tmp_path / "x.jsonl"
@@ -1088,7 +1126,12 @@ class TestMainReuse:
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr.splitlines() == logged[name], name
             assert (here / f"{name}.jsonl").read_bytes() == (fresh / f"{name}.jsonl").read_bytes()
-        assert logged["verbose"] == ["INFO titlegen: generate: 3 pools (sample)"]
+        memo, done = logged["verbose"]
+        assert re.fullmatch(
+            r"INFO titlegen: sample memo: \d+ rows looked up, \d+ misses computed, \d+ ids stored",
+            memo,
+        )
+        assert done == "INFO titlegen: generate: 3 pools (sample)"
         assert logged["quiet"] == []
         assert (here / "no_dedup.jsonl").read_bytes() != (here / "dedup.jsonl").read_bytes()
 

@@ -488,6 +488,49 @@ class TestNucleusMemo:
                 toy_model, code, cfg
             )
 
+    def test_batch_tables_equal_each_nucleus_cumsum(self):
+        # Nuclei of one to a few hundred ids in one batch: each table is
+        # the pair's ids and ``q.cumsum()``, bit for bit.
+        rng = stable_rng("batch-tables")
+        memo = decode.NucleusMemo(DummyModel(vocab_size=400, seed=0), 0.8, 1.0)
+        for sizes in ([1], [3, 1, 2], [1] * 30 + [400], [5, 17, 260, 2, 399, 40] * 7):
+            computed = []
+            for n in sizes:
+                q = rng.random(n) ** 4
+                computed.append((np.sort(rng.choice(400, n, replace=False)), q / q.sum()))
+            built = memo._from_nuclei(computed)
+            assert [n for _, n in built] == sizes
+            for ((ids, cdf), _), (want_ids, q) in zip(built, computed):
+                assert ids.typecode == "q" and cdf.typecode == "d"
+                assert ids.tobytes() == want_ids.tobytes()
+                assert cdf.tobytes() == q.cumsum().tobytes()
+
+    @pytest.mark.parametrize(
+        "change, rule",
+        [
+            (lambda ids, q: (ids + 0.9, q), "^step_nuclei ids must be integers, got float64$"),
+            (
+                lambda ids, q: (ids, q.astype(np.float32)),
+                "^step_nuclei probabilities must be float64, got float32$",
+            ),
+        ],
+        ids=["float_ids", "float32_probabilities"],
+    )
+    def test_refuses_arrays_of_another_dtype(self, toy_model, tmp_path, change, rule):
+        # Truncated, ``ids + 0.9`` would sample the ids it shifted; float32
+        # sums would end in numpy's own error about a buffer size.
+        class Override(tg.NGramLM):
+            def step_nuclei(self, *step):
+                return [change(ids, q) for ids, q in super().step_nuclei(*step)]
+
+        toy_model.save(tmp_path / "model.bin")
+        model = Override.load(tmp_path / "model.bin")
+        code = model.vocabulary.encode(topic_code(1))
+        for top_p, temperature in ((0.8, 1.0), (1.0, 1.0), (0.9, 0.7)):
+            cfg = tg.SamplingConfig(top_p=top_p, temperature=temperature, num_samples=4)
+            with pytest.raises(ValueError, match=rule):
+                tg.decode_candidates(model, code, cfg)
+
     def test_batched_uniforms_equal_successive_draws(self):
         # The block against one generator's successive scalar draws, row
         # after row.
@@ -1040,10 +1083,11 @@ class TestModelContractChecks:
             (lambda n: [(np.array([3, 8]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens"),
             (lambda n: [(np.array([3, -1, 4]), np.full(3, 1 / 3))] * n, "vocabulary of 8 tokens"),
             (lambda n: [(np.array([3, 9, 4]), np.full(3, 1 / 3))] * n, "vocabulary of 8 tokens"),
+            (lambda n: [(np.array([[3]]), np.array([[1.0]]))] * n, "pairs of 1-D arrays"),
         ],
         ids=[
             "too_few", "empty", "unequal", "no_mass", "negative_id", "id_past_vocab",
-            "negative_id_inside", "id_past_vocab_inside",
+            "negative_id_inside", "id_past_vocab_inside", "two_dimensional",
         ],
     )
     def test_nuclei_override(self, nuclei, rule):

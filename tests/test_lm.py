@@ -692,9 +692,9 @@ class TestBatchedNuclei:
             batches.append(len(states))
             return found
 
-        def recording_cut(self, block, totals, pending, hit_keys, m, *rest):
+        def recording_cut(self, block, totals, pending, hit_keys, hit_values, m, *rest):
             widths.append(m)
-            return cut_block(self, block, totals, pending, hit_keys, m, *rest)
+            return cut_block(self, block, totals, pending, hit_keys, hit_values, m, *rest)
 
         def recording_kernel(probs, beta, temperature):
             dense.append(beta)
@@ -723,6 +723,113 @@ class TestBatchedNuclei:
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert len(computed) == len(memo._entries) > 100
+
+
+#: (top_p, temperature) pairs the state-total tests draw nuclei at: the
+#: sparse cut, the shared-ids path and the dense path after temperature.
+TOTAL_SETTINGS = [(0.5, 1.0), (0.8, 1.0), (0.99, 1.0), (1.0, 1.0), (0.8, 0.7), (1.0, 1.3)]
+
+
+def assert_totals_match(model, oracle, probes):
+    """On every (code, prefix) probe, ``next_distribution`` equals the
+    oracle's bit for bit and sums to 1 within 1e-9, and ``step_nuclei``
+    returns the default hook's arrays bit for bit at every setting of
+    ``TOTAL_SETTINGS``, probabilities summing to 1 within 1e-9."""
+    for code, prefix in probes:
+        got = model.next_distribution(code, prefix)
+        assert got.tobytes() == oracle.next_distribution(code, prefix).tobytes()
+        assert abs(got.sum() - 1.0) <= 1e-9
+        for top_p, temperature in TOTAL_SETTINGS:
+            fast, default = (
+                row_nuclei(model, code, prefix, top_p, temperature, default=d)
+                for d in (False, True)
+            )
+            for a, b in zip(fast, default):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert abs(fast[1].sum() - 1.0) <= 1e-9
+
+
+def sampled_probes(model, codes, seed):
+    """(code, prefix) probes along the rows a short sampling run draws
+    from each code, so most of them hit the longest contexts."""
+    probes = []
+    for i, code in enumerate(codes):
+        cfg = tg.SamplingConfig(num_samples=6, max_length=6, seed=seed + i)
+        for cand in tg.decode_candidates(model, code, cfg).candidates:
+            ids = model.vocabulary.encode(cand)
+            probes += [(code, [START_ID, *ids[:n]]) for n in range(len(ids) + 1)]
+    return probes
+
+
+class TestStateTotals:
+    """A state's total is the floor + unigram sum with PAD and START at 0
+    plus each hit row's sequential sum, shortest context first. Every
+    path that takes it, ``next_distribution``, the miss block's
+    ``bincount`` and the dense fallback, gives the oracle's floats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=hand_built_models(),
+        code=st.lists(st.sampled_from(CONTEXT_IDS), max_size=3),
+        tail=st.lists(st.sampled_from(CONTEXT_IDS[2:]), max_size=3),
+    )
+    def test_hand_built_models(self, spec, code, tail):
+        # PAD and START as next ids, contexts without their suffixes and
+        # levels of weight 0 or 1e-30.
+        model = build_hand_model(spec)
+        oracle = DictNGramLM(spec["order"], spec["size"], spec["levels"], model.weights)
+        with mock.patch.object(lm, "_BORDER_FIRST", 2):
+            assert_totals_match(model, oracle, [(code, [START_ID, *tail])])
+
+    def test_zipf_model(self):
+        model = zipf_model()
+        oracle = DictNGramLM(model.order, len(model.vocabulary), level_dicts(model), model.weights)
+        codes = [
+            model.vocabulary.encode([f"w{t}", f"w{t + 7}", f"w{t + 20}"]) for t in range(3)
+        ]
+        probes = sampled_probes(model, codes, 40)
+        assert_totals_match(model, oracle, probes)
+        # Some probes hit a context at every level.
+        assert any(-1 not in np.frombuffer(row_state(model, *p), np.int64) for p in probes)
+
+    def test_levels_past_int64(self):
+        model, pairs = make_long_model()
+        oracle = DictNGramLM.train(pairs, 20, len(model.vocabulary))
+        probes = [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(6)]
+        assert_totals_match(model, oracle, probes)
+
+    @pytest.mark.parametrize("top_p", [0.5, 0.8])
+    def test_miss_block_reads_only_what_it_writes(self, top_p, monkeypatch):
+        # Unwritten cells of the miss block read as NaN, and the dense
+        # path is refused: a batch of misses still gives the default's
+        # arrays, so no state read or summed a vocabulary-wide row.
+        model = zipf_model()
+        codes = [model.vocabulary.encode([f"w{t}", f"w{t + 7}"]) for t in range(4)]
+        probes = sampled_probes(model, codes, 60)
+        by_length: dict = {}
+        for code, prefix in probes:
+            by_length.setdefault(len(prefix), []).append((codes.index(code), prefix))
+        empty = np.empty
+
+        def nan_empty(shape, dtype=float, **kwargs):
+            out = empty(shape, dtype, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        for rows in by_length.values():
+            pools = np.array([p for p, _ in rows])
+            prefixes = np.array([prefix for _, prefix in rows], dtype=np.int64)
+            states = model.step_states(codes, pools, prefixes)
+            step = (states, codes, pools, prefixes, top_p, 1.0)
+            want = tg.GeneratorModel.step_nuclei(model, *step)
+            with monkeypatch.context() as m:
+                m.setattr(np, "empty", nan_empty)
+                m.setattr(tg.NGramLM, "_distribution", mock.Mock(side_effect=AssertionError))
+                got = model.step_nuclei(*step)
+            for pair, other in zip(got, want):
+                for a, b in zip(pair, other):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def split_model(data):
