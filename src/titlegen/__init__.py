@@ -13,11 +13,9 @@ from .decode import (
     CandidatePool,
     NucleusMemo,
     SamplingConfig,
-    apply_temperature,
     beam_search,
     decode_candidates,
     nucleus_filter,
-    sample_token,
 )
 from .lm import GeneratorModel, NGramLM, train_ngram_lm
 from .metrics import (
@@ -33,7 +31,6 @@ from .metrics import (
 from .rank import (
     RankedSelection,
     RankingConfig,
-    bigram_consistency_scores,
     maximal_marginal_select,
     mean_pairwise_relevance,
     relevance,
@@ -76,9 +73,7 @@ __all__ = [
     "UNK",
     "Vocabulary",
     "__version__",
-    "apply_temperature",
     "beam_search",
-    "bigram_consistency_scores",
     "bleus4",
     "build_index",
     "build_report",
@@ -96,7 +91,6 @@ __all__ = [
     "relevance",
     "rouge_l",
     "rouge_n",
-    "sample_token",
     "strip_markers",
     "tokenize",
     "train_ngram_lm",

@@ -97,21 +97,19 @@ def nucleus_kernel(
 
 def sample_step_kernel(cdf, u: float) -> int:
     """Inverse-CDF draw from a draw table: ``cdf`` holds the running sums
-    ``q.cumsum()`` of finite nonnegative ``q`` (a list, ``array.array``
-    or 1-D ndarray), ``u`` lies in [0, 1).
+    ``q.cumsum()`` of finite nonnegative ``q`` with positive mass (a list,
+    ``array.array`` or 1-D ndarray), ``u`` lies in [0, 1).
+    ``decode.NucleusMemo`` refuses every other table.
 
     Returns the first index whose running sum exceeds ``u``, which is
     ``searchsorted(cdf, u, side="right")``; that entry of ``q`` is
     positive. If rounding leaves the total at or below ``u``, the entry
     that brought the sum to its total: the last positive one, unless a
-    later positive entry was too small to change the sum. -1 if the table
-    has no mass.
+    later positive entry was too small to change the sum.
     """
     j = bisect_right(cdf, u)
     if j < len(cdf):
         return j
-    if not len(cdf) or not cdf[-1] > 0.0:
-        return -1
     return bisect_left(cdf, cdf[-1])
 
 

@@ -1,5 +1,6 @@
-"""Decoding strategies: nucleus filtering, temperature, token sampling,
-parallel multi-candidate generation, and a beam-search baseline.
+"""Decoding strategies: nucleus sampling of many candidate rows in
+lockstep, and a beam-search baseline that steps its posts together.
+``nucleus_filter`` exposes one nucleus on a probability vector.
 
 Candidates are stored ragged and PAD-free; the END marker terminates a
 row but is not stored. Padding to a rectangle is purely a presentation
@@ -60,19 +61,6 @@ class CandidatePool:
                 raise ValueError("candidate longer than max_length")
 
 
-def _validate_dist(dist) -> np.ndarray:
-    arr = np.asarray(dist, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValueError("distribution must be a nonempty 1-D vector")
-    if not np.isfinite(arr).all():
-        raise ValueError("distribution entries must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("distribution entries must be nonnegative")
-    if not np.any(arr > 0.0):
-        raise ValueError("distribution must have positive mass")
-    return arr
-
-
 def nucleus_filter(dist, beta: float) -> np.ndarray:
     """Keep the minimal top-probability set with mass >= beta, rescaled.
 
@@ -82,29 +70,19 @@ def nucleus_filter(dist, beta: float) -> np.ndarray:
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
-    arr = _validate_dist(dist)
+    arr = np.asarray(dist, dtype=np.float64)
+    if arr.ndim != 1 or arr.shape[0] == 0:
+        raise ValueError("distribution must be a nonempty 1-D vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("distribution entries must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError("distribution entries must be nonnegative")
+    if not np.any(arr > 0.0):
+        raise ValueError("distribution must have positive mass")
     ids, q = _kernels.nucleus_kernel(arr, beta, 1.0)
     out = np.zeros_like(arr)
     out[ids] = q
     return out
-
-
-def apply_temperature(dist, t: float) -> np.ndarray:
-    """Exponent-rescale p_i^(1/t), renormalized; t=1 is the identity."""
-    if not t > 0.0:
-        raise ValueError(f"temperature must be positive, got {t}")
-    return _kernels.apply_temperature_kernel(_validate_dist(dist), t)
-
-
-def sample_token(dist, rng: np.random.Generator) -> int:
-    """Draw one token index with probability dist[i]; advances ``rng``.
-
-    This is decoding's draw, ``_kernels.sample_step_kernel`` over the
-    running sums, so zero entries are never drawn. Should rounding leave
-    the total at or below the uniform, it is the entry that brought the
-    sum to its total: ``[0.5, 0.25, 1e-30]`` at u = 0.9 gives 1.
-    """
-    return _kernels.sample_step_kernel(_validate_dist(dist).cumsum(), rng.random())
 
 
 def _row_uniforms(seed: int, rows: int, length: int) -> np.ndarray:
@@ -178,6 +156,18 @@ class _StateMemo:
         return got
 
 
+def _refuse_probabilities(q) -> None:
+    """Raise the ``ValueError`` for ``step_nuclei`` probabilities ``q`` that
+    are not all finite and nonnegative, or that have no mass."""
+    q = np.asarray(q, dtype=np.float64)
+    bad = q[~((q >= 0.0) & (q < np.inf))]
+    if bad.size:
+        raise ValueError(
+            f"step_nuclei probabilities must be finite and nonnegative, got {float(bad[0])!r}"
+        )
+    raise ValueError(f"step_nuclei probabilities must have positive mass, got {float(q.sum())!r}")
+
+
 def _joined(parts, dtype, casting: str, rule: str) -> np.ndarray:
     """One side of ``step_nuclei``'s pairs joined into one 1-D array of
     ``dtype``. Otherwise a ``ValueError``: ``rule`` and the dtype of the
@@ -220,7 +210,8 @@ class NucleusMemo(_StateMemo):
         """Each pair's table and its ids, or a ``ValueError`` naming the
         rule of ``GeneratorModel.step_nuclei`` it breaks. The whole batch
         is checked at once: its ids and probabilities are each joined into
-        one array and checked there. Each table is its ids and its own
+        one array and checked there, every probability finite and
+        nonnegative. Each table is its ids and its own
         ``q.cumsum()``, sliced from one ``array('q')`` and one
         ``array('d')`` of the batch."""
         ids, probs = zip(*computed)
@@ -233,7 +224,9 @@ class NucleusMemo(_StateMemo):
                 f" got {sizes[bad[0]]} ids and {lengths[bad[0]]} probabilities"
             )
         ids = _joined(ids, np.int64, "same_kind", "ids must be integers")
-        _joined(probs, np.float64, "no", "probabilities must be float64")
+        joined = _joined(probs, np.float64, "no", "probabilities must be float64")
+        if not (joined.min() >= 0.0 and joined.max() < np.inf):
+            _refuse_probabilities(joined)
         cdf = np.concatenate([q.cumsum() for q in probs])
         ends = sizes.cumsum()
         last = cdf[ends - 1]
@@ -333,45 +326,19 @@ def decode_candidates(
     return decode_pools(model, [(code, config)], memo)[0]
 
 
-def _best_expansions(scores: np.ndarray, parents: Sequence[tuple[int, ...]], count: int):
-    """The ``count`` best (parent row, token, score) entries of ``scores``.
-
-    Order is (-score, parent ids + (token,)); entries that are -inf or NaN
-    (zero or invalid probability) are never chosen. All parents have the
-    same length, so the id order is (lexicographic parent rank, token).
-
-    Only the band at or above the ``count``-th score is sorted. One
-    ``np.partition`` of all the scores finds that threshold; it puts NaN
-    last, so any NaN among the top ``count`` slots is in the slice it
-    returns. When the threshold is finite and that slice holds no NaN, the
-    entries ``>=`` it are the band, and neither -inf nor NaN is in it.
-    Otherwise (fewer than ``count`` finite entries, or a NaN near the top)
-    the band is every entry above -inf.
-    """
-    flat = scores.ravel()
-    cand = None
-    if flat.size > count:
-        top = np.partition(flat, flat.size - count)[flat.size - count :]
-        if top[0] > -np.inf and not np.isnan(top).any():
-            cand = np.flatnonzero(flat >= top[0])
-    if cand is None:
-        cand = np.flatnonzero(flat > -np.inf)
-    rank = np.empty(len(parents), dtype=np.int64)
-    rank[sorted(range(len(parents)), key=parents.__getitem__)] = np.arange(len(parents))
-    rows, toks = np.divmod(cand, scores.shape[1])
-    best = np.lexsort((toks, rank[rows], -flat[cand]))[:count]
-    return [(int(r), int(t), float(flat[i])) for r, t, i in zip(rows[best], toks[best], cand[best])]
-
-
 def _log_distributions(computed, size: int) -> Iterator[np.ndarray]:
     """``np.log`` of each pair's probabilities from ``step_nuclei`` at top_p
     1 and temperature 1, which keep every id and divide nothing: the state's
-    distribution, beam search's scores. Each is made as the caller asks."""
+    distribution, beam search's scores. Each is made as the caller asks and
+    checked with one reduction: a NaN, negative or infinite probability
+    makes the maximum of its log NaN or inf, and a pair without mass -inf."""
     if any(not len(ids) == len(q) == size for ids, q in computed):
         raise ValueError(f"step_nuclei at top_p 1 must return {size} ids and probabilities")
     for _, q in computed:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             logp = np.log(q)
+        if not -np.inf < logp.max() < np.inf:
+            _refuse_probabilities(q)
         yield logp
 
 
@@ -386,7 +353,7 @@ def _band(logp: np.ndarray, width: int) -> bytes:
     float64 values, from the log of its distribution, which it overwrites.
 
     The band is the first ``width`` non-END entries in (-log p, id) order
-    that are neither -inf nor NaN; ``t`` is its last value when it holds
+    that are not -inf; ``t`` is its last value when it holds
     ``width`` of them. The first pair is (``t``, the largest such value
     under ``t``), so every entry outside the band under ``t`` loses to
     every band entry. Entries outside the band equal to ``t`` have larger
@@ -396,13 +363,10 @@ def _band(logp: np.ndarray, width: int) -> bytes:
     """
     end = float(logp[END_ID])
     # Costs, -log p, exact negations: the band is the lowest, in (cost, id)
-    # order. np.partition is faster at a low kth, and it puts NaN last.
+    # order. np.partition is faster at a low kth.
     cost = np.negative(logp, out=logp)
     cost[END_ID] = np.inf
     top = np.partition(cost, width)[: width + 1].tolist() if width < len(cost) else []
-    if any(v != v for v in top):  # fewer than width + 1 other entries
-        cost[np.isnan(cost)] = np.inf
-        top = np.partition(cost, width)[: width + 1].tolist()
     # The band's last cost, t, and the next one.
     t, nxt = (max(top[:width]), top[width]) if top else (np.inf, np.inf)
     ids = np.flatnonzero(cost <= t) if t < np.inf else np.flatnonzero(cost < np.inf)
@@ -470,10 +434,10 @@ def beam_pools(
     :class:`BandMemo`) gives each key's band: its END log-probability and
     its ``beam_size`` best other entries, built once per run from its
     whole distribution, one ``step_nuclei`` call per step for the states
-    no entry holds. A post's step then merges its live rows'
-    bands, at most beam² entries, by (-score, parent rank, token), as
-    :func:`_best_expansions` orders them, and keeps the best ``beam_size``
-    (``k`` at the length cap).
+    no entry holds. A step then merges every post's entries in one sort,
+    by (post, -score, parent rank, token), and keeps each post's best
+    ``beam_size`` (``k`` at the length cap). A post's entries are its live
+    rows' bands, at most beam² of them.
 
     That is exact because adding a live score ``s`` is monotone in
     floating point. Let ``t`` be the band's last value. If ``s + t > s +
@@ -483,9 +447,9 @@ def beam_pools(
     entries at ``t``, and lose to its larger values while ``s`` keeps the
     smallest of them strictly above ``s + t``. A band that holds every
     finite entry needs neither check. A row that fails one (sums made equal
-    by rounding) takes its dense scores, from a fresh ``step_nuclei``
-    call, through ``_best_expansions`` with the rest of its post in that
-    step.
+    by rounding) brings its dense scores to the merge instead of its band:
+    one ``step_nuclei`` call at top_p 1 for the step's failed rows, whose
+    finite non-END entries are scored by the same float addition.
 
     Pass one memo to every call of a run to share states across calls; it
     must have been made for ``model`` and ``beam_size``, or this raises
@@ -522,18 +486,28 @@ def beam_pools(
         sums = live[:, None] + bands[:, 1 : _BAND + width]
         gaps, scores = sums[:, : _BAND - 1], sums[:, _BAND - 1 :].ravel()
         proven = (gaps[:, 0::2] > gaps[:, 1::2]).all(axis=1)
-        # Every band entry of the step, then each post's best ``count``.
+        # Every band entry of the step, a failed row's dense entries in
+        # place of its band's, then each post's best ``count``.
         at = np.flatnonzero(scores > -np.inf)
         rows, scores = at // width, scores[at]
         toks = bands[:, _BAND + width :].ravel()[at].astype(np.int64)
+        if not proven.all():
+            keep = proven[rows]
+            rows, toks, scores = rows[keep], toks[keep], scores[keep]
+            failed = np.flatnonzero(~proven)
+            states = model.step_states(codes, post[failed], tokens[failed])
+            computed = model.step_nuclei(states, codes, post[failed], tokens[failed], 1.0, 1.0)
+            logs = np.array(list(_log_distributions(computed, len(model.vocabulary))))
+            dense = live[failed][:, None] + logs
+            dense[:, END_ID] = -np.inf
+            r, t = np.nonzero(dense > -np.inf)
+            rows = np.concatenate((rows, failed[r]))
+            toks = np.concatenate((toks, t))
+            scores = np.concatenate((scores, dense[r, t]))
         order = np.lexsort((toks, rank[rows], -scores, post[rows]))
         owners = post[rows[order]]
         best = order[np.arange(len(order)) - owners.searchsorted(owners) < count]
         rows, toks, scores = rows[best], toks[best], scores[best]
-        if not proven.all():
-            rows, toks, scores = _dense_fallback(
-                model, codes, post, live, tokens, seqs, ~proven, count, rows, toks, scores
-            )
         if capped:
             for r, t, s in zip(rows.tolist(), toks.tolist(), scores.tolist()):
                 finished[owner[r]].append((s, seqs[r] + (t,)))
@@ -561,41 +535,6 @@ def beam_pools(
             keep = ~stop[post]
             post, rank, live, tokens = post[keep], rank[keep], live[keep], tokens[keep]
     return [[list(ids) for _, ids in best] for best in finished]
-
-
-def _dense_fallback(model, codes, post, live, tokens, seqs, failed, count, rows, toks, scores):
-    """The step's best entries, each post with a row in ``failed``
-    recomputed by ``_best_expansions``: its failed rows' dense scores, from
-    one ``step_nuclei`` call at top_p 1, its other rows' band entries (the
-    band holds a proven row's best)."""
-    at = np.flatnonzero(failed)
-    states = model.step_states(codes, post[at], tokens[at])
-    computed = model.step_nuclei(states, codes, post[at], tokens[at], 1.0, 1.0)
-    logs = dict(zip(at.tolist(), _log_distributions(computed, len(model.vocabulary))))
-    bad = np.unique(post[failed])
-    keep = ~np.isin(post[rows], bad)
-    parts = [(rows[keep], toks[keep], scores[keep])]
-    for p in bad.tolist():
-        members = np.flatnonzero(post == p)
-        dense = np.full((len(members), len(model.vocabulary)), -np.inf)
-        for j, r in enumerate(members.tolist()):
-            if r in logs:
-                dense[j] = live[r] + logs[r]
-                dense[j, END_ID] = -np.inf
-        mine = np.isin(rows, members) & ~failed[rows]
-        dense[np.searchsorted(members, rows[mine]), toks[mine]] = scores[mine]
-        parents = [seqs[r] for r in members.tolist()]
-        got = _best_expansions(dense, parents, count)
-        parts.append(
-            (
-                members[[r for r, _, _ in got]],
-                np.array([t for _, t, _ in got], dtype=np.int64),
-                np.array([s for _, _, s in got]),
-            )
-        )
-    rows, toks, scores = (np.concatenate(part) for part in zip(*parts))
-    order = np.argsort(post[rows], kind="stable")
-    return rows[order], toks[order], scores[order]
 
 
 def beam_search(

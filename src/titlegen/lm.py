@@ -111,11 +111,14 @@ class GeneratorModel(ABC):
         The default checks each row's ``next_distribution`` vector against
         the contract and raises ``ValueError`` naming the rule it breaks.
         An override may compute the rows together, or from the keys alone,
-        and must return arrays equal to the default's bit for bit;
-        sampling refuses one whose result lacks a pair per state, or a
-        pair of 1-D arrays of integer ids and float64 probabilities, as
-        many of each, at least one, with positive mass and ids in the
-        vocabulary.
+        and must return arrays equal to the default's bit for bit.
+        Sampling and beam search both refuse, with a ``ValueError``, a
+        result that lacks a pair per state, or probabilities that are not
+        all finite and nonnegative, or have no mass. Sampling also refuses
+        a pair that is not 1-D arrays of integer ids and float64
+        probabilities, as many of each, at least one, with ids in the
+        vocabulary; beam search, one that is not a probability per
+        vocabulary id.
         """
         size = len(self.vocabulary)
         return [

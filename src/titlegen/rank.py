@@ -127,7 +127,14 @@ class _Pool:
         self.multiplicity = np.bincount(self.row, minlength=n).astype(np.float64)
 
     def consistency(self) -> np.ndarray:
-        """:func:`bigram_consistency_scores` for every row."""
+        """Each row's consistency: the mean global frequency of its own
+        bigram occurrences.
+
+        The global table aggregates bigram multisets across the whole pool,
+        duplicates included: repeated phrasing is exactly the consensus
+        signal being measured. Rows too short for bigrams fall back to the
+        same construction over unigrams; empty rows score 0.
+        """
         n = len(self.multiplicity)
         scores = np.zeros(n)
         # Bigrams go last, so they overwrite the unigram fallback.
@@ -144,18 +151,6 @@ class _Pool:
         if self.bigrams.total[q] == 0.0:
             return unigram
         return np.where(self.bigrams.total > 0.0, self.bigrams.cosines(q), unigram)
-
-
-def bigram_consistency_scores(pool: CandidatePool | Sequence[Sequence[str]]) -> list[float]:
-    """Mean global frequency of each candidate's own bigram occurrences.
-
-    The global table aggregates bigram multisets across the whole pool,
-    duplicates included: repeated phrasing is exactly the consensus
-    signal being measured. Candidates too short for bigrams fall back
-    to the same construction over unigrams; empty candidates score 0.
-    """
-    arrays = _Pool(_candidates(pool))
-    return arrays.consistency()[arrays.row].tolist()
 
 
 def relevance(a: Sequence[str], b: Sequence[str]) -> float:

@@ -1,11 +1,22 @@
-"""Names used from outside the package: the README's library quick start
-and the benchmark's patch points must keep resolving."""
+"""Names used from outside the package: the exported names, the README's
+library quick start and the benchmark's patch points must keep
+resolving."""
 
+import importlib
 import importlib.util
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from titlegen import *", namespace)
+    titlegen = importlib.import_module("titlegen")
+    missing = [name for name in titlegen.__all__ if name not in namespace]
+    assert not missing
+    assert all(namespace[name] is getattr(titlegen, name) for name in titlegen.__all__)
 
 
 def test_readme_quick_start_runs(capsys):

@@ -1,18 +1,20 @@
 """Kernel-level checks: the vectorized kernels must be bit-identical to
 the per-element loops they replaced, and a sampling step (the nucleus,
 its running sums, a bisect draw) must equal the composition of the
-public ops."""
+kernels with ``nucleus_filter``."""
 
 from array import array
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from titlegen import _kernels, decode
 from titlegen.lm import FLOOR
 
+from .conftest import DummyModel
 from .oracles import (
     BETA_SLACK,
     lcs_exhaustive,
@@ -34,8 +36,7 @@ def step_draw(dist, beta, t, u) -> int:
     """One sampling step as decoding takes it: the nucleus, its running
     sums, and a bisect draw mapped back to a token id."""
     ids, q = _kernels.nucleus_kernel(dist, beta, t)
-    j = _kernels.sample_step_kernel(q.cumsum(), u)
-    return int(ids[j]) if j >= 0 else -1
+    return int(ids[_kernels.sample_step_kernel(q.cumsum(), u)])
 
 
 def token_draw(probs, u) -> int:
@@ -44,18 +45,18 @@ def token_draw(probs, u) -> int:
 
 class TestFusedStep:
     def test_equals_composed_ops(self):
-        # Bit-identical decisions: the step shares the nucleus and the
-        # draw with the public ops; it only skips building the filtered
-        # vector.
+        # Bit-identical decisions: the step shares the temperature, the
+        # nucleus and the draw with the composition; it only skips
+        # building the filtered vector.
         rng = stable_rng("fused")
         for i in range(300):
             size = int(rng.integers(2, 30))
             dist = random_dist(rng, size)
             beta = float(rng.uniform(0.05, 1.0))
             t = float(rng.choice([0.5, 1.0, 1.7]))
-            kept = decode.nucleus_filter(decode.apply_temperature(dist, t), beta)
-            composed = decode.sample_token(kept, np.random.default_rng(i))
+            kept = decode.nucleus_filter(_kernels.apply_temperature_kernel(dist, t), beta)
             u = np.random.default_rng(i).random()
+            composed = _kernels.sample_step_kernel(kept.cumsum(), u)
             assert step_draw(dist, beta, t, u) == composed
 
 
@@ -284,8 +285,8 @@ class TestBackendEquivalence:
 
 
 class TestSampleTokenKernel:
-    """The draw ``decode.sample_token`` makes: ``sample_step_kernel``
-    over the running sums of a probability vector."""
+    """``sample_step_kernel`` over the running sums of a probability
+    vector, against the loop draw over the vector."""
 
     def test_inverse_cdf_walk(self):
         dist = np.array([0.2, 0.0, 0.5, 0.3])
@@ -303,7 +304,8 @@ class TestSampleTokenKernel:
 
     def test_matches_loop_with_zero_and_negative_zero_entries(self):
         # The running sums cover the whole vector, zeros included; a +0.0
-        # or -0.0 term leaves each running sum bit-identical.
+        # or -0.0 term leaves each running sum bit-identical. A vector
+        # without mass is no draw table (``test_all_zero_or_empty_table``).
         rng = stable_rng("draw-zeros")
         for _ in range(300):
             size = int(rng.integers(1, 30))
@@ -311,6 +313,8 @@ class TestSampleTokenKernel:
             dist[rng.random(size) < 0.4] = 0.0
             dist[rng.random(size) < 0.3] = -0.0
             total = float(np.cumsum(dist)[-1])
+            if not total > 0.0:
+                continue
             for u in (0.0, float(rng.random()) * total, total, float(np.nextafter(total, 2.0))):
                 assert token_draw(dist, u) == loop_sample_token(dist, u)
         for dist in ([-0.0, 0.25, 0.0, 0.5], [0.0, -0.0, 0.75], [0.5, -0.0, 0.0]):
@@ -319,9 +323,10 @@ class TestSampleTokenKernel:
                 assert token_draw(dist, u) == loop_sample_token(dist, u)
 
     def test_all_zero_vector_draws_nothing(self):
+        # The loop draw only: no table without mass reaches the kernel
+        # (``TestSampleStepKernel::test_all_zero_or_empty_table``).
         for dist in ([0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
             for u in (0.0, 0.5):
-                assert token_draw(np.array(dist), u) == -1
                 assert loop_sample_token(np.array(dist), u) == -1
 
     def test_u_at_or_above_total_returns_last_positive(self):
@@ -348,6 +353,8 @@ class TestSampleStepKernel:
             q = rng.random(size)
             q[rng.random(size) < 0.4] = 0.0
             q[rng.random(size) < 0.3] = -0.0
+            if not q.cumsum()[-1] > 0.0:
+                continue
             for u in (0.0, float(rng.random()) * float(q.cumsum()[-1])):
                 self.assert_matches_token_draw(q, u)
 
@@ -367,8 +374,11 @@ class TestSampleStepKernel:
         assert _kernels.sample_step_kernel(np.array([0.125, 0.0, 0.25, 0.0]).cumsum(), 0.5) == 2
 
     def test_all_zero_or_empty_table(self):
+        # The kernel draws from tables with mass only: the memo refuses
+        # the others before any is built.
+        memo = decode.NucleusMemo(DummyModel(8, 0), 0.8, 1.0)
         for q in ([0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]):
-            for u in (0.0, 0.5):
-                self.assert_matches_token_draw(np.array(q), u)
-                assert _kernels.sample_step_kernel(np.array(q).cumsum(), u) == -1
-        assert _kernels.sample_step_kernel([], 0.3) == -1
+            with pytest.raises(ValueError, match="positive mass, got 0.0$"):
+                memo._from_nuclei([(np.arange(len(q)), np.array(q))])
+        with pytest.raises(ValueError, match="at least one"):
+            memo._from_nuclei([(np.array([], dtype=np.int64), np.array([]))])

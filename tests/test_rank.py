@@ -5,9 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import titlegen as tg
+from titlegen import rank
 from titlegen.rank import MARGIN_EPS
 
 from .oracles import consistency_oracle, mmns_oracle, relevance_oracle, stable_rng
+
+
+def consistency_scores(pool) -> list[float]:
+    """Each candidate's consistency, as selection scores it."""
+    arrays = rank._Pool(pool)
+    return arrays.consistency()[arrays.row].tolist()
 
 
 def random_pool(rng, m=None, alphabet="abcde", max_len=4):
@@ -53,7 +60,7 @@ class TestExactAgainstOracles:
     @example(pool=[[], []])
     @example(pool=[["a"], ["<s>"], ["a", "b"]])
     def test_consistency(self, pool):
-        assert tg.bigram_consistency_scores(pool) == consistency_oracle(pool)
+        assert consistency_scores(pool) == consistency_oracle(pool)
 
     @given(candidate_st, candidate_st)
     @settings(max_examples=300, deadline=None)
@@ -99,34 +106,37 @@ class TestExactAgainstOracles:
 class TestConsistencyScores:
     def test_hand_example(self):
         pool = [["a", "b", "c"], ["a", "b", "d"], ["x", "y", "z"]]
-        assert tg.bigram_consistency_scores(pool) == [1.5, 1.5, 1.0]
+        assert consistency_scores(pool) == [1.5, 1.5, 1.0]
 
     def test_identical_candidates_score_equal(self):
         pool = [["a", "b"], ["a", "b"], ["a", "b"]]
-        scores = tg.bigram_consistency_scores(pool)
+        scores = consistency_scores(pool)
         assert scores[0] == scores[1] == scores[2]
 
     def test_single_candidate_distinct_bigrams(self):
-        assert tg.bigram_consistency_scores([["a", "b", "c"]]) == [1.0]
+        assert consistency_scores([["a", "b", "c"]]) == [1.0]
 
     def test_short_candidate_uses_unigram_fallback(self):
         pool = [["a"], ["a", "b"], ["a", "c"]]
-        scores = tg.bigram_consistency_scores(pool)
+        scores = consistency_scores(pool)
         # global unigrams: a:3, b:1, c:1 -> ["a"] scores 3
         assert scores[0] == 3.0
 
     def test_empty_candidate_scores_zero(self):
-        assert tg.bigram_consistency_scores([[], ["a", "b"]])[0] == 0.0
+        assert consistency_scores([[], ["a", "b"]])[0] == 0.0
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            tg.bigram_consistency_scores([])
+        # Consistency is scored only inside selection, which refuses an
+        # empty pool, here one that comes as a CandidatePool.
+        pool = tg.CandidatePool(["x"], [], tg.SamplingConfig())
+        with pytest.raises(ValueError, match="empty candidate pool"):
+            tg.maximal_marginal_select(pool, tg.RankingConfig(k=1))
 
     def test_matches_oracle_on_random_pools(self):
         rng = stable_rng("consistency")
         for _ in range(100):
             pool = random_pool(rng)
-            got = tg.bigram_consistency_scores(pool)
+            got = consistency_scores(pool)
             want = consistency_oracle(pool)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -171,7 +181,7 @@ class TestMaximalMarginalSelect:
         for _ in range(50):
             pool = random_pool(rng)
             sel = tg.maximal_marginal_select(pool, tg.RankingConfig(k=1))
-            scores = tg.bigram_consistency_scores(pool)
+            scores = consistency_scores(pool)
             best = max(range(len(pool)), key=lambda i: (scores[i], -i))
             assert sel.indices == [best]
             assert sel.initial_consistency == scores[best]
@@ -182,7 +192,7 @@ class TestMaximalMarginalSelect:
         # follow consistency rank
         pool = [["a", "b", "a", "b"], ["c", "d"], ["e", "f", "e", "f", "e"]]
         sel = tg.maximal_marginal_select(pool, tg.RankingConfig(k=3))
-        scores = tg.bigram_consistency_scores(pool)
+        scores = consistency_scores(pool)
         want = sorted(range(3), key=lambda i: (-scores[i], i))
         assert sel.indices == want
 
