@@ -59,13 +59,17 @@ def nucleus_cut(grid: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, 
     csum = ranked.cumsum(axis=1)
     reach = csum >= beta - _BETA_SLACK
     reached = reach.any(axis=1)
-    last = np.where(reached, reach.argmax(axis=1), width - 1)[:, None]
-    edge = np.take_along_axis(ranked, last, axis=1)
-    above = grid > edge
-    tied = grid == edge
-    short = last - above.sum(axis=1, keepdims=True)
-    kept = above | (tied & (tied.cumsum(axis=1) <= short + 1))
-    return kept, np.take_along_axis(csum, last, axis=1)[:, 0], reached
+    last = np.where(reached, reach.argmax(axis=1), width - 1)
+    edge = ranked[np.arange(rows), last][:, None]
+    kept = grid >= edge
+    # Only rows whose edge value runs past the cut count their tied entries.
+    over = np.flatnonzero(kept.sum(axis=1) > last + 1)
+    if over.size:
+        grid, edge = grid[over], edge[over]
+        above, tied = grid > edge, grid == edge
+        short = last[over, None] - above.sum(axis=1, keepdims=True)
+        kept[over] = above | (tied & (tied.cumsum(axis=1) <= short + 1))
+    return kept, csum[np.arange(rows), last], reached
 
 
 def nucleus_kernel(

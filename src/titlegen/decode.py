@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _kernels
-from .lm import GeneratorModel
+from .lm import GeneratorModel, _rises
 from .text import END_ID, START_ID
 
 
@@ -211,7 +211,8 @@ class NucleusMemo(_StateMemo):
         rule of ``GeneratorModel.step_nuclei`` it breaks. The whole batch
         is checked at once: its ids and probabilities are each joined into
         one array and checked there, every probability finite and
-        nonnegative. Each table is its ids and its own
+        nonnegative, and the ids of each pair strictly ascending, in one
+        pass over the joined ids. Each table is its ids and its own
         ``q.cumsum()``, sliced from one ``array('q')`` and one
         ``array('d')`` of the batch."""
         ids, probs = zip(*computed)
@@ -236,6 +237,8 @@ class NucleusMemo(_StateMemo):
         size = len(self.model.vocabulary)
         if ids.min() < 0 or ids.max() >= size:
             raise ValueError(f"step_nuclei ids must lie in the vocabulary of {size} tokens")
+        if not _rises(ids, ends - sizes):
+            raise ValueError("step_nuclei ids must ascend strictly within each pair")
         ids, cdf = array("q", ids.tobytes()), array("d", cdf.tobytes())
         ends = ends.tolist()
         return [((ids[a:b], cdf[a:b]), b - a) for a, b in zip([0, *ends], ends)]
@@ -329,11 +332,16 @@ def decode_candidates(
 def _log_distributions(computed, size: int) -> Iterator[np.ndarray]:
     """``np.log`` of each pair's probabilities from ``step_nuclei`` at top_p
     1 and temperature 1, which keep every id and divide nothing: the state's
-    distribution, beam search's scores. Each is made as the caller asks and
-    checked with one reduction: a NaN, negative or infinite probability
-    makes the maximum of its log NaN or inf, and a pair without mass -inf."""
+    distribution, beam search's scores, read by position. So each pair's
+    ids must be 0 to V - 1 in order, compared once per distinct array: pairs
+    may share one. Each log is made as the caller asks and checked with one
+    reduction: a NaN, negative or infinite probability makes the maximum of
+    its log NaN or inf, and a pair without mass -inf."""
     if any(not len(ids) == len(q) == size for ids, q in computed):
         raise ValueError(f"step_nuclei at top_p 1 must return {size} ids and probabilities")
+    vocabulary, distinct = np.arange(size), {id(ids): ids for ids, _ in computed}
+    if any(not np.array_equal(ids, vocabulary) for ids in distinct.values()):
+        raise ValueError(f"step_nuclei at top_p 1 must return the ids 0 to {size - 1} in order")
     for _, q in computed:
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = np.log(q)

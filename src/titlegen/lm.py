@@ -28,15 +28,15 @@ from .text import END_ID, NEXT_ID, PAD_ID, START_ID, Vocabulary
 #: renormalization. Keeps END reachable from any state.
 FLOOR = 1e-6
 
-#: Top floor + unigram ids ``NGramLM.step_nuclei`` first adds to a
-#: state's hit ids; a miss widens it fourfold. On the benchmark's model at
-#: top_p 0.8 a nucleus holds 19 ids on average and 174 at most.
-_BORDER_FIRST = 64
+#: Ids ``NGramLM._cut`` first takes from the top of the floor + unigram
+#: order, and twice as many from a state's level-1 row; a state that falls
+#: short widens both fourfold. On the benchmark's model at top_p 0.8 a
+#: nucleus holds 19 ids on average and 174 at most.
+_FIRST_WIDTH = 16
 
-#: Bytes of the (states x V) block ``NGramLM.step_nuclei`` takes at once;
-#: larger batches run in chunks of as many states as fit. The block is
-#: never filled: a cut writes and reads only its candidates' positions.
-_BLOCK_BYTES = 2 << 20
+#: Bytes of one candidate array ``NGramLM._cut`` takes at once, 8 a
+#: candidate; more pending states run in chunks.
+_CUT_BYTES = 1 << 20
 
 #: Model file identity; a file of another version must be rebuilt.
 FORMAT = "titlegen-ngram-lm"
@@ -116,9 +116,9 @@ class GeneratorModel(ABC):
         result that lacks a pair per state, or probabilities that are not
         all finite and nonnegative, or have no mass. Sampling also refuses
         a pair that is not 1-D arrays of integer ids and float64
-        probabilities, as many of each, at least one, with ids in the
-        vocabulary; beam search, one that is not a probability per
-        vocabulary id.
+        probabilities, as many of each, at least one, with ids strictly
+        ascending in the vocabulary; beam search, one whose ids are not 0
+        to V - 1 in order, with a probability each.
         """
         size = len(self.vocabulary)
         return [
@@ -186,6 +186,21 @@ class _Stored(NamedTuple):
     contexts: np.ndarray  # each further level's contexts, flattened
 
 
+class _Orders(NamedTuple):
+    """``NGramLM._cut``'s candidate orders: every id in stable descending
+    order of its floor + unigram value, and each level-1 row's entries in
+    (-value, id) order, a value being the floor + unigram + level-1 value
+    with PAD and START at 0. A pad ends each array of entries + 1."""
+
+    border: np.ndarray  # (V,)
+    rows: np.ndarray  # (rows + 1, 2): each row's start and length, then (entries, 0)
+    row_ids: np.ndarray  # (entries,)
+    row_values: np.ndarray  # (entries + 1,)
+    keys: np.ndarray  # (entries + 1,): row * V + id in file order, ascending
+    entry_values: np.ndarray  # (entries + 1,): the keys' values
+    sums: np.ndarray  # (rows + 1,): each row's sequential value sum, PAD and START left out
+
+
 #: Each stored array's dtype on disk.
 _DTYPES = dict(zip(_Stored._fields, ("<f8", "<i8", "<f8", "<i8", "<i8", "<i8", "<i8")))
 
@@ -210,18 +225,6 @@ class NGramLM(GeneratorModel):
         weights: Sequence[float] | None = None,
     ):
         self._build(order, vocab, [_level_from_dict(l, t) for l, t in enumerate(levels)], weights)
-
-    @classmethod
-    def _from_levels(
-        cls,
-        order: int,
-        vocab: Vocabulary,
-        levels: Sequence[Level],
-        weights: Sequence[float] | None = None,
-    ) -> "NGramLM":
-        model = cls.__new__(cls)
-        model._build(order, vocab, levels, weights)
-        return model
 
     def _build(self, order, vocab, levels, weights) -> None:
         """Lay ``levels`` out as a model file holds them, check them, then
@@ -287,7 +290,7 @@ class NGramLM(GeneratorModel):
         self._next_ids = stored.next_ids
         self._vals = stored.values
         self._levels: tuple[Level, ...] | None = None  # see levels
-        self._border: tuple[np.ndarray, np.ndarray] | None = None  # see _border_order
+        self._border: _Orders | None = None  # see _border_order
 
     @property
     def levels(self) -> tuple[Level, ...]:
@@ -337,14 +340,11 @@ class NGramLM(GeneratorModel):
         """The distribution of the state whose hit row at level ``l`` is
         ``rows[l - 1]`` (-1: none): the floor + unigram row plus each hit
         row's values, shortest context first, PAD and START at 0, divided
-        by the state's total. The total needs no vocabulary-wide sum: it is
-        the floor + unigram row's sum with PAD and START at 0, taken once
-        per model, plus each hit row's value sum, shortest context first.
-        A row's sum is sequential in id order with its PAD and START
-        entries left out. ``_block_nuclei`` adds the same floats in the
-        same order."""
-        out = self._base.copy()
-        total = self._base_total
+        by the state's total: the floor + unigram row's sum with PAD and
+        START at 0, taken once per model, plus each hit row's sequential
+        value sum in id order, PAD and START left out, shortest context
+        first. ``step_nuclei``'s cut adds the same floats in that order."""
+        out, total = self._base.copy(), self._base_total
         for l, row in enumerate(rows, 1):
             if row >= 0:
                 start, end = self._offset_arrays[l][row : row + 2].tolist()
@@ -398,25 +398,13 @@ class NGramLM(GeneratorModel):
         """The default's arrays, bit for bit, from the hit rows
         ``step_states`` keyed: no second lookup. At top_p 1 and temperature
         1 every pair shares one array of all ids. At temperature 1 and
-        top_p below 1 they come from each state's hit ids and the floor +
-        unigram order, with no fill, sum, divide, tail scan or partition
-        over the vocabulary, and the states run together, a block of them
-        at a time.
-
-        Each total is ``next_distribution``'s (see ``_distribution``): one
-        ``np.bincount`` over (state, level) slots takes every hit row's
-        value sum, in id order, and each state adds its slots to the
-        floor + unigram sum, shortest context first. An id no hit row holds
-        keeps its floor + unigram value, so outside the hit ids and the
-        first ``m`` ids of that order each id is at most the next one's
-        value. The ids above it are then every id above it: in (-p, id)
-        order they are a prefix of the dense stable order, ties included,
-        with the same running sums. If those reach top_p, the nucleus is
-        theirs; otherwise ``m`` widens, and at the vocabulary size the
-        dense kernel runs on the state's ``_distribution``.
-        """
-        hits = np.frombuffer(b"".join(states), dtype=np.int64)
-        hits = hits.reshape(len(states), self.order - 1)
+        top_p below 1 the states run together, each nucleus cut from a few
+        candidates (see ``_cut``), and no array spans the vocabulary. Each
+        total is ``next_distribution``'s: the level-1 row's sum from
+        ``_border_order``, then the longer rows' sums, one ``np.bincount``
+        over (state, level) slots. A state whose candidates fall short
+        widens its window fourfold, up to the dense kernel."""
+        hits = np.frombuffer(b"".join(states), np.int64).reshape(len(states), self.order - 1)
         if top_p >= 1.0 and temperature == 1.0:
             ids = np.arange(len(self._vocab))
             return [(ids, self._distribution(rows)) for rows in hits.tolist()]
@@ -425,109 +413,119 @@ class NGramLM(GeneratorModel):
                 _kernels.nucleus_kernel(self._distribution(rows), top_p, temperature)
                 for rows in hits.tolist()
             ]
-        rows = max(1, _BLOCK_BYTES // (8 * len(self._vocab)))
-        found = []
-        for at in range(0, len(hits), rows):
-            found += self._block_nuclei(hits[at : at + rows], top_p)
-        return found
-
-    def _block_nuclei(self, hits, top_p) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``step_nuclei`` at temperature 1 for one block's worth of states.
-        The (states x V) block is left unfilled: here only its hit
-        positions get values, and ``_cut_block`` writes the border
-        positions it reads."""
-        states, span = hits.shape
-        size = len(self._vocab)
-        # Every hit row's entries, state by state, each state's rows
-        # shortest context first: ``add.at`` and ``bincount`` add in array
-        # order, so each entry gets its values, and each (state, level)
-        # slot its sum, in ``next_distribution``'s order.
-        starts = np.zeros((states, span), dtype=np.int64)
-        lens = np.zeros((states, span), dtype=np.int64)
-        for c in range(span):
-            at = np.flatnonzero(hits[:, c] >= 0)
-            offsets, rows = self._offset_arrays[c + 1], hits[at, c]
+        size, t = len(self._vocab), self._border_order()
+        one = hits[:, 0] if self.order > 1 else np.full(len(hits), -1)
+        # The longer hit rows' entries, state by state, shortest context
+        # first: ``bincount`` and ``add.at`` add in array order, as
+        # ``_distribution`` adds each (state, level) slot's sum and values.
+        longer = hits[:, 1:]
+        starts, lens = np.zeros(longer.shape, np.int64), np.zeros(longer.shape, np.int64)
+        for c in range(longer.shape[1]):
+            at = np.flatnonzero(longer[:, c] >= 0)
+            offsets, rows = self._offset_arrays[c + 2], longer[at, c]
             starts[at, c] = offsets[rows]
             lens[at, c] = offsets[rows + 1] - starts[at, c]
         lens, starts = lens.ravel(), starts.ravel()
-        slots = np.repeat(np.arange(states * span), lens)
+        slots = np.repeat(np.arange(lens.size), lens)
         entries = np.repeat(starts - lens.cumsum() + lens, lens) + np.arange(len(slots))
         ids, values = self._next_ids[entries], self._vals[entries]
-        dropped = (ids == PAD_ID) | (ids == START_ID)
-        sums = np.bincount(slots, np.where(dropped, 0.0, values), states * span)
-        totals = np.full(states, self._base_total)
-        for c in range(span):
-            totals += sums[c::span]
-        block = np.empty((states, size))
-        flat = block.reshape(-1)
-        hit_keys = slots // span * size + ids
-        flat[hit_keys] = self._base[ids]
-        np.add.at(flat, hit_keys, values)
-        hit_values = flat[hit_keys]
-        hit_values[dropped] = 0.0
-        found = [None] * states
-        pending = np.arange(states)
-        m = _BORDER_FIRST
+        values = np.where((ids == PAD_ID) | (ids == START_ID), 0.0, values)
+        sums = np.bincount(slots, values, lens.size)
+        totals = self._base_total + t.sums[one]
+        for column in sums.reshape(longer.shape).T:
+            totals += column
+        # Each longer-row (state, id) once, at its exact value: 0 for PAD and START.
+        keys, inverse = np.unique(slots // max(self.order - 2, 1) * size + ids, return_inverse=True)
+        key_ids = keys % size
+        wanted = one[keys // size] * size + key_ids
+        at = t.keys.searchsorted(wanted)
+        exact = np.where(t.keys[at] == wanted, t.entry_values[at], self._base[key_ids])
+        np.add.at(exact, inverse, values)
+        found, pending, m = [None] * len(hits), np.arange(len(hits)), _FIRST_WIDTH
         while pending.size and m < size:
-            pending = self._cut_block(block, totals, pending, hit_keys, hit_values, m, top_p, found)
-            m *= 4
+            step = max(1, _CUT_BYTES // (24 * m))  # states whose windows fit
+            groups = [pending[a : a + step] for a in range(0, len(pending), step)]
+            short = [self._cut(g, m, top_p, one, totals, keys, exact, found) for g in groups]
+            pending, m = np.concatenate(short), m * 4
         for s in pending.tolist():
             found[s] = _kernels.nucleus_kernel(self._distribution(hits[s].tolist()), top_p, 1.0)
         return found
 
-    def _cut_block(self, block, totals, pending, hit_keys, hit_values, m, top_p, found):
-        """Cut each pending state's nucleus among its hit ids and the first
-        ``m`` border ids into ``found`` with ``_kernels.nucleus_cut``;
-        returns the states whose running sum fell short. ``hit_keys`` are
-        state * V + id, ``hit_values`` their values. The cut reads only
-        the block positions it writes first."""
-        size = block.shape[1]
-        flat = block.reshape(-1)
-        border, border_vals = self._border_order()
-        if len(pending) < block.shape[0]:
-            mine = np.isin(hit_keys // size, pending)
-            hit_keys, hit_values = hit_keys[mine], hit_values[mine]
-        # The floor + unigram values at the border ids, then the hit values
-        # over them where the two meet.
-        border_keys = pending[:, None] * size + border[:m]
-        flat[border_keys] = border_vals[:m]
-        flat[hit_keys] = hit_values
-        keys = np.concatenate((hit_keys, border_keys.ravel()))
-        tot = totals[keys // size]
-        keys = keys[flat[keys] / tot > border_vals[m] / tot]
-        # Each state's candidates once, ascending by state, then id.
-        keys.sort()
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        # One row of probabilities per pending state, in id order, padded
-        # with zeros.
-        if not len(keys):
-            return pending
-        rows = np.searchsorted(pending, keys // size)
-        counts = np.bincount(rows, minlength=len(pending))
-        cols = np.arange(len(keys)) - (counts.cumsum() - counts)[rows]
-        grid = np.zeros((len(pending), counts.max()))
-        grid[rows, cols] = flat[keys]
-        grid /= totals[pending][:, None]
+    def _cut(self, group, m, top_p, one, totals, keys, exact, found):
+        """Cut into ``found`` the nucleus of each state of ``group`` whose
+        candidates at width ``m`` reach top_p; returns the other states.
+        The candidates are the longer rows' ids (``keys``, state * V + id,
+        at ``exact`` values), the first ``2 * m`` ids of the level-1 row's
+        order and the first ``m`` of the floor + unigram order. Any other
+        id is worth at most the larger of those orders' next values, and
+        no candidate exceeds its exact value, so the candidates above that
+        bound are every id above it: in (-p, id) order a prefix of the
+        dense stable order, ties included."""
+        size, n, t = len(self._vocab), len(group), self._border_order()
+        local = np.full(len(totals), -1)
+        local[group] = np.arange(n)
+        mine = local[keys // size] >= 0
+        keys, exact = local[keys[mine] // size] * size + keys[mine] % size, exact[mine]
+        lo, lens = t.rows[one[group]].T
+        take = np.minimum(lens, 2 * m)
+        at = np.repeat(lo - take.cumsum() + take, take) + np.arange(take.sum())
+        # Every candidate, state * V + id, in source order: longer, level-1, border.
+        cands = np.concatenate((
+            keys,
+            np.repeat(np.arange(n) * size, take) + t.row_ids[at],
+            (np.arange(n)[:, None] * size + t.border[:m]).ravel(),
+        ))
+        p = np.concatenate((exact, t.row_values[at], np.tile(self._base[t.border[:m]], n)))
+        tot = totals[group][cands // size]
+        p /= tot
+        bound = np.where(lens > take, t.row_values[lo + take], 0.0)
+        keep = p > np.maximum(bound, self._base[t.border[m]])[cands // size] / tot
+        cands, p = cands[keep], p[keep]
+        # Each candidate once, by state, then id, at its first copy in
+        # source order, which is exact: a border copy of a level-1 id past
+        # the window is, like its exact value, at most the bound.
+        order = cands.argsort(kind="stable")
+        cands = cands[order]
+        first = np.ones(len(cands), dtype=bool)
+        np.not_equal(cands[1:], cands[:-1], out=first[1:])
+        cands, p = cands[first], p[order[first]]
+        # One row of probabilities per state, in id order, padded with zeros.
+        rows = cands // size
+        counts = np.bincount(rows, minlength=n)
+        cols = np.arange(len(cands)) - (counts.cumsum() - counts)[rows]
+        grid = np.zeros((n, counts.max(initial=0)))
+        grid[rows, cols] = p
         kept, mass, done = _kernels.nucleus_cut(grid, top_p)
         kept &= done[:, None]
         sizes = kept.sum(axis=1)
         q = grid[kept] / np.repeat(mass, sizes)
-        ids = keys[kept[rows, cols]] % size
+        ids = cands[kept[rows, cols]] % size
         ends = sizes.cumsum().tolist()
-        for s in np.flatnonzero(done).tolist():
-            start = ends[s - 1] if s else 0
-            found[pending[s]] = (ids[start : ends[s]], q[start : ends[s]])
-        return pending[~done]
+        for s, a, b in zip(group.tolist(), [0, *ends], ends):
+            if a < b:  # a state that fell short keeps nothing
+                found[s] = (ids[a:b], q[a:b])
+        return group[~done]
 
-    def _border_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every id in stable descending order of its floor + unigram
-        value with PAD and START at 0, and those values. Built on first use,
-        so a model that never samples never sorts."""
+    def _border_order(self) -> _Orders:
+        """The model's ``_Orders``, built on first use."""
         if self._border is None:
-            ids = np.argsort(-self._base, kind="stable")
-            self._border = (ids, self._base[ids])
+            size, border = len(self._vocab), np.argsort(-self._base, kind="stable")
+            offsets = self._offset_arrays[1] if self.order > 1 else np.zeros(1, np.int64)
+            start, end = offsets[0], offsets[-1]
+            rows = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+            ids, vals = self._next_ids[start:end], self._vals[start:end]
+            dropped = (ids == PAD_ID) | (ids == START_ID)
+            values = np.where(dropped, 0.0, self._base[ids] + vals)
+            order = np.lexsort((-values, rows))  # stable: ties keep id order
+            self._border = _Orders(
+                border,
+                np.column_stack((offsets - start, np.append(np.diff(offsets), 0))),
+                ids[order],
+                np.append(values[order], 0.0),
+                np.append(rows * size + ids, len(offsets) * size),
+                np.append(values, 0.0),
+                np.bincount(rows, np.where(dropped, 0.0, vals), len(offsets)),
+            )
         return self._border
 
     def _row_hits(self, tails: np.ndarray) -> np.ndarray:
@@ -898,7 +896,9 @@ def train_ngram_lm(
         radix = len(first)
         # l context ids, then the token, per distinct window
         levels.append(_level_of_windows(flat[where[first, None] + np.arange(-l, 1)], counts))
-    return NGramLM._from_levels(order, vocab, levels, weights)
+    model = NGramLM.__new__(NGramLM)
+    model._build(order, vocab, levels, weights)
+    return model
 
 
 def _level_of_windows(windows: np.ndarray, counts: np.ndarray) -> Level:

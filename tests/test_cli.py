@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import logging
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import titlegen as tg
 from titlegen import cli, records
@@ -16,7 +21,7 @@ from titlegen.text import START_ID, tokenize
 
 from .conftest import raw_post, write_raw_corpus
 from .oracles import loop_query, stable_rng
-from .test_lm import BAD_MODELS, join_model, split_model, write_bad_model
+from .test_lm import BAD_MODELS, join_model, make_gapped_model, split_model, write_bad_model
 from .test_metrics import per_k_report, random_rows
 from .test_retrieve import BAD_INDEXES, write_bad_index
 
@@ -1446,6 +1451,80 @@ class TestInputPaths:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line == f"titlegen {stage}: error: input path is not a file: {adir}"
         assert not out.exists()
+
+
+@st.composite
+def corruptions(draw, size: int):
+    """A truncation of a ``size``-byte file to fewer bytes, or one to
+    four bytes of it XORed with nonzero masks."""
+    if draw(st.booleans()):
+        return ("truncate", draw(st.integers(0, size - 1)))
+    at = st.integers(0, size - 1)
+    return ("flip", draw(st.lists(st.tuples(at, st.integers(1, 255)), min_size=1, max_size=4)))
+
+
+def corrupted(data: bytes, corruption) -> bytes:
+    kind, how = corruption
+    if kind == "truncate":
+        return data[:how]
+    out = bytearray(data)
+    for at, mask in how:
+        out[at] ^= mask
+    return bytes(out)
+
+
+class TestCorruptArtifacts:
+    """Random byte flips and truncations of a tiny model file, read by
+    ``generate``, and of a two-pool file, read by ``rank``. Each case exits
+    0 with its output, or 1 with one line on stderr and no output file:
+    never a traceback or a partial file."""
+
+    @staticmethod
+    def assert_clean_exit(argv, workdir, out):
+        inputs = set(os.listdir(workdir))
+        err = io.StringIO()
+        handler = logging.StreamHandler(err)
+        logging.getLogger("titlegen").addHandler(handler)
+        try:
+            with contextlib.redirect_stderr(err):
+                code = cli_main([str(a) for a in argv])
+        finally:
+            logging.getLogger("titlegen").removeHandler(handler)
+        made = set(os.listdir(workdir)) - inputs
+        event(f"exit {code}")
+        if code == 0:
+            assert made == {out.name}
+        else:
+            (line,) = err.getvalue().splitlines()
+            assert code == 1 and line.startswith(f"titlegen {argv[0]}: error: ")
+            assert not made
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_model_file_through_generate(self, pipeline, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            model = workdir / "model.bin"
+            make_gapped_model().save(model)
+            raw = model.read_bytes()
+            model.write_bytes(corrupted(raw, data.draw(corruptions(len(raw)))))
+            out = workdir / "pools.jsonl"
+            argv = [
+                "generate", "--model", model, "--input", pipeline.splits / "test.jsonl",
+                "--out", out, "--limit", 1, "--num-samples", 3, "--max-length", 4,
+            ]
+            self.assert_clean_exit(argv, workdir, out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pools_file_through_rank(self, pipeline, data):
+        raw = b"".join(pipeline.pools.read_bytes().splitlines(keepends=True)[:2])
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            pools = workdir / "pools.jsonl"
+            pools.write_bytes(corrupted(raw, data.draw(corruptions(len(raw)))))
+            out = workdir / "selected.jsonl"
+            self.assert_clean_exit(["rank", "--pools", pools, "--out", out], workdir, out)
 
 
 class TestPoolSeeds:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 from types import SimpleNamespace
 from unittest import mock
@@ -130,7 +131,9 @@ class TestSamplingConfig:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # The message names the field and the value, NaN included.
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must .*, got {re.escape(str(value))}$"):
             tg.SamplingConfig(**kwargs)
 
 
@@ -212,8 +215,9 @@ class TestNucleusFilter:
 
 class TestApplyTemperature:
     """Temperature as sampling applies it: ``_kernels.apply_temperature_kernel``
-    inside the default ``step_nuclei``, after the temperature and the
-    model's distribution are checked."""
+    inside the default ``step_nuclei``. What is refused before it, a bad
+    temperature or distribution, ``TestSamplingConfig`` and
+    ``TestModelContractChecks`` check."""
 
     def test_identity_at_one(self):
         dist = np.array([0.7, 0.2, 0.1])
@@ -241,34 +245,6 @@ class TestApplyTemperature:
             dist /= dist.sum()
             for t in (0.25, 0.9, 3.0):
                 assert abs(_kernels.apply_temperature_kernel(dist, t).sum() - 1.0) <= 1e-9
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="temperature must be positive, got 0.0"):
-            tg.SamplingConfig(temperature=0.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="temperature must be positive, got nan"):
-            tg.SamplingConfig(temperature=np.nan)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
-    def test_rejects_non_finite(self, bad):
-        value = np.array(VALID_VECTOR)
-        value[5] = bad
-        with pytest.raises(ValueError, match="^next_distribution entries must be finite$"):
-            self.temper(value, 0.7)
-
-    def test_rejects_zero_mass(self):
-        with pytest.raises(ValueError, match="must sum to 1 within 1e-9, got 0.0"):
-            self.temper(np.zeros(8), 0.5)
-
-    @staticmethod
-    def temper(value, t):
-        """The default ``step_nuclei`` of one state of ``VectorModel(value)``
-        at temperature ``t``."""
-        model = VectorModel(value)
-        pools, prefixes = np.zeros(1, dtype=np.int64), np.array([[START_ID]])
-        states = model.step_states([[5]], pools, prefixes)
-        return model.step_nuclei(states, [[5]], pools, prefixes, 0.8, t)
 
 
 class TestSampleToken:
@@ -548,7 +524,7 @@ class TestNucleusMemo:
         toy_model.save(tmp_path / "model.bin")
         model = Override.load(tmp_path / "model.bin")
         code = model.vocabulary.encode(topic_code(1))
-        for top_p, temperature in ((0.8, 1.0), (1.0, 1.0), (0.9, 0.7)):
+        for top_p, temperature in ((0.8, 1.0), (1.0, 1.0), (0.9, 0.7), (0.8, 0.5)):
             cfg = tg.SamplingConfig(top_p=top_p, temperature=temperature, num_samples=4)
             with pytest.raises(ValueError, match=rule):
                 tg.decode_candidates(model, code, cfg)
@@ -1053,6 +1029,8 @@ LENGTH = "at top_p 1 must return 8 ids and probabilities"
 NOT_FINITE = "probabilities must be finite and nonnegative, got "
 NEGATIVE = NOT_FINITE + "-0.25$"
 NO_MASS = "must have positive mass, got 0.0$"
+ASCEND = "^step_nuclei ids must ascend strictly within each pair$"
+IN_ORDER = "^step_nuclei at top_p 1 must return the ids 0 to 7 in order$"
 
 
 def vector_pairs(n, changes):
@@ -1084,7 +1062,7 @@ class TestModelContractChecks:
     def test_finite(self, bad):
         value = np.array(VALID_VECTOR)
         value[5] = bad
-        self.assert_refused(value, "entries must be finite")
+        self.assert_refused(value, "^next_distribution entries must be finite$")
 
     def test_nonnegative(self):
         value = np.array(VALID_VECTOR)
@@ -1107,30 +1085,32 @@ class TestModelContractChecks:
         ids=["all_zero", "unnormalized", "just_over"],
     )
     def test_sum_one(self, value):
-        self.assert_refused(value, "sum to 1 within 1e-9")
+        total = re.escape(repr(float(value.sum())))
+        self.assert_refused(value, f"^next_distribution must sum to 1 within 1e-9, got {total}$")
 
     @pytest.mark.parametrize(
         "nuclei, rule, beam_rule",
         [
-            (lambda n: [], PAIR_PER_STATE, PAIR_PER_STATE),
-            (lambda n: [(np.array([], dtype=np.int64), np.array([]))] * n, "at least one", LENGTH),
-            (lambda n: [(np.array([3, 4]), np.array([1.0]))] * n, "as many probabilities as ids", LENGTH),
-            (lambda n: [(np.array([3]), np.array([0.0]))] * n, "positive mass", LENGTH),
-            (lambda n: [(np.array([-1, 3]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens", LENGTH),
-            (lambda n: [(np.array([3, 8]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens", LENGTH),
-            (lambda n: [(np.array([3, -1, 4]), np.full(3, 1 / 3))] * n, "vocabulary of 8 tokens", LENGTH),
-            (lambda n: [(np.array([3, 9, 4]), np.full(3, 1 / 3))] * n, "vocabulary of 8 tokens", LENGTH),
-            (lambda n: [(np.array([[3]]), np.array([[1.0]]))] * n, "pairs of 1-D arrays", LENGTH),
-            (lambda n: vector_pairs(n, {5: np.nan}), NOT_FINITE + "nan$", NOT_FINITE + "nan$"),
-            (lambda n: vector_pairs(n, {5: np.inf}), NOT_FINITE + "inf$", NOT_FINITE + "inf$"),
-            (lambda n: vector_pairs(n, {5: -np.inf}), NOT_FINITE + "-inf$", NOT_FINITE + "-inf$"),
-            (lambda n: vector_pairs(n, {5: -0.25, 6: 0.55}), NEGATIVE, NEGATIVE),
-            (lambda n: vector_pairs(n, dict.fromkeys(range(8), 0.0)), NO_MASS, NO_MASS),
+            (lambda n, _: [], PAIR_PER_STATE, PAIR_PER_STATE),
+            (lambda n, _: [(np.array([], dtype=np.int64), np.array([]))] * n, "at least one", LENGTH),
+            (lambda n, _: [(np.array([3, 4]), np.array([1.0]))] * n, "as many probabilities as ids", LENGTH),
+            (lambda n, _: [(np.array([3]), np.array([0.0]))] * n, "positive mass", LENGTH),
+            (lambda n, _: [(np.array([-1, 3]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens", LENGTH),
+            (lambda n, _: [(np.array([3, 8]), np.array([0.5, 0.5]))] * n, "vocabulary of 8 tokens", LENGTH),
+            (lambda n, _: [(np.array([3, -1, 4]), np.full(3, 1 / 3))] * n, "vocabulary of 8 tokens", LENGTH),
+            (lambda n, _: [(np.array([3, 9, 4]), np.full(3, 1 / 3))] * n, "vocabulary of 8 tokens", LENGTH),
+            (lambda n, _: [(np.array([[3]]), np.array([[1.0]]))] * n, "pairs of 1-D arrays", LENGTH),
+            (lambda n, _: vector_pairs(n, {5: np.nan}), NOT_FINITE + "nan$", NOT_FINITE + "nan$"),
+            (lambda n, _: vector_pairs(n, {5: np.inf}), NOT_FINITE + "inf$", NOT_FINITE + "inf$"),
+            (lambda n, _: vector_pairs(n, {5: -np.inf}), NOT_FINITE + "-inf$", NOT_FINITE + "-inf$"),
+            (lambda n, _: vector_pairs(n, {5: -0.25, 6: 0.55}), NEGATIVE, NEGATIVE),
+            (lambda n, _: vector_pairs(n, dict.fromkeys(range(8), 0.0)), NO_MASS, NO_MASS),
+            (lambda n, default: [(i[::-1], q[::-1]) for i, q in default()], ASCEND, IN_ORDER),
         ],
         ids=[
             "too_few", "empty", "unequal", "no_mass", "negative_id", "id_past_vocab",
             "negative_id_inside", "id_past_vocab_inside", "two_dimensional",
-            "nan", "inf", "minus_inf", "negative", "no_mass_vocabulary",
+            "nan", "inf", "minus_inf", "negative", "no_mass_vocabulary", "reversed",
         ],
     )
     def test_nuclei_override(self, nuclei, rule, beam_rule):
@@ -1139,9 +1119,12 @@ class TestModelContractChecks:
         # of -1 inside a table emits the last token, and one past the
         # vocabulary ends in a bare IndexError. Beam search took NaN, inf,
         # a negative probability or a pair without mass and returned
-        # titles; sampling took inf and negative probabilities.
+        # titles; sampling took inf and negative probabilities. Both took
+        # the default's pairs reversed, and beam search returned other
+        # titles.
         model = VectorModel(VALID_VECTOR)
-        model.step_nuclei = lambda states, codes, pools, prefixes, p, t: nuclei(len(states))
+        default = tg.GeneratorModel.step_nuclei
+        model.step_nuclei = lambda *step: nuclei(len(step[0]), lambda: default(model, *step))
         cfg = tg.SamplingConfig(num_samples=4, max_length=3)
         with pytest.raises(ValueError, match=rule):
             tg.decode_candidates(model, [5], cfg)
@@ -1161,7 +1144,7 @@ class TestModelContractChecks:
 
     @staticmethod
     def assert_refused(value, rule):
-        for top_p, temperature in ((0.8, 1.0), (1.0, 1.0), (0.9, 0.7)):
+        for top_p, temperature in ((0.8, 1.0), (1.0, 1.0), (0.9, 0.7), (0.8, 0.5)):
             cfg = tg.SamplingConfig(
                 top_p=top_p, temperature=temperature, num_samples=4, max_length=3
             )

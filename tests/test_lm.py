@@ -597,9 +597,87 @@ FLOOR_TIE_SPEC = {
 }
 
 
+#: Hand-built models for the edges of the miss path's cut. Ids 5 and up
+#: are words.
+EDGE_SPECS = {
+    # A level-1 row of 15 ids, descending counts: a nucleus reaches past
+    # a first row window of 2-6 ids.
+    "long_row": {
+        "order": 2,
+        "size": 40,
+        "levels": [{(): {5: 1, 6: 1, END_ID: 1}}, {(START_ID,): {i: 25 - i for i in range(5, 20)}}],
+        "weights": [0.5, 0.5],
+    },
+    # Ten level-1 ids of one count: the row's value past any window inside
+    # it ties with the window's last.
+    "row_ties": {
+        "order": 2,
+        "size": 40,
+        "levels": [{(): {5: 1, END_ID: 1}}, {(START_ID,): dict.fromkeys(range(6, 16), 2)}],
+        "weights": [0.5, 0.5],
+    },
+    # A level-1 weight of 1e-30 leaves every level-1 value at its floor +
+    # unigram value: the row ties with the border, id 8 with the floor.
+    "row_border_ties": {
+        "order": 2,
+        "size": 30,
+        "levels": [{(): {5: 2, 6: 1, 7: 1, END_ID: 1}}, {(START_ID,): {6: 1, 8: 1, 9: 1}}],
+        "weights": [1.0, 1e-30],
+    },
+    # PAD and START hold the largest counts of a level-1 and a level-2 row.
+    "pad_and_start_next": {
+        "order": 3,
+        "size": 20,
+        "levels": [
+            {(): {5: 1, 6: 1, END_ID: 1}},
+            {(START_ID,): {START_ID: 5, PAD_ID: 4, 5: 1, 6: 2}, (5,): {PAD_ID: 2, 6: 1}},
+            {(NEXT_ID, START_ID): {PAD_ID: 3, 5: 1}, (START_ID, 5): {START_ID: 2, 7: 1}},
+        ],
+        "weights": None,
+    },
+    "order_1": {
+        "order": 1,
+        "size": 12,
+        "levels": [{(): {5: 3, 6: 1, 7: 1, END_ID: 2}}],
+        "weights": None,
+    },
+}
+
+#: The top_p values the edge models are cut at.
+EDGE_TOP_PS = (0.1, 0.3, 0.5, 0.8, 0.9, 0.99, 0.999999)
+
+
 class TestSparseNucleus:
     """``NGramLM.step_nuclei`` of one state against the default (the dense
     distribution through ``_kernels.nucleus_kernel``)."""
+
+    @pytest.mark.parametrize("name", EDGE_SPECS)
+    def test_equals_default_on_edge_models(self, name):
+        model = build_hand_model(EDGE_SPECS[name])
+        for first in (1, 2, 3):
+            with mock.patch.object(lm, "_FIRST_WIDTH", first):
+                for tail in ([], [5], [6], [5, 6], [7]):
+                    for top_p in EDGE_TOP_PS:
+                        assert_nucleus_matches_default(model, [], [START_ID, *tail], top_p)
+
+    def test_edge_models_reach_their_edges(self):
+        # The nucleus of the long row holds more ids of it than the first
+        # window, the tied row's is cut inside its tied run at its lowest
+        # ids, and no nucleus holds PAD or START.
+        long_row = build_hand_model(EDGE_SPECS["long_row"])
+        with mock.patch.object(lm, "_FIRST_WIDTH", 1):
+            ids, _ = row_nuclei(long_row, [], [START_ID], 0.8)
+        assert len(set(ids.tolist()) & set(range(5, 20))) > 3
+        ties = build_hand_model(EDGE_SPECS["row_ties"])
+        with mock.patch.object(lm, "_FIRST_WIDTH", 2):
+            ids, _ = row_nuclei(ties, [], [START_ID], 0.5)
+        tied = [i for i in ids.tolist() if i >= 6]
+        assert 0 < len(tied) < 10 and tied == list(range(6, 6 + len(tied)))
+        pads = build_hand_model(EDGE_SPECS["pad_and_start_next"])
+        for tail in ([], [5]):
+            with mock.patch.object(lm, "_FIRST_WIDTH", 1):
+                ids, _ = row_nuclei(pads, [], [START_ID, *tail], 0.999999)
+            assert PAD_ID not in ids and START_ID not in ids
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -609,19 +687,19 @@ class TestSparseNucleus:
         top_p=st.one_of(
             st.sampled_from([0.5, 0.8, 0.99999, 1.0 - 1e-9, 1.0]), st.floats(0.01, 0.999999)
         ),
-        first=st.sampled_from([1, 2, 3, lm._BORDER_FIRST]),
+        first=st.sampled_from([1, 2, 3, lm._FIRST_WIDTH]),
     )
     @example(spec=FLOOR_TIE_SPEC, code=[], tail=[], top_p=0.9999835, first=1)
     def test_equals_default_on_hand_built_models(self, spec, code, tail, top_p, first):
         model = build_hand_model(spec)
         # A first border width of a few ids makes small vocabularies
         # widen, and tie the cut with the border, as large ones do.
-        with mock.patch.object(lm, "_BORDER_FIRST", first):
+        with mock.patch.object(lm, "_FIRST_WIDTH", first):
             assert_nucleus_matches_default(model, code, [START_ID, *tail], top_p)
 
     def test_floor_ties_take_the_lowest_id(self):
         model = build_hand_model(FLOOR_TIE_SPEC)
-        with mock.patch.object(lm, "_BORDER_FIRST", 1):
+        with mock.patch.object(lm, "_FIRST_WIDTH", 1):
             ids, _ = row_nuclei(model, [], [START_ID], 0.9999835)
         assert ids.tolist() == [END_ID, 5]
 
@@ -629,7 +707,7 @@ class TestSparseNucleus:
         model = make_gapped_model()
         for code, prefix in TestGappedNGramLMContract().contexts(model):
             for top_p in (0.3, 0.8, 0.99):
-                with mock.patch.object(lm, "_BORDER_FIRST", 1):
+                with mock.patch.object(lm, "_FIRST_WIDTH", 1):
                     assert_nucleus_matches_default(model, code, prefix, top_p)
 
     def test_equals_default_on_toy_model(self, toy_model):
@@ -651,10 +729,10 @@ class TestSparseNucleus:
             assert a.tobytes() == b.tobytes()
 
 
-def zipf_model(size=600, posts=900):
-    """An order-4 model trained on titles of Zipf-drawn words: a few
-    hundred ids, so nuclei near top_p 1 widen past the first border
-    window and reach the dense kernel."""
+def zipf_model(size=600, posts=900, order=4):
+    """A model, order 4 by default, trained on titles of Zipf-drawn words:
+    a few hundred ids, so nuclei near top_p 1 widen past the first
+    windows and reach the dense kernel."""
     rng = stable_rng("zipf-model", size, posts)
     words = [f"w{i}" for i in range(size)]
     weights = 1.0 / np.arange(1, size + 1) ** 1.1
@@ -664,65 +742,122 @@ def zipf_model(size=600, posts=900):
         code = rng.choice(words[:40], size=3).tolist()
         title = rng.choice(words, size=int(rng.integers(3, 9)), p=weights / weights.sum())
         pairs.append((vocab.encode(code, grow=True), vocab.encode(title.tolist(), grow=True)))
-    return tg.train_ngram_lm(pairs, order=4, vocab=vocab)
+    return tg.train_ngram_lm(pairs, order=order, vocab=vocab)
 
 
-class TestBatchedNuclei:
-    """``NGramLM.step_nuclei`` on every state a sampling run computes: the
-    default's arrays bit for bit, through widening, the dense kernel and
-    batches split into blocks."""
+def run_miss_states(model, top_p, monkeypatch):
+    """Every state a short sampling run computes through ``step_nuclei``,
+    as (code, prefix, arrays), with the sizes of its batches and the
+    widths ``_cut`` took; every state is stored, so each is computed
+    once."""
+    monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
+    computed, batches, widths = [], [], []
+    step_nuclei, cut = tg.NGramLM.step_nuclei, tg.NGramLM._cut
 
-    @pytest.mark.parametrize("top_p", [0.8, 0.95, 0.995])
-    def test_every_miss_state_of_a_run(self, top_p, monkeypatch):
-        model = zipf_model()
-        size = len(model.vocabulary)
-        assert size > 4 * lm._BORDER_FIRST
-        # Blocks of 3 states, so most batches are split; every state is
-        # stored, so each is computed once.
-        monkeypatch.setattr(lm, "_BLOCK_BYTES", 3 * 8 * size)
-        monkeypatch.setattr(decode, "_MEMO_IDS_PER_VOCAB", 10**6)
-        computed, batches, widths, dense = [], [], [], []
-        step_nuclei, cut_block = tg.NGramLM.step_nuclei, tg.NGramLM._cut_block
-        kernel = lm._kernels.nucleus_kernel
+    def recording_nuclei(self, states, codes, pools, prefixes, p, t):
+        found = step_nuclei(self, states, codes, pools, prefixes, p, t)
+        rows = zip(pools.tolist(), prefixes.tolist(), found)
+        computed.extend((list(codes[pool]), prefix, arrays) for pool, prefix, arrays in rows)
+        batches.append(len(states))
+        return found
 
-        def recording_nuclei(self, states, codes, pools, prefixes, p, t):
-            found = step_nuclei(self, states, codes, pools, prefixes, p, t)
-            rows = zip(pools.tolist(), prefixes.tolist(), found)
-            computed.extend((list(codes[pool]), prefix, arrays) for pool, prefix, arrays in rows)
-            batches.append(len(states))
-            return found
+    def recording_cut(self, group, m, *rest):
+        widths.append(m)
+        return cut(self, group, m, *rest)
 
-        def recording_cut(self, block, totals, pending, hit_keys, hit_values, m, *rest):
-            widths.append(m)
-            return cut_block(self, block, totals, pending, hit_keys, hit_values, m, *rest)
-
-        def recording_kernel(probs, beta, temperature):
-            dense.append(beta)
-            return kernel(probs, beta, temperature)
-
-        monkeypatch.setattr(tg.NGramLM, "step_nuclei", recording_nuclei)
-        monkeypatch.setattr(tg.NGramLM, "_cut_block", recording_cut)
-        monkeypatch.setattr(lm._kernels, "nucleus_kernel", recording_kernel)
+    with monkeypatch.context() as m:
+        m.setattr(tg.NGramLM, "step_nuclei", recording_nuclei)
+        m.setattr(tg.NGramLM, "_cut", recording_cut)
         memo = decode.NucleusMemo(model, top_p, 1.0)
         for topic in range(4):
             code = model.vocabulary.encode([f"w{topic}", f"w{topic + 7}", f"w{topic + 20}"])
             cfg = tg.SamplingConfig(top_p=top_p, num_samples=60, max_length=10, seed=topic)
             tg.decode_candidates(model, code, cfg, memo)
-        assert max(batches) > 3
-        # Near top_p 1 the first window falls short, then the widest.
-        assert (max(widths) > lm._BORDER_FIRST) == (top_p > 0.9)
-        assert bool(dense) == (top_p > 0.99)
-        monkeypatch.setattr(lm._kernels, "nucleus_kernel", kernel)
-        monkeypatch.setattr(tg.NGramLM, "step_nuclei", step_nuclei)
-        for code, prefix, arrays in computed:
-            want = row_nuclei(model, code, prefix, top_p, default=True)
-            for a, b in zip(arrays, want):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            # A one-row step gives the same arrays.
-            got = row_nuclei(model, code, prefix, top_p)
+    assert len(computed) == len(memo._entries)
+    return computed, batches, widths
+
+
+def assert_computed_match_default(model, computed, top_p):
+    """Each computed state's arrays, and a one-row step's, are the
+    default's bit for bit."""
+    for code, prefix, arrays in computed:
+        want = row_nuclei(model, code, prefix, top_p, default=True)
+        for got in (arrays, row_nuclei(model, code, prefix, top_p)):
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert len(computed) == len(memo._entries) > 100
+
+
+class TestBatchedNuclei:
+    """``NGramLM.step_nuclei`` on every state a sampling run computes: the
+    default's arrays bit for bit, through widening, the dense kernel and
+    passes split into chunks."""
+
+    @pytest.mark.parametrize("top_p", [0.8, 0.95, 0.995])
+    def test_every_miss_state_of_a_run(self, top_p, monkeypatch):
+        model = zipf_model()
+        assert len(model.vocabulary) > 16 * lm._FIRST_WIDTH
+        dense = []
+        kernel = lm._kernels.nucleus_kernel
+
+        def recording_kernel(probs, beta, temperature):
+            dense.append(beta)
+            return kernel(probs, beta, temperature)
+
+        monkeypatch.setattr(lm._kernels, "nucleus_kernel", recording_kernel)
+        computed, batches, widths = run_miss_states(model, top_p, monkeypatch)
+        monkeypatch.setattr(lm._kernels, "nucleus_kernel", kernel)
+        assert max(batches) > 3 and len(computed) > 100
+        # Some states widen past the first window; near top_p 1 the
+        # widest window falls short too.
+        assert max(widths) > lm._FIRST_WIDTH
+        assert bool(dense) == (top_p > 0.99)
+        assert_computed_match_default(model, computed, top_p)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_every_miss_state_of_low_orders(self, order, first, monkeypatch):
+        # Order 1 has no level-1 row, order 2 no longer rows; first border
+        # windows of 1 and 2 ids make most states widen.
+        model = zipf_model(size=200, posts=300, order=order)
+        monkeypatch.setattr(lm, "_FIRST_WIDTH", first)
+        for top_p in (0.5, 0.9):
+            computed, _, widths = run_miss_states(model, top_p, monkeypatch)
+            assert max(widths) > first
+            assert_computed_match_default(model, computed, top_p)
+
+    @pytest.mark.parametrize("top_p", [0.8, 0.995])
+    def test_chunks_past_the_byte_budget(self, top_p, monkeypatch):
+        # A budget of three states' first windows: every pass of a large
+        # step runs in chunks, and the arrays do not change.
+        model = zipf_model()
+        codes = [model.vocabulary.encode([f"w{t}", f"w{t + 7}"]) for t in range(6)]
+        rows = [(codes.index(c), p) for c, p in sampled_probes(model, codes, 90) if len(p) == 3]
+        pools = np.array([pool for pool, _ in rows])
+        prefixes = np.array([prefix for _, prefix in rows], dtype=np.int64)
+        step = (model.step_states(codes, pools, prefixes), codes, pools, prefixes, top_p, 1.0)
+        want = tg.GeneratorModel.step_nuclei(model, *step)
+        whole = model.step_nuclei(*step)
+        groups = []
+        cut = tg.NGramLM._cut
+
+        def recording_cut(self, group, m, *rest):
+            groups.append((m, len(group)))
+            return cut(self, group, m, *rest)
+
+        monkeypatch.setattr(lm, "_CUT_BYTES", 3 * 24 * lm._FIRST_WIDTH)
+        monkeypatch.setattr(tg.NGramLM, "_cut", recording_cut)
+        chunked = model.step_nuclei(*step)
+        assert len(rows) > 20
+        first = [n for m, n in groups if m == lm._FIRST_WIDTH]
+        assert first == [3] * (len(rows) // 3) + [len(rows) % 3] * (len(rows) % 3 > 0)
+        # Wider passes take one state a chunk; near top_p 1 some state
+        # takes one.
+        assert all(n == 1 for m, n in groups if m > lm._FIRST_WIDTH)
+        assert (len(groups) > len(first)) == (top_p > 0.9)
+        for got in (whole, chunked):
+            for pair, other in zip(got, want, strict=True):
+                for a, b in zip(pair, other):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 #: (top_p, temperature) pairs the state-total tests draw nuclei at: the
@@ -778,7 +913,7 @@ class TestStateTotals:
         # levels of weight 0 or 1e-30.
         model = build_hand_model(spec)
         oracle = DictNGramLM(spec["order"], spec["size"], spec["levels"], model.weights)
-        with mock.patch.object(lm, "_BORDER_FIRST", 2):
+        with mock.patch.object(lm, "_FIRST_WIDTH", 2):
             assert_totals_match(model, oracle, [(code, [START_ID, *tail])])
 
     def test_zipf_model(self):
@@ -796,26 +931,40 @@ class TestStateTotals:
         model, pairs = make_long_model()
         oracle = DictNGramLM.train(pairs, 20, len(model.vocabulary))
         probes = [(code, [START_ID, *title[:n]]) for code, title in pairs for n in range(6)]
-        assert_totals_match(model, oracle, probes)
+        for first in (1, 3, lm._FIRST_WIDTH):
+            with mock.patch.object(lm, "_FIRST_WIDTH", first):
+                assert_totals_match(model, oracle, probes)
 
-    @pytest.mark.parametrize("top_p", [0.5, 0.8])
-    def test_miss_block_reads_only_what_it_writes(self, top_p, monkeypatch):
-        # Unwritten cells of the miss block read as NaN, and the dense
-        # path is refused: a batch of misses still gives the default's
-        # arrays, so no state read or summed a vocabulary-wide row.
+    @pytest.mark.parametrize("top_p", [0.5, 0.8, 0.995])
+    def test_misses_read_distributions_only_for_the_dense_kernel(self, top_p, monkeypatch):
+        # Every state's arrays are the default's, but only a state whose
+        # candidates fall short at every width reads its distribution, and
+        # hands it straight to the dense kernel. Below the widest windows
+        # no array the step allocates holds as many cells as its states
+        # times the vocabulary.
         model = zipf_model()
+        size = len(model.vocabulary)
         codes = [model.vocabulary.encode([f"w{t}", f"w{t + 7}"]) for t in range(4)]
-        probes = sampled_probes(model, codes, 60)
         by_length: dict = {}
-        for code, prefix in probes:
+        for code, prefix in sampled_probes(model, codes, 60):
             by_length.setdefault(len(prefix), []).append((codes.index(code), prefix))
-        empty = np.empty
+        distribution, kernel = tg.NGramLM._distribution, lm._kernels.nucleus_kernel
+        read, handed, cells, dense = [], [], [], 0
 
-        def nan_empty(shape, dtype=float, **kwargs):
-            out = empty(shape, dtype, **kwargs)
-            if out.dtype.kind == "f":
-                out.fill(np.nan)
-            return out
+        def reading(self, rows):
+            read.append(distribution(self, rows))
+            return read[-1]
+
+        def handing(probs, beta, temperature):
+            handed.append(probs)
+            return kernel(probs, beta, temperature)
+
+        def counted(make):
+            def counting(shape, *args, **kwargs):
+                cells.append(int(np.prod(shape)))
+                return make(shape, *args, **kwargs)
+
+            return counting
 
         for rows in by_length.values():
             pools = np.array([p for p, _ in rows])
@@ -823,13 +972,21 @@ class TestStateTotals:
             states = model.step_states(codes, pools, prefixes)
             step = (states, codes, pools, prefixes, top_p, 1.0)
             want = tg.GeneratorModel.step_nuclei(model, *step)
+            read.clear(), handed.clear(), cells.clear()
             with monkeypatch.context() as m:
-                m.setattr(np, "empty", nan_empty)
-                m.setattr(tg.NGramLM, "_distribution", mock.Mock(side_effect=AssertionError))
+                m.setattr(tg.NGramLM, "_distribution", reading)
+                m.setattr(lm._kernels, "nucleus_kernel", handing)
+                for name in ("empty", "zeros", "full", "ones"):
+                    m.setattr(np, name, counted(getattr(np, name)))
                 got = model.step_nuclei(*step)
-            for pair, other in zip(got, want):
+            for pair, other in zip(got, want, strict=True):
                 for a, b in zip(pair, other):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert len(read) == len(handed) and all(a is b for a, b in zip(read, handed))
+            dense += len(read)
+            if not read and len(states) > 1:
+                assert max(cells) < len(states) * size
+        assert bool(dense) == (top_p > 0.99)
 
 
 def split_model(data):
