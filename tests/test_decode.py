@@ -215,9 +215,8 @@ class TestNucleusFilter:
 
 class TestApplyTemperature:
     """Temperature as sampling applies it: ``_kernels.apply_temperature_kernel``
-    inside the default ``step_nuclei``. What is refused before it, a bad
-    temperature or distribution, ``TestSamplingConfig`` and
-    ``TestModelContractChecks`` check."""
+    inside the default ``step_nuclei``, after the temperature and the
+    model's distribution are checked."""
 
     def test_identity_at_one(self):
         dist = np.array([0.7, 0.2, 0.1])
@@ -245,6 +244,34 @@ class TestApplyTemperature:
             dist /= dist.sum()
             for t in (0.25, 0.9, 3.0):
                 assert abs(_kernels.apply_temperature_kernel(dist, t).sum() - 1.0) <= 1e-9
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="temperature must be positive, got 0.0"):
+            tg.SamplingConfig(temperature=0.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="temperature must be positive, got nan"):
+            tg.SamplingConfig(temperature=np.nan)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        value = np.array(VALID_VECTOR)
+        value[5] = bad
+        with pytest.raises(ValueError, match="^next_distribution entries must be finite$"):
+            self.temper(value, 0.7)
+
+    def test_rejects_zero_mass(self):
+        with pytest.raises(ValueError, match="must sum to 1 within 1e-9, got 0.0"):
+            self.temper(np.zeros(8), 0.5)
+
+    @staticmethod
+    def temper(value, t):
+        """The default ``step_nuclei`` of one state of ``VectorModel(value)``
+        at temperature ``t``."""
+        model = VectorModel(value)
+        pools, prefixes = np.zeros(1, dtype=np.int64), np.array([[START_ID]])
+        states = model.step_states([[5]], pools, prefixes)
+        return model.step_nuclei(states, [[5]], pools, prefixes, 0.8, t)
 
 
 class TestSampleToken:
